@@ -169,14 +169,10 @@ class ComponentCode:
         sel = self._pos_power[:, idx]
         return [int(v) for v in np.bitwise_xor.reduce(sel, axis=1)]
 
-    def words_with_errors(self, words, pad=0):
-        """Boolean mask of rows whose syndrome is nonzero (batch test).
-
-        ``pad`` lets callers pass words with the leading ``pad`` zero bits
-        stripped; zeros contribute nothing to the syndrome.
-        """
+    def words_with_errors(self, words):
+        """Boolean mask of rows whose syndrome is nonzero (batch test)."""
         words = np.asarray(words, dtype=np.uint8)
-        synd = gf2.mat_mul(words, self._syndrome_bits[pad:])
+        synd = gf2.mat_mul(words, self._syndrome_bits)
         return synd.any(axis=1)
 
     def _berlekamp_massey(self, synd):

@@ -33,6 +33,14 @@ def _add_code_args(p, family_required=True):
     p.add_argument("--s", type=int, required=True)
 
 
+def _seed(text):
+    """A seed that fits the stream header's u32 field."""
+    value = int(text)
+    if not 0 <= value < 1 << 32:
+        raise argparse.ArgumentTypeError(f"seed {value} is outside [0, 2**32)")
+    return value
+
+
 def _add_codec_args(p):
     _add_code_args(p)
     p.add_argument("--L", type=int, default=2,
@@ -41,7 +49,7 @@ def _add_codec_args(p):
                    help="blocks per frame (sc/ff) or periods (pff)")
     p.add_argument("--window", type=int, default=7)
     p.add_argument("--l-max", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="construction search seed")
 
 
@@ -142,7 +150,7 @@ def cmd_inject(args):
     print(json.dumps({
         "config": codec.describe(),
         "weight": pattern.weight,
-        "entries": [list(e) for e in pattern.entries],
+        "entries": list(pattern.entries),
         "fixed_point": bool(fixed),
         "single_deletions_corrected": bool(minimal),
     }, indent=2))
@@ -220,7 +228,7 @@ def build_parser():
 
     p = sub.add_parser("construct", help="search and cache a construction")
     _add_code_args(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_construct)
 
@@ -237,7 +245,8 @@ def build_parser():
     p.add_argument("--l-max", type=int, default=8)
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("inject", help="generate and certify a stall pattern")
+    p = sub.add_parser("inject", help="generate and certify a stall pattern "
+                                      "(entries are stream-bit offsets)")
     _add_codec_args(p)
     p.add_argument("--pattern-seed", type=int, default=0)
     p.set_defaults(func=cmd_inject)

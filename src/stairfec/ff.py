@@ -23,13 +23,11 @@ back to random permutations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from . import gf2
+from . import engine, gf2
 from .bch import ComponentCode
-from .staircase import correct_word
 
 __all__ = [
     "transpose_indices",
@@ -39,9 +37,6 @@ __all__ = [
     "FFConstruction",
     "build_construction",
     "search_construction",
-    "ff_rate_finite",
-    "FFPair",
-    "FFFrame",
     "FFCode",
 ]
 
@@ -115,57 +110,18 @@ class FFConstruction:
     mode: str
     # mirror maps, derived in __post_init__
     idx_y_to_x: np.ndarray = field(init=False)
-    idx_x_to_y: np.ndarray = field(init=False)
     idx_pc_to_pr: np.ndarray = field(init=False)
-    idx_pr_to_pc: np.ndarray = field(init=False)
     idx_pr_enc: np.ndarray = field(init=False)
 
     def __post_init__(self):
         m_side, r = self.m_side, self.r
         t_rm = transpose_indices(r, m_side)
         t_mr = transpose_indices(m_side, r)
+        # vec(X) = vec(Y)[idx_y_to_x] and vec(Pr~) = vec(Pc~)[idx_pc_to_pr]
         self.idx_y_to_x = t_rm[gf2.invert_indices(self.pi1)]
-        self.idx_x_to_y = gf2.invert_indices(self.idx_y_to_x)
         self.idx_pc_to_pr = t_rm[gf2.invert_indices(self.pi2)]
-        self.idx_pr_to_pc = gf2.invert_indices(self.idx_pc_to_pr)
         # vec(P_r) -> vec((pi_2(P_r))^T), used on the encoder side
         self.idx_pr_enc = self.pi2[t_mr]
-
-    # -- mirror views --------------------------------------------------------
-
-    def x_from_y(self, y):
-        return gf2.unvec(gf2.vec(y)[self.idx_y_to_x], self.m_side, self.r)
-
-    def y_from_x(self, x):
-        return gf2.unvec(gf2.vec(x)[self.idx_x_to_y], self.r, self.m_side)
-
-    def pr_from_pc(self, pc):
-        return gf2.unvec(gf2.vec(pc)[self.idx_pc_to_pr], self.m_side, self.r)
-
-    def pc_from_pr(self, pr):
-        return gf2.unvec(gf2.vec(pr)[self.idx_pr_to_pc], self.r, self.m_side)
-
-    def mirror_of_x_entry(self, row, col):
-        """(row, col) of the Y entry holding X[row, col].
-
-        vec(X) = vec(Y)[idx_y_to_x], so entry p of X reads Y at index
-        idx_y_to_x[p].
-        """
-        q = int(self.idx_y_to_x[col * self.m_side + row])
-        return q % self.r, q // self.r
-
-    def mirror_of_pr_entry(self, row, col):
-        """(row, col) of the Pc~ entry holding Pr~[row, col]."""
-        q = int(self.idx_pc_to_pr[col * self.m_side + row])
-        return q % self.r, q // self.r
-
-    def mirror_columns(self, row):
-        """Column-word indices reached by the mirrors of channel row ``row``."""
-        cols = set()
-        for u in range(self.r):
-            cols.add(self.mirror_of_x_entry(row, u)[1])
-            cols.add(self.mirror_of_pr_entry(row, u)[1])
-        return sorted(cols)
 
 
 def build_construction(code_row, code_col, pi1, pi2, mode="custom"):
@@ -240,52 +196,45 @@ def search_construction(m, t, s, *, seed=0, max_tries=200, primitive_poly=None):
     )
 
 
-def ff_rate_finite(n_blocks, n, k):
-    """Frame rate for a chain of n_blocks information blocks."""
-    if n_blocks < 1:
-        raise ValueError("need at least one block")
-    num = 2 * k - n
-    pairs = (n_blocks + 1) // 2
-    return Fraction(num, num + Fraction(4 * pairs * (n - k), n_blocks))
+class FFCode(engine.FrameCodec):
+    """Encoder/decoder for a fixed-length feed-forward staircase frame.
 
-
-@dataclass
-class FFPair:
-    """Transmitted redundancy of one block pair: Y (r x M) and Pc~ (r x M)."""
-
-    y: np.ndarray
-    pc: np.ndarray
-
-
-@dataclass
-class FFFrame:
-    blocks: list
-    pairs: list
-
-    @property
-    def n_blocks(self):
-        return len(self.blocks) - 1
-
-
-class FFCode:
-    """Encoder/decoder for a fixed-length feed-forward staircase frame."""
+    The stream carries blocks B_1..B_n, then Y and Pc~ of each pair.
+    """
 
     family = "ff"
 
     def __init__(self, construction, n_blocks, *, window=7, l_max=8):
         if n_blocks < 2 or n_blocks % 2:
             raise ValueError("FF frames need an even, positive block count")
-        self.cons = construction
-        self.M = construction.m_side
-        self.r = construction.r
+        c = self.cons = construction
+        m_side = self.M = construction.m_side
+        r = self.r = construction.r
         self.n_blocks = n_blocks
         self.n_pairs = n_blocks // 2
         self.window = window
         self.l_max = l_max
 
-    @property
-    def payload_bits(self):
-        return self.n_blocks * self.M * self.M
+        slots = self._compile([(m_side, m_side)] * n_blocks
+                              + [(r, m_side)] * n_blocks)
+        self._set_info(slots.blocks[1:])
+        # groups 2j and 2j + 1: the column and row words of pair j; a row
+        # word reads its punctured X and Pr~ from the mirroring Y and Pc~
+        self.groups = []
+        for j, pair in enumerate(slots.pairs):
+            b0, b1, b2 = slots.blocks[2 * j : 2 * j + 3]
+            # gf2.vec/unvec would cast the slots to bits
+            x = pair.y.ravel("F")[c.idx_y_to_x].reshape((m_side, r), order="F")
+            pr = pair.pc.ravel("F")[c.idx_pc_to_pr].reshape((m_side, r),
+                                                             order="F")
+            self.groups += [
+                (c.code_col, np.ascontiguousarray(
+                    np.vstack([b1, b2, pair.y, pair.pc]).T)),
+                (c.code_row, np.hstack([b0, b1, x, pr])),
+            ]
+        wp = min(max(1, window // 2), self.n_pairs)
+        self.schedule = [self.groups[2 * p : 2 * (p + wp)]
+                         for p in range(self.n_pairs - wp + 1)]
 
     # -- encoding -------------------------------------------------------------
 
@@ -297,112 +246,20 @@ class FFCode:
         rhs = gf2.vec(p_c) ^ gf2.vec(p_r)[c.idx_pr_enc]
         y = gf2.unvec(gf2.mat_mul(c.a_inv, rhs), self.r, self.M)
         pc = p_c ^ gf2.mat_mul(c.f_r.T, y)
-        return FFPair(y=y, pc=pc)
+        return engine.FFPair(y=y, pc=pc)
 
     def encode_payload(self, bits):
-        bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
-        if bits.size != self.payload_bits:
-            raise ValueError(
-                f"payload must have {self.payload_bits} bits, got {bits.size}"
-            )
-        per = self.M * self.M
-        blocks = [np.zeros((self.M, self.M), dtype=np.uint8)]
-        for i in range(self.n_blocks):
-            blocks.append(
-                bits[i * per : (i + 1) * per].reshape(self.M, self.M).copy()
-            )
-        pairs = [
-            self.encode_pair(blocks[2 * j], blocks[2 * j + 1], blocks[2 * j + 2])
-            for j in range(self.n_pairs)
-        ]
-        return FFFrame(blocks=blocks, pairs=pairs)
-
-    # -- decoding -------------------------------------------------------------
-
-    def _decode_pair_cols(self, frame, j):
-        c = self.cons
-        b1 = frame.blocks[2 * j + 1]
-        b2 = frame.blocks[2 * j + 2]
-        pair = frame.pairs[j]
-        m_side, r = self.M, self.r
-        words = np.vstack([b1, b2, pair.y, pair.pc]).T
-        mask = c.code_col.words_with_errors(words)
-        changed = False
-        for col in np.nonzero(mask)[0]:
-            flips = correct_word(c.code_col, words[col])
-            if flips is None:
-                continue
-            for f in flips:
-                if f < m_side:
-                    b1[f, col] ^= 1
-                elif f < 2 * m_side:
-                    b2[f - m_side, col] ^= 1
-                elif f < 2 * m_side + r:
-                    pair.y[f - 2 * m_side, col] ^= 1
-                else:
-                    pair.pc[f - 2 * m_side - r, col] ^= 1
-            changed = True
-        return changed
-
-    def _decode_pair_rows(self, frame, j):
-        c = self.cons
-        b0 = frame.blocks[2 * j]
-        b1 = frame.blocks[2 * j + 1]
-        pair = frame.pairs[j]
-        m_side, r = self.M, self.r
-        freeze_b0 = j == 0
-        x = c.x_from_y(pair.y)
-        pr = c.pr_from_pc(pair.pc)
-        words = np.hstack([b0, b1, x, pr])
-        mask = c.code_row.words_with_errors(words)
-        changed = False
-        for row in np.nonzero(mask)[0]:
-            flips = correct_word(c.code_row, words[row])
-            if flips is None:
-                continue
-            if freeze_b0 and any(f < m_side for f in flips):
-                continue
-            for f in flips:
-                if f < m_side:
-                    b0[row, f] ^= 1
-                elif f < 2 * m_side:
-                    b1[row, f - m_side] ^= 1
-                elif f < 2 * m_side + r:
-                    yr, yc = c.mirror_of_x_entry(row, f - 2 * m_side)
-                    pair.y[yr, yc] ^= 1
-                else:
-                    pr_, pc_ = c.mirror_of_pr_entry(row, f - 2 * m_side - r)
-                    pair.pc[pr_, pc_] ^= 1
-            changed = True
-        return changed
+        frame = self._payload_frame(bits)
+        for j, pair in enumerate(frame.pairs):
+            enc = self.encode_pair(*frame.blocks[2 * j : 2 * j + 3])
+            pair.y[...] = enc.y
+            pair.pc[...] = enc.pc
+        return frame
 
     def decode_frame(self, frame):
         """Sliding-window decode over pairs, columns then rows, in place."""
-        wp = min(max(1, self.window // 2), self.n_pairs)
-        for p in range(0, self.n_pairs - wp + 1):
-            for _ in range(self.l_max):
-                changed = False
-                for j in range(p, p + wp):
-                    changed |= self._decode_pair_cols(frame, j)
-                    changed |= self._decode_pair_rows(frame, j)
-                if not changed:
-                    break
+        engine.decode(frame.buf, self.schedule, self.l_max)
         return frame
-
-    # -- payload/channel views --------------------------------------------------
-
-    def extract_payload(self, frame):
-        return np.concatenate([b.reshape(-1) for b in frame.blocks[1:]])
-
-    def channel_arrays(self, frame):
-        arrays = list(frame.blocks[1:])
-        for pair in frame.pairs:
-            arrays.append(pair.y)
-            arrays.append(pair.pc)
-        return arrays
-
-    def info_block_views(self, frame):
-        return list(frame.blocks[1:])
 
     def describe(self):
         return {

@@ -30,7 +30,6 @@ __all__ = [
     "ff_floor",
     "sc_floor",
     "pff_floor",
-    "valid_column_set",
     "StallPattern",
     "apply_stall",
     "certify_stall",
@@ -113,19 +112,13 @@ def pff_floor(m_side, t, p):
     return _square_floor("pff", m_side, t, p)
 
 
-def valid_column_set(row, m_side, r):
-    """Column words reachable from channel row ``row`` under the canonical
-    low-floor permutations: the 2r columns row+1 .. row+2r mod M."""
-    return {(row + 1 + j) % m_side for j in range(2 * r)}
-
-
 # -- stall patterns ---------------------------------------------------------
 
 
 @dataclass
 class StallPattern:
-    """A set of channel-bit positions; kinds are 'block' (blocks[idx]),
-    'y' and 'pc' (FF redundancy of pair idx)."""
+    """A set of channel bits, as stream-bit offsets: indices into a frame's
+    buffer, in the order write_stream emits the transmitted bits."""
 
     family: str
     entries: tuple
@@ -135,46 +128,21 @@ class StallPattern:
         return len(self.entries)
 
 
-def _pattern_targets(codec, frame, pattern):
-    out = []
-    for kind, idx, row, col in pattern.entries:
-        if kind == "block":
-            out.append((frame.blocks[idx], row, col))
-        elif kind == "y":
-            out.append((frame.pairs[idx].y, row, col))
-        elif kind == "pc":
-            out.append((frame.pairs[idx].pc, row, col))
-        else:
-            raise ValueError(f"unknown entry kind {kind!r}")
-    return out
-
-
 def apply_stall(codec, frame, pattern):
-    for arr, row, col in _pattern_targets(codec, frame, pattern):
-        arr[row, col] ^= 1
+    for offset in pattern.entries:
+        frame.buf[offset] ^= 1
     return frame
-
-
-def _snapshot(codec, frame):
-    return [a.copy() for a in codec.channel_arrays(frame)]
-
-
-def _frames_equal(codec, frame, snapshot):
-    return all(
-        (a == b).all() for a, b in zip(codec.channel_arrays(frame), snapshot)
-    )
 
 
 def certify_stall(codec, pattern, payload=None):
     """(is_fixed_point, every_single_deletion_corrected) for a pattern."""
     if payload is None:
         payload = np.zeros(codec.payload_bits, dtype=np.uint8)
-    clean = _snapshot(codec, codec.encode_payload(payload))
-    frame = codec.encode_payload(payload)
-    apply_stall(codec, frame, pattern)
-    corrupted = _snapshot(codec, frame)
+    clean = codec.encode_payload(payload).buf
+    frame = apply_stall(codec, codec.encode_payload(payload), pattern)
+    corrupted = frame.buf.copy()
     codec.decode_frame(frame)
-    fixed = _frames_equal(codec, frame, corrupted)
+    fixed = (frame.buf == corrupted).all()
     deletions_ok = True
     for drop in range(pattern.weight):
         sub = StallPattern(
@@ -184,25 +152,24 @@ def certify_stall(codec, pattern, payload=None):
         frame = codec.encode_payload(payload)
         apply_stall(codec, frame, sub)
         codec.decode_frame(frame)
-        if not _frames_equal(codec, frame, clean):
+        if not (frame.buf == clean).all():
             deletions_ok = False
             break
     return fixed, deletions_ok
 
 
-def _gen_square_candidate(rng, t, m_side, info_cols, idx_cur, idx_prev):
+def _gen_square_candidate(rng, t, m_side, info_cols, cur, prev):
     """(t+1)^2 errors: rows x cols split between a block and its
-    predecessor, all in information positions."""
+    predecessor, all in information positions; ``cur`` and ``prev`` are
+    slot-frame blocks."""
     rows = rng.choice(info_cols, size=t + 1, replace=False)
     split = int(rng.integers(0, t + 2))
     cols_cur = rng.choice(info_cols, size=split, replace=False)
     cols_prev = rng.choice(m_side, size=t + 1 - split, replace=False)
     entries = []
     for a in rows:
-        for c in cols_cur:
-            entries.append(("block", idx_cur, int(a), int(c)))
-        for c in cols_prev:
-            entries.append(("block", idx_prev, int(c), int(a)))
+        entries += [int(cur[a, c]) for c in cols_cur]
+        entries += [int(prev[c, a]) for c in cols_prev]
     return StallPattern("sc", tuple(entries))
 
 
@@ -210,8 +177,9 @@ def _gen_sc_candidate(codec, rng):
     i = max(2, codec.n_blocks // 2)
     if i + 1 > codec.n_blocks:
         raise ValueError("frame too short for a split stall pattern")
+    blocks = codec.slot_frame().blocks
     return _gen_square_candidate(
-        rng, codec.code.t, codec.M, codec.M - codec.r, i, i - 1
+        rng, codec.code.t, codec.M, codec.M - codec.r, blocks[i], blocks[i - 1]
     )
 
 
@@ -220,35 +188,33 @@ def _gen_pff_candidate(codec, rng):
     if codec.n_periods < 2:
         raise ValueError("need at least two periods")
     q = (codec.n_periods - 1) // 2
-    idx = q * (codec.L + 1) + codec.L + 1
+    block = codec.slot_frame().blocks[q * (codec.L + 1) + codec.L + 1]
     t = codec.cons.code_row.t
     m_side = codec.M
     rows = rng.choice(m_side, size=t + 1, replace=False)
     cols = rng.choice(m_side, size=t + 1, replace=False)
-    entries = tuple(
-        ("block", idx, int(a), int(c)) for a in rows for c in cols
-    )
+    entries = tuple(int(block[a, c]) for a in rows for c in cols)
     return StallPattern("pff", entries)
 
 
 def _gen_ff_candidate(codec, rng):
     """t_r(t+1) errors: info bits on a t_r x t_r row/column grid plus the
     Y mirrors that extend each affected row word."""
-    cons = codec.cons
-    t = cons.code_row.t
+    t = codec.cons.code_row.t
     t_i = (t + 1) // 2
     t_r = t + 1 - t_i
     m_side, r = codec.M, codec.r
     j = codec.n_pairs // 2
-    block_idx = 2 * j + 1
+    slots = codec.slot_frame()
+    block = slots.blocks[2 * j + 1]
+    y0 = slots.pairs[j].y[0, 0]
+    # row word a of pair j reads X[a, u] from the Y slot at 2M + u
+    x_slots = codec.groups[2 * j + 1][1][:, 2 * m_side : 2 * m_side + r]
     for _ in range(50):
         rows = sorted(int(v) for v in rng.choice(m_side, size=t_r, replace=False))
-        # columns every chosen row can mirror into
-        col_sets = []
-        for a in rows:
-            col_sets.append(
-                {cons.mirror_of_x_entry(a, u)[1]: u for u in range(r)}
-            )
+        # per row: the Y slot mirroring it into each column word it reaches
+        col_sets = [{int(q - y0) % m_side: int(q) for q in x_slots[a]}
+                    for a in rows]
         common = set(col_sets[0])
         for cs in col_sets[1:]:
             common &= set(cs)
@@ -258,13 +224,8 @@ def _gen_ff_candidate(codec, rng):
         cols = sorted(rng.choice(sorted(common), size=t_r, replace=False))
         entries = []
         for i, a in enumerate(rows):
-            for l in range(t_i):
-                c = cols[(i + l) % t_r]
-                entries.append(("block", block_idx, a, int(c)))
-            for c in cols:
-                u = col_sets[i][c]
-                yr, yc = cons.mirror_of_x_entry(a, u)
-                entries.append(("y", j, yr, yc))
+            entries += [int(block[a, cols[(i + l) % t_r]]) for l in range(t_i)]
+            entries += [col_sets[i][c] for c in cols]
         return StallPattern("ff", tuple(entries))
     return None
 

@@ -2,8 +2,8 @@
 On-disk formats: framed bit streams and construction caches.
 
 A stream is a 20-byte little-endian header followed by the frame's
-transmitted arrays, concatenated in canonical order (blocks, then per-pair
-FF redundancy) and packed 8 bits per byte:
+transmitted bits in buffer order (blocks, then per-pair FF redundancy),
+packed 8 bits per byte:
 
     magic 'SFC1' | family u8 | m u8 | t u8 | L u8 |
     s u16 | length u16 | seed u32 | payload_bits u32
@@ -49,15 +49,8 @@ class StreamFormatError(ValueError):
     """Malformed or inconsistent stream/cache contents."""
 
 
-def _stream_bits(codec, frame):
-    return np.concatenate(
-        [arr.reshape(-1) for arr in codec.channel_arrays(frame)]
-    )
-
-
 def write_stream(codec, frame, *, seed=0):
     """Serialize a frame to bytes."""
-    bits = _stream_bits(codec, frame)
     desc = codec.describe()
     header = HEADER.pack(
         MAGIC,
@@ -70,7 +63,7 @@ def write_stream(codec, frame, *, seed=0):
         seed,
         codec.payload_bits,
     )
-    return header + np.packbits(bits).tobytes()
+    return header + np.packbits(frame.buf[:-1]).tobytes()
 
 
 def parse_header(data):
@@ -102,25 +95,25 @@ def read_stream(data, *, window=7, l_max=8):
                   seed=head["seed"])
     if head["family"] == "pff":
         kwargs["L"] = head["L"]
-    codec = build_codec(head["family"], head["m"], head["t"], head["s"],
-                        **kwargs)
+    try:
+        codec = build_codec(head["family"], head["m"], head["t"], head["s"],
+                            **kwargs)
+    except ValueError as err:  # includes gf2.SingularMatrixError
+        raise StreamFormatError(f"header describes no usable code: {err}") from err
     if codec.payload_bits != head["payload_bits"]:
         raise StreamFormatError(
             f"payload size mismatch: header says {head['payload_bits']}, "
             f"geometry gives {codec.payload_bits}"
         )
-    frame = codec.encode_payload(np.zeros(codec.payload_bits, dtype=np.uint8))
-    arrays = codec.channel_arrays(frame)
-    total = sum(a.size for a in arrays)
     body = np.frombuffer(data[HEADER.size :], dtype=np.uint8)
-    if body.size * 8 < total:
+    n_bytes = -(-codec.n_tx // 8)
+    if body.size < n_bytes:
         raise StreamFormatError("truncated stream body")
-    bits = np.unpackbits(body, count=total)
-    offset = 0
-    for arr in arrays:
-        arr[...] = bits[offset : offset + arr.size].reshape(arr.shape)
-        offset += arr.size
-    return codec, frame
+    if body.size > n_bytes:
+        raise StreamFormatError(
+            f"{body.size - n_bytes} trailing bytes after the stream body"
+        )
+    return codec, codec.frame_from_bits(np.unpackbits(body, count=codec.n_tx))
 
 
 # -- construction caches ------------------------------------------------------

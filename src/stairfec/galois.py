@@ -195,17 +195,6 @@ class GaloisField:
         """alpha**e for any integer exponent."""
         return int(self.exp[e % self.order])
 
-    def element_order(self, a):
-        if a == 0:
-            raise ValueError("zero has no multiplicative order")
-        la = int(self.log[a])
-        if la == 0:
-            return 1
-        # order = N / gcd(N, log a)
-        import math
-
-        return self.order // math.gcd(self.order, la)
-
     def conjugacy_class(self, e):
         """The set {e, e^2, e^4, ...} as a sorted tuple."""
         seen = []

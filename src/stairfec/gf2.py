@@ -17,20 +17,11 @@ __all__ = [
     "zeros",
     "identity",
     "mat_mul",
-    "add",
     "invert",
-    "rank",
     "vec",
     "unvec",
     "kron",
-    "elementary_perm",
-    "block_diag",
-    "transpose_perm",
-    "perm_indices",
-    "perm_matrix",
     "invert_indices",
-    "to_text",
-    "from_text",
 ]
 
 
@@ -49,11 +40,6 @@ def identity(n):
 def _as_bits(a):
     a = np.asarray(a, dtype=np.uint8)
     return a
-
-
-def add(a, b):
-    """Entrywise sum mod 2 (XOR)."""
-    return np.bitwise_xor(_as_bits(a), _as_bits(b))
 
 
 def mat_mul(a, b):
@@ -108,33 +94,6 @@ def invert(a):
     return np.ascontiguousarray(full[:, n:])
 
 
-def rank(a):
-    """GF(2) rank via bit-packed forward elimination."""
-    a = _as_bits(a)
-    if a.size == 0:
-        return 0
-    packed = _pack_rows(a)
-    n_rows, n_cols = a.shape
-    r = 0
-    for col in range(n_cols):
-        if r == n_rows:
-            break
-        byte, shift = divmod(col, 8)
-        bits = (packed[:, byte] >> (7 - shift)) & 1
-        pivots = np.nonzero(bits[r:])[0]
-        if pivots.size == 0:
-            continue
-        pivot = r + pivots[0]
-        if pivot != r:
-            packed[[r, pivot]] = packed[[pivot, r]]
-            bits[[r, pivot]] = bits[[pivot, r]]
-        below = np.nonzero(bits[r + 1 :])[0] + r + 1
-        if below.size:
-            packed[below] ^= packed[r]
-        r += 1
-    return r
-
-
 def vec(q, order="col"):
     """Vectorize a matrix.
 
@@ -165,87 +124,9 @@ def kron(a, b):
     return np.kron(_as_bits(a), _as_bits(b))
 
 
-def elementary_perm(m, i):
-    """E_m**i: identity with each row cyclically shifted right by i."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    if i < 0:
-        raise ValueError("exponent must be non-negative")
-    e = zeros(m, m)
-    idx = np.arange(m)
-    e[idx, (idx + i) % m] = 1
-    return e
-
-
-def block_diag(blocks):
-    """Block-diagonal composition of equally sized square blocks."""
-    blocks = [_as_bits(b) for b in blocks]
-    if not blocks:
-        raise ValueError("need at least one block")
-    shape = blocks[0].shape
-    for b in blocks:
-        if b.shape != shape:
-            raise ValueError("all blocks must have the same size")
-    rows, cols = shape
-    out = zeros(rows * len(blocks), cols * len(blocks))
-    for i, b in enumerate(blocks):
-        out[i * rows : (i + 1) * rows, i * cols : (i + 1) * cols] = b
-    return out
-
-
-def transpose_perm(rows, cols):
-    """Permutation matrix P with vec(Y.T) = P @ vec(Y) (column-wise vec).
-
-    Y is rows x cols.  For square shapes P is an involution.
-    """
-    n = rows * cols
-    p = np.arange(n)
-    i = p % rows
-    j = p // rows
-    q = i * cols + j
-    mat = zeros(n, n)
-    mat[q, p] = 1
-    return mat
-
-
-def perm_indices(p):
-    """Index-array form of a permutation matrix: (P @ x)[i] == x[idx[i]]."""
-    p = _as_bits(p)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ValueError("permutation matrix must be square")
-    if not (p.sum(axis=0) == 1).all() or not (p.sum(axis=1) == 1).all():
-        raise ValueError("not a permutation matrix")
-    return np.argmax(p, axis=1)
-
-
-def perm_matrix(idx):
-    """Permutation matrix from its index-array form."""
-    idx = np.asarray(idx)
-    n = idx.size
-    mat = zeros(n, n)
-    mat[np.arange(n), idx] = 1
-    return mat
-
-
 def invert_indices(idx):
     """Index array of the inverse permutation."""
     idx = np.asarray(idx)
     out = np.empty_like(idx)
     out[idx] = np.arange(idx.size)
     return out
-
-
-def to_text(a):
-    """ASCII 0/1 grid, one row per line (debug/golden-file format)."""
-    a = _as_bits(a)
-    return "\n".join("".join("1" if x else "0" for x in row) for row in a)
-
-
-def from_text(text):
-    rows = [line for line in text.strip().splitlines() if line]
-    if not rows:
-        return zeros(0, 0)
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("ragged 0/1 grid")
-    return np.array([[int(c) for c in row] for row in rows], dtype=np.uint8)

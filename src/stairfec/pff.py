@@ -27,16 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf2
+from . import engine, gf2
 from .bch import ComponentCode
-from .staircase import correct_word, decode_pair
 
 __all__ = [
     "build_b_matrix",
     "PFFConstruction",
     "build_pff_construction",
     "search_pff_construction",
-    "PFFFrame",
     "PFFCode",
 ]
 
@@ -90,11 +88,6 @@ class PFFConstruction:
         self.g_c = self.g_i[self.m_side :]
         self.g_b_t = self.g_b[np.asarray(self.pi)]
         self.g_i_mod = np.vstack([self.g_a, self.g_b_t, self.g_c])
-
-    def unknown_map(self, y2):
-        """U(Y2) = Y2^T A^T + [I; F_r^T] Y2 G_B~, the stage-2 unknown side."""
-        stacked = np.vstack([y2, gf2.mat_mul(self.f_r.T, y2)])
-        return gf2.mat_mul(y2.T, self.a_small.T) ^ gf2.mat_mul(stacked, self.g_b_t)
 
 
 def build_pff_construction(code_row, code_col, pi, mode="custom"):
@@ -152,18 +145,12 @@ def search_pff_construction(m, t, s, *, seed=0, max_tries=200,
     )
 
 
-@dataclass
-class PFFFrame:
-    blocks: list
-    L: int
+class PFFCode(engine.FrameCodec):
+    """Encoder/decoder for a fixed-length partial feed-forward frame.
 
-    @property
-    def n_blocks(self):
-        return len(self.blocks) - 1
-
-
-class PFFCode:
-    """Encoder/decoder for a fixed-length partial feed-forward frame."""
+    Period q holds blocks q(L+1)+1 .. q(L+1)+L+1: L-1 standard blocks, S
+    and D.  The stream carries every block.
+    """
 
     family = "pff"
 
@@ -172,34 +159,47 @@ class PFFCode:
             raise ValueError("L must be at least 1")
         if n_periods < 1:
             raise ValueError("need at least one period")
-        self.cons = construction
-        self.M = construction.m_side
-        self.r = construction.r
+        c = self.cons = construction
+        m_side = self.M = construction.m_side
+        r = self.r = construction.r
         self.L = L
         self.n_periods = n_periods
+        self.n_blocks = n_periods * (L + 1)
         self.window = window
         self.l_max = l_max
 
-    # -- payload geometry -----------------------------------------------------
+        slots = self._compile([(m_side, m_side)] * self.n_blocks)
+        blocks = slots.blocks
+        m2 = m_side - 2 * r
+        pad = np.full((m_side, 2 * r), slots.buf[-1])
+        info = []
+        # per period, L + 1 groups: the rows of each standard pair
+        # [B_(i-1)^T  B_i], the columns of [M0; S], then the rows of S
+        self.groups = []
+        for base in range(0, self.n_blocks, L + 1):
+            m0, s_blk, d_blk = blocks[base + L - 1 : base + L + 2]
+            info += [b[:, : m_side - r] for b in blocks[base + 1 : base + L]]
+            info += [s_blk[:m2], d_blk]
+            self.groups += [
+                (c.code_row, np.hstack([pad, prev.T, cur]))
+                for prev, cur in zip(blocks[base : base + L - 1],
+                                     blocks[base + 1 : base + L])
+            ]
+            self.groups += [
+                (c.code_col, np.hstack([pad, m0.T, s_blk.T])),
+                (c.code_row, np.hstack([s_blk[:, :m2], s_blk[:, m2 + c.colidx],
+                                        d_blk, s_blk[m2:].T])),
+            ]
+        self._set_info(info)
+        wper = min(max(2, round(window / (L + 1))), n_periods)
+        self.schedule = [self.groups[p * (L + 1) : (p + wper) * (L + 1)]
+                         for p in range(n_periods - wper + 1)]
 
     @property
     def bits_per_period(self):
-        m_side, r = self.M, self.r
-        std = (self.L - 1) * m_side * (m_side - r)
-        return std + (m_side - 2 * r) * m_side + m_side * m_side
-
-    @property
-    def payload_bits(self):
-        return self.n_periods * self.bits_per_period
-
-    def _period_base(self, q):
-        return q * (self.L + 1)
+        return self.payload_bits // self.n_periods
 
     # -- encoding -------------------------------------------------------------
-
-    def encode_standard(self, prev, info):
-        parity = gf2.mat_mul(np.hstack([prev.T, info]), self.cons.gp_std)
-        return np.hstack([info, parity])
 
     def encode_sp_pair(self, prev, s_top, d_block):
         """The S block's bottom 2r rows from its own top and neighbours."""
@@ -236,157 +236,25 @@ class PFFCode:
         return np.vstack([s_top, bottom])
 
     def encode_payload(self, bits):
-        bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
-        if bits.size != self.payload_bits:
-            raise ValueError(
-                f"payload must have {self.payload_bits} bits, got {bits.size}"
+        frame = self._payload_frame(bits)
+        blocks = frame.blocks
+        k = self.M - self.r
+        for base in range(0, self.n_blocks, self.L + 1):
+            for prev, cur in zip(blocks[base : base + self.L - 1],
+                                 blocks[base + 1 : base + self.L]):
+                cur[:, k:] = gf2.mat_mul(np.hstack([prev.T, cur[:, :k]]),
+                                         self.cons.gp_std)
+            s_blk = blocks[base + self.L]
+            s_blk[...] = self.encode_sp_pair(
+                blocks[base + self.L - 1], s_blk[: self.M - 2 * self.r],
+                blocks[base + self.L + 1],
             )
-        m_side, r = self.M, self.r
-        blocks = [np.zeros((m_side, m_side), dtype=np.uint8)]
-        pos = 0
-
-        def take(count):
-            nonlocal pos
-            out = bits[pos : pos + count]
-            pos += count
-            return out
-
-        for _ in range(self.n_periods):
-            for _ in range(self.L - 1):
-                info = take(m_side * (m_side - r)).reshape(m_side, m_side - r)
-                blocks.append(self.encode_standard(blocks[-1], info))
-            s_top = take((m_side - 2 * r) * m_side).reshape(m_side - 2 * r, m_side)
-            d_block = take(m_side * m_side).reshape(m_side, m_side).copy()
-            blocks.append(self.encode_sp_pair(blocks[-1], s_top, d_block))
-            blocks.append(d_block)
-        return PFFFrame(blocks=blocks, L=self.L)
-
-    # -- decoding -------------------------------------------------------------
-
-    def _decode_cols(self, frame, q):
-        """Column words of period q: columns of [M0; S] with 2r pad."""
-        c = self.cons
-        m_side, r = self.M, self.r
-        base = self._period_base(q)
-        m0 = frame.blocks[base + self.L - 1]
-        s_blk = frame.blocks[base + self.L]
-        freeze_m0 = base + self.L - 1 == 0
-        words = np.vstack([m0, s_blk]).T
-        mask = c.code_col.words_with_errors(words, pad=2 * r)
-        changed = False
-        for col in np.nonzero(mask)[0]:
-            flips = correct_word(c.code_col, words[col], 2 * r)
-            if flips is None:
-                continue
-            if freeze_m0 and any(f < m_side for f in flips):
-                continue
-            for f in flips:
-                if f < m_side:
-                    m0[f, col] ^= 1
-                else:
-                    s_blk[f - m_side, col] ^= 1
-            changed = True
-        return changed
-
-    def _row_words(self, s_blk, d_blk):
-        c = self.cons
-        m_side, r = self.M, self.r
-        m2 = m_side - 2 * r
-        return np.hstack([
-            s_blk[:, :m2],
-            s_blk[:, m2 + c.colidx],
-            d_blk,
-            s_blk[m2 : m2 + r, :].T,
-            s_blk[m2 + r :, :].T,
-        ])
-
-    def _decode_rows(self, frame, q):
-        """Row words of period q, one per S row, full length n (no pad)."""
-        c = self.cons
-        m_side, r = self.M, self.r
-        m2 = m_side - 2 * r
-        base = self._period_base(q)
-        s_blk = frame.blocks[base + self.L]
-        d_blk = frame.blocks[base + self.L + 1]
-        words = self._row_words(s_blk, d_blk)
-        mask = c.code_row.words_with_errors(words)
-        changed = False
-        for row in np.nonzero(mask)[0]:
-            flips = correct_word(c.code_row, words[row])
-            if flips is None:
-                continue
-            for f in flips:
-                if f < m2:
-                    s_blk[row, f] ^= 1
-                elif f < m_side:
-                    s_blk[row, m2 + c.colidx[f - m2]] ^= 1
-                elif f < 2 * m_side:
-                    d_blk[row, f - m_side] ^= 1
-                elif f < 2 * m_side + r:
-                    s_blk[m2 + (f - 2 * m_side), row] ^= 1
-                else:
-                    s_blk[m2 + r + (f - 2 * m_side - r), row] ^= 1
-            changed = True
-        return changed
-
-    def _decode_standard(self, frame, q):
-        changed = False
-        base = self._period_base(q)
-        for i in range(1, self.L):
-            changed |= decode_pair(
-                self.cons.code_row,
-                frame.blocks[base + i - 1],
-                frame.blocks[base + i],
-                freeze_prev=(base + i - 1 == 0),
-                pad=2 * self.r,
-            )
-        # the pair coupling this period's D is handled by period q+1's
-        # standard chain (L > 1) or its column words (L == 1)
-        return changed
-
-    def _decode_period(self, frame, q):
-        changed = self._decode_standard(frame, q)
-        changed |= self._decode_cols(frame, q)
-        changed |= self._decode_rows(frame, q)
-        return changed
-
-    def decode_frame(self, frame):
-        wper = min(max(2, round(self.window / (self.L + 1))), self.n_periods)
-        for p in range(0, self.n_periods - wper + 1):
-            for _ in range(self.l_max):
-                changed = False
-                for q in range(p, p + wper):
-                    changed |= self._decode_period(frame, q)
-                if not changed:
-                    break
         return frame
 
-    # -- payload/channel views --------------------------------------------------
-
-    def extract_payload(self, frame):
-        m_side, r = self.M, self.r
-        out = []
-        for q in range(self.n_periods):
-            base = self._period_base(q)
-            for i in range(1, self.L):
-                out.append(frame.blocks[base + i][:, : m_side - r].reshape(-1))
-            out.append(frame.blocks[base + self.L][: m_side - 2 * r].reshape(-1))
-            out.append(frame.blocks[base + self.L + 1].reshape(-1))
-        return np.concatenate(out)
-
-    def channel_arrays(self, frame):
-        return frame.blocks[1:]
-
-    def info_block_views(self, frame):
-        m_side, r = self.M, self.r
-        views = []
-        for q in range(self.n_periods):
-            base = self._period_base(q)
-            for i in range(1, self.L):
-                views.append(frame.blocks[base + i][:, : m_side - r])
-            views.append(frame.blocks[base + self.L][: m_side - 2 * r])
-            views.append(frame.blocks[base + self.L + 1])
-        return views
+    def decode_frame(self, frame):
+        """Sliding-window decode over periods, in place."""
+        engine.decode(frame.buf, self.schedule, self.l_max)
+        return frame
 
     def describe(self):
         return {

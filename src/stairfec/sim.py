@@ -53,12 +53,9 @@ def build_codec(family, m, t, s, *, L=2, length=8, window=7, l_max=8, seed=0,
 
 def bsc_corrupt(codec, frame, p, rng):
     """Flip each transmitted bit independently with probability p."""
-    flipped = 0
-    for arr in codec.channel_arrays(frame):
-        noise = (rng.random(arr.shape) < p).astype(np.uint8)
-        arr ^= noise
-        flipped += int(noise.sum())
-    return flipped
+    noise = rng.random(codec.n_tx) < p
+    frame.buf[:-1] ^= noise
+    return int(np.count_nonzero(noise))
 
 
 def _frame_rng(master_seed, index):
@@ -76,15 +73,12 @@ def run_frames(codec, p, master_seed, indices):
         frame = codec.encode_payload(payload)
         bsc_corrupt(codec, frame, p, rng)
         codec.decode_frame(frame)
-        offset = 0
-        for view in codec.info_block_views(frame):
-            flat = view.reshape(-1)
-            errs = int((flat != payload[offset : offset + flat.size]).sum())
-            offset += flat.size
-            bits += flat.size
-            bit_errors += errs
-            blocks += 1
-            block_errors += errs > 0
+        wrong = codec.extract_payload(frame) != payload
+        per_block = np.add.reduceat(wrong, codec.info_starts, dtype=np.int64)
+        bits += wrong.size
+        bit_errors += int(per_block.sum())
+        blocks += per_block.size
+        block_errors += int(np.count_nonzero(per_block))
     return len(indices), bits, bit_errors, blocks, block_errors
 
 

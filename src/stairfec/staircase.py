@@ -7,83 +7,21 @@ information bits in its left columns; the right r columns hold parity
 chosen so every row of [B_(i-1)^T  B_i] is a component codeword.
 
 Decoding slides a window of W blocks over the chain and runs up to l_max
-sweeps per position.  Corrections are applied in place as soon as a row
-decodes (Gauss-Seidel style), so later rows in the same sweep see them.
+sweeps per position.  The rows of one [B_(i-1)^T  B_i] decode from a single
+snapshot of those two blocks; their corrections go into the frame at once,
+so the later pairs of the same sweep see them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-__all__ = [
-    "correct_word",
-    "decode_pair",
-    "SCFrame",
-    "StaircaseCode",
-]
+from . import engine
+
+__all__ = ["StaircaseCode"]
 
 
-def correct_word(code, word, pad=0):
-    """Bounded-distance decode of one transmitted word.
-
-    ``word`` omits the leading ``pad`` structurally-zero bits of the full
-    length-n codeword.  Returns a tuple of flip indices into ``word`` or
-    None on decode failure; a flip landing in the frozen pad is a failure
-    (those positions are known zeros and must not change).
-    """
-    if pad:
-        full = np.concatenate([np.zeros(pad, dtype=np.uint8), word])
-    else:
-        full = np.asarray(word, dtype=np.uint8)
-    res = code.decode(full)
-    if not res.ok:
-        return None
-    if any(f < pad for f in res.flips):
-        return None
-    return tuple(f - pad for f in res.flips)
-
-
-def decode_pair(code, prev, cur, *, freeze_prev=False, pad=0):
-    """One sweep over the rows of [prev^T  cur], correcting in place.
-
-    Row i of the word matrix is (prev column i, cur row i).  With
-    ``freeze_prev`` set (prev is the known-zero reference block) any word
-    whose correction touches prev is left alone.  Returns True if any bit
-    changed.
-    """
-    m_prev = prev.shape[0]
-    words = np.hstack([prev.T, cur])
-    mask = code.words_with_errors(words, pad=pad)
-    changed = False
-    for i in np.nonzero(mask)[0]:
-        flips = correct_word(code, words[i], pad)
-        if flips is None:
-            continue
-        if freeze_prev and any(f < m_prev for f in flips):
-            continue
-        for f in flips:
-            if f < m_prev:
-                prev[f, i] ^= 1
-            else:
-                cur[i, f - m_prev] ^= 1
-        changed = True
-    return changed
-
-
-@dataclass
-class SCFrame:
-    """Decoder-side view of a staircase frame; blocks[0] is the zero block."""
-
-    blocks: list = field(default_factory=list)
-
-    @property
-    def n_blocks(self):
-        return len(self.blocks) - 1
-
-
-class StaircaseCode:
+class StaircaseCode(engine.FrameCodec):
     """Encoder/decoder pair for a staircase chain of fixed length."""
 
     family = "sc"
@@ -103,73 +41,31 @@ class StaircaseCode:
         self.l_max = l_max
         self.g_p = code.g_p
 
-    # -- payload geometry ---------------------------------------------------
+        blocks = self._compile([(self.M, self.M)] * n_blocks).blocks
+        self._set_info([b[:, : self.info_cols] for b in blocks[1:]])
+        # group i - 1: the rows of [B_(i-1)^T  B_i]
+        self.groups = [(code, np.hstack([prev.T, cur]))
+                       for prev, cur in zip(blocks, blocks[1:])]
+        w = min(window, n_blocks + 1)
+        self.schedule = [self.groups[p : p + w - 1]
+                         for p in range(n_blocks + 2 - w)]
 
     @property
     def info_cols(self):
         return self.M - self.r
 
-    @property
-    def payload_bits(self):
-        return self.n_blocks * self.M * self.info_cols
-
-    # -- encoding -------------------------------------------------------------
-
-    def encode_block(self, prev, info):
-        """[info | parity] with rows of [prev^T info parity] codewords."""
-        parity = np.hstack([prev.T, info]) @ self.g_p % 2
-        return np.hstack([info, parity.astype(np.uint8)])
-
     def encode_payload(self, bits):
-        bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
-        if bits.size != self.payload_bits:
-            raise ValueError(
-                f"payload must have {self.payload_bits} bits, got {bits.size}"
-            )
-        per_block = self.M * self.info_cols
-        blocks = [np.zeros((self.M, self.M), dtype=np.uint8)]
-        for i in range(self.n_blocks):
-            info = bits[i * per_block : (i + 1) * per_block].reshape(
-                self.M, self.info_cols
-            )
-            blocks.append(self.encode_block(blocks[-1], info))
-        return SCFrame(blocks)
-
-    # -- decoding -------------------------------------------------------------
+        frame = self._payload_frame(bits)
+        k = self.info_cols
+        for prev, cur in zip(frame.blocks, frame.blocks[1:]):
+            # uint8 products wrap mod 256, which keeps their parity
+            cur[:, k:] = np.hstack([prev.T, cur[:, :k]]) @ self.g_p % 2
+        return frame
 
     def decode_frame(self, frame):
         """Sliding-window decode, in place."""
-        blocks = frame.blocks
-        n = len(blocks)
-        w = min(self.window, n)
-        for p in range(0, n - w + 1):
-            for _ in range(self.l_max):
-                changed = False
-                for i in range(p + 1, p + w):
-                    changed |= decode_pair(
-                        self.code,
-                        blocks[i - 1],
-                        blocks[i],
-                        freeze_prev=(i - 1 == 0),
-                    )
-                if not changed:
-                    break
+        engine.decode(frame.buf, self.schedule, self.l_max)
         return frame
-
-    # -- payload/channel views --------------------------------------------------
-
-    def extract_payload(self, frame):
-        return np.concatenate(
-            [b[:, : self.info_cols].reshape(-1) for b in frame.blocks[1:]]
-        )
-
-    def channel_arrays(self, frame):
-        """Transmitted arrays, as mutable views (B_0 is not transmitted)."""
-        return frame.blocks[1:]
-
-    def info_block_views(self, frame):
-        """Per-block information bits, for block-error accounting."""
-        return [b[:, : self.info_cols] for b in frame.blocks[1:]]
 
     def describe(self):
         return {

@@ -13,6 +13,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from reference import perm_matrix, pr_from_pc, transpose_perm, x_from_y
 from stairfec import gf2
 from stairfec.bch import ComponentCode
 from stairfec.ff import FFCode, low_ef_indices, search_construction, transpose_indices
@@ -67,50 +68,90 @@ def table_sc_code():
 
 
 # -- per-family frame constraint checks ----------------------------------------
+#
+# Each builder makes the frame's component words from block views, as
+# (code, words) in the order of the codec's compiled word groups.
 
-def check_sc_frame(codec, frame):
-    code = codec.code
-    for i in range(1, frame.n_blocks):
-        words = np.hstack([frame.blocks[i - 1].T, frame.blocks[i]])
-        assert not code.words_with_errors(words).any()
+def sc_words(codec, frame):
+    return [(codec.code, np.hstack([prev.T, cur]))
+            for prev, cur in zip(frame.blocks, frame.blocks[1:])]
 
 
-def check_ff_frame(codec, frame):
+def ff_words(codec, frame):
     cons = codec.cons
-    for j in range(codec.n_pairs):
-        b0, b1, b2 = (frame.blocks[2 * j], frame.blocks[2 * j + 1],
-                      frame.blocks[2 * j + 2])
-        pair = frame.pairs[j]
-        # self-protection identities: X and Pr~ are exact mirror images
-        x = cons.x_from_y(pair.y)
-        pr = cons.pr_from_pc(pair.pc)
-        assert (cons.y_from_x(x) == pair.y).all()
-        assert (cons.pc_from_pr(pr) == pair.pc).all()
-        rows = np.hstack([b0, b1, x, pr])
+    groups = []
+    for j, pair in enumerate(frame.pairs):
+        b0, b1, b2 = frame.blocks[2 * j : 2 * j + 3]
+        rows = np.hstack([b0, b1, x_from_y(cons, pair.y),
+                          pr_from_pc(cons, pair.pc)])
         cols = np.vstack([b1, b2, pair.y, pair.pc]).T
-        assert not cons.code_row.words_with_errors(rows).any()
-        assert not cons.code_col.words_with_errors(cols).any()
+        groups += [(cons.code_col, cols), (cons.code_row, rows)]
+    return groups
 
 
-def check_pff_frame(codec, frame):
+def pff_words(codec, frame):
     cons = codec.cons
-    r = codec.r
+    m_side, r = codec.M, codec.r
+    m2 = m_side - 2 * r
+    pad = np.zeros((m_side, 2 * r), dtype=np.uint8)
+    groups = []
     for q in range(codec.n_periods):
         base = q * (codec.L + 1)
         for i in range(1, codec.L):
-            words = np.hstack([frame.blocks[base + i - 1].T,
+            words = np.hstack([pad, frame.blocks[base + i - 1].T,
                                frame.blocks[base + i]])
-            assert not cons.code_row.words_with_errors(words, pad=2 * r).any()
+            groups.append((cons.code_row, words))
         m0 = frame.blocks[base + codec.L - 1]
         s_blk = frame.blocks[base + codec.L]
         d_blk = frame.blocks[base + codec.L + 1]
-        cols = np.vstack([m0, s_blk]).T
-        assert not cons.code_col.words_with_errors(cols, pad=2 * r).any()
-        rows = codec._row_words(s_blk, d_blk)
-        assert not cons.code_row.words_with_errors(rows).any()
+        groups.append((cons.code_col, np.hstack([pad, np.vstack([m0, s_blk]).T])))
+        # one row word per S row: S's left columns, its right 2r columns
+        # read through Pi, D's row, then S's bottom rows as columns
+        rows = np.hstack([
+            s_blk[:, :m2],
+            s_blk[:, m2 + cons.colidx],
+            d_blk,
+            s_blk[m2 : m2 + r, :].T,
+            s_blk[m2 + r :, :].T,
+        ])
+        groups.append((cons.code_row, rows))
+    return groups
 
 
-CHECKERS = {"sc": check_sc_frame, "ff": check_ff_frame, "pff": check_pff_frame}
+REFERENCE_WORDS = {"sc": sc_words, "ff": ff_words, "pff": pff_words}
+
+
+def check_frame(codec, frame):
+    """Every component word of the frame is a codeword."""
+    for code, words in REFERENCE_WORDS[codec.family](codec, frame):
+        assert not code.words_with_errors(words).any()
+
+
+def test_compiled_tables_match_reference_words(table_ff, table_pff,
+                                               table_sc_code):
+    codecs = [
+        StaircaseCode(ComponentCode(4, 1, 1), 4, window=4, l_max=4),
+        StaircaseCode(table_sc_code, 4, window=4, l_max=4),
+        FFCode(search_construction(6, 1, 1, seed=0), 4, window=4, l_max=4),
+        FFCode(table_ff, 4, window=4, l_max=4),
+    ]
+    codecs += [PFFCode(table_pff, L, 2, window=6, l_max=4) for L in (1, 2, 3)]
+    rng = np.random.default_rng(12)
+    for codec in codecs:
+        payload = rng.integers(0, 2, codec.payload_bits, dtype=np.uint8)
+        encoded = codec.encode_payload(payload)
+        # random bits too, where only the zero slot can read as pad or B_0
+        noise = codec.frame_from_bits(rng.integers(0, 2, codec.n_tx))
+        for frame in (encoded, noise):
+            reference = REFERENCE_WORDS[codec.family](codec, frame)
+            assert len(reference) == len(codec.groups)
+            for (code, words), (ref_code, ref_words) in zip(codec.groups,
+                                                            reference):
+                assert code is ref_code
+                assert words.dtype == np.intp and words.flags.c_contiguous
+                assert (frame.buf[words] == ref_words).all()
+        for code, words in codec.groups:
+            assert not code.words_with_errors(encoded.buf[words]).any()
 
 
 # -- criteria ------------------------------------------------------------------
@@ -156,11 +197,10 @@ def test_criterion_03_constraint_satisfaction(capsys, table_ff, table_pff,
     def body():
         rng = np.random.default_rng(0)
         for codec in toy_codecs + table_codecs:
-            check = CHECKERS[codec.family]
             for _ in range(100):
                 payload = rng.integers(0, 2, codec.payload_bits,
                                        dtype=np.uint8)
-                check(codec, codec.encode_payload(payload))
+                check_frame(codec, codec.encode_payload(payload))
 
     _run(capsys, 3, "100-frame constraint satisfaction, toy and table scale",
          body)
@@ -170,9 +210,9 @@ def _ff_oracle(cons):
     """Precomputed joint linear solve of the raw pair constraints."""
     m_side, r = cons.m_side, cons.r
     n_unknown = 2 * m_side * r
-    p1_inv = gf2.invert(gf2.perm_matrix(cons.pi1))
-    p2_inv = gf2.invert(gf2.perm_matrix(cons.pi2))
-    t_y = gf2.transpose_perm(r, m_side)
+    p1_inv = gf2.invert(perm_matrix(cons.pi1))
+    p2_inv = gf2.invert(perm_matrix(cons.pi2))
+    t_y = transpose_perm(r, m_side)
 
     def mirrors(u):
         y = gf2.unvec(u[: m_side * r], r, m_side)
@@ -214,7 +254,7 @@ def _pff_oracle(codec):
     cons = codec.cons
     m_side, r = cons.m_side, cons.r
     m2 = m_side - 2 * r
-    colidx = np.argmax(gf2.perm_matrix(cons.pi), axis=0)
+    colidx = np.argmax(perm_matrix(cons.pi), axis=0)
     n_unknown = 2 * r * m2 + 4 * r * r
     g_p = cons.code_row.g_p
     f_p = cons.code_col.g_p

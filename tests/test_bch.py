@@ -145,11 +145,12 @@ def test_words_with_errors_pad():
     msg = rng.integers(0, 2, code.k, dtype=np.uint8)
     msg[:4] = 0
     w = code.systematic_encode(msg)
-    stripped = w[4:][None, :]
-    assert not code.words_with_errors(stripped, pad=4).any()
-    bad = stripped.copy()
-    bad[0, 0] ^= 1
-    assert code.words_with_errors(bad, pad=4).all()
+    # a word read with its leading positions from known zeros
+    padded = np.concatenate([np.zeros(4, dtype=np.uint8), w[4:]])[None, :]
+    assert not code.words_with_errors(padded).any()
+    bad = padded.copy()
+    bad[0, 4] ^= 1
+    assert code.words_with_errors(bad).all()
 
 
 def test_mirror_property_row_column():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stairfec.cli import main
+from stairfec.framing import FAMILY_CODES, HEADER, MAGIC
 from stairfec.sim import build_codec
 
 
@@ -84,6 +85,32 @@ def test_decode_garbage_exits_4(tmp_path):
     code = main(["decode", "--in", str(bad),
                  "--out", str(tmp_path / "y.bin")])
     assert code == 4
+
+
+@pytest.mark.parametrize("family,m,t,L,s,length", [
+    ("sc", 20, 3, 0, 63, 8),     # no GF(2^20) table
+    ("sc", 8, 0, 0, 63, 8),      # t = 0
+    ("ff", 6, 1, 0, 1, 3),       # odd ff block count
+    ("pff", 7, 2, 0, 41, 2),     # L = 0
+])
+def test_decode_invalid_header_exits_4(tmp_path, family, m, t, L, s, length):
+    stream = tmp_path / "bad.sfc"
+    stream.write_bytes(HEADER.pack(MAGIC, FAMILY_CODES[family], m, t, L, s,
+                                   length, 0, 100) + bytes(64))
+    code = main(["decode", "--in", str(stream),
+                 "--out", str(tmp_path / "y.bin")])
+    assert code == 4
+
+
+@pytest.mark.parametrize("seed", ["5000000000", "-1"])
+def test_encode_seed_out_of_range_exits_2(tmp_path, seed):
+    payload_file = tmp_path / "payload.bin"
+    payload_file.write_bytes(bytes(64))
+    with pytest.raises(SystemExit) as exc:
+        main(["encode", "--family", "sc", "--m", "4", "--t", "1", "--s", "1",
+              "--length", "4", "--seed", seed, "--in", str(payload_file),
+              "--out", str(tmp_path / "x.sfc")])
+    assert exc.value.code == 2
 
 
 def test_construct_writes_cache(tmp_path, capsys):

@@ -3,11 +3,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from reference import (
+    block_diag,
+    elementary_perm,
+    ff_rate_finite,
+    pc_from_pr,
+    perm_matrix,
+    pr_from_pc,
+    transpose_perm,
+    x_from_y,
+    y_from_x,
+)
 from stairfec import gf2
 from stairfec.ff import (
     FFCode,
     build_a_matrix,
-    ff_rate_finite,
     low_ef_indices,
     search_construction,
     shifted_block_indices,
@@ -31,9 +41,9 @@ def cons_low_ef():
 def matrix_mirrors(cons):
     """Mirror maps recomputed through explicit permutation matrices."""
     m_side, r = cons.m_side, cons.r
-    p1 = gf2.perm_matrix(cons.pi1)
-    p2 = gf2.perm_matrix(cons.pi2)
-    t_y = gf2.transpose_perm(r, m_side)
+    p1 = perm_matrix(cons.pi1)
+    p2 = perm_matrix(cons.pi2)
+    t_y = transpose_perm(r, m_side)
 
     def x_of(y):
         v = gf2.mat_mul(gf2.invert(p1), gf2.mat_mul(t_y, gf2.vec(y)))
@@ -58,7 +68,7 @@ def test_shifted_block_indices_match_matrix():
     m_side = 6
     shifts = [2, 0, 5]
     idx = shifted_block_indices(shifts, m_side)
-    mat = gf2.block_diag([gf2.elementary_perm(m_side, s) for s in shifts])
+    mat = block_diag([elementary_perm(m_side, s) for s in shifts])
     rng = np.random.default_rng(1)
     x = rng.integers(0, 2, m_side * 3, dtype=np.uint8)
     assert (x[idx] == gf2.mat_mul(mat, x)).all()
@@ -75,24 +85,26 @@ def test_mirror_maps_match_matrix_form(cons_low_ef):
     rng = np.random.default_rng(2)
     y = rng.integers(0, 2, (cons.r, cons.m_side), dtype=np.uint8)
     pc = rng.integers(0, 2, (cons.r, cons.m_side), dtype=np.uint8)
-    assert (cons.x_from_y(y) == x_of(y)).all()
-    assert (cons.pr_from_pc(pc) == pr_of(pc)).all()
-    assert (cons.y_from_x(cons.x_from_y(y)) == y).all()
-    assert (cons.pc_from_pr(cons.pr_from_pc(pc)) == pc).all()
+    assert (x_from_y(cons, y) == x_of(y)).all()
+    assert (pr_from_pc(cons, pc) == pr_of(pc)).all()
+    assert (y_from_x(cons, x_from_y(cons, y)) == y).all()
+    assert (pc_from_pr(cons, pr_from_pc(cons, pc)) == pc).all()
 
 
 def test_mirror_entry_coordinates(cons_low_ef):
+    # row word `row` of pair 1 reads X[row, col] from the Y slot at 2M + col
     cons = cons_low_ef
+    ff = FFCode(cons, 4)
+    frame = ff.encode_payload(np.zeros(ff.payload_bits, dtype=np.uint8))
+    rows_table = ff.groups[3][1]
     rng = np.random.default_rng(3)
-    y = rng.integers(0, 2, (cons.r, cons.m_side), dtype=np.uint8)
     for _ in range(20):
         row = int(rng.integers(0, cons.m_side))
         col = int(rng.integers(0, cons.r))
-        yr, yc = cons.mirror_of_x_entry(row, col)
-        y2 = y.copy()
-        y2[yr, yc] ^= 1
-        diff = cons.x_from_y(y) ^ cons.x_from_y(y2)
-        assert diff.sum() == 1 and diff[row, col] == 1
+        frame.buf[rows_table[row, 2 * cons.m_side + col]] ^= 1
+        x = x_from_y(cons, frame.pairs[1].y)
+        assert x.sum() == 1 and x[row, col] == 1
+        frame.buf[:] = 0
 
 
 def test_a_matrix_functional_identity(cons_low_ef):
@@ -101,7 +113,7 @@ def test_a_matrix_functional_identity(cons_low_ef):
     a = build_a_matrix(m_side, r, cons.g_r, cons.f_r, cons.pi1, cons.pi2)
     assert (gf2.mat_mul(a, cons.a_inv) == gf2.identity(m_side * r)).all()
     x_of, _ = matrix_mirrors(cons)
-    p2 = gf2.perm_matrix(cons.pi2)
+    p2 = perm_matrix(cons.pi2)
     rng = np.random.default_rng(4)
     for _ in range(5):
         y = rng.integers(0, 2, (r, m_side), dtype=np.uint8)
@@ -168,8 +180,8 @@ def test_encode_constraint_satisfaction(cons_low_ef):
         b0, b1, b2 = (frame.blocks[2 * j], frame.blocks[2 * j + 1],
                       frame.blocks[2 * j + 2])
         pair = frame.pairs[j]
-        x = cons.x_from_y(pair.y)
-        pr = cons.pr_from_pc(pair.pc)
+        x = x_from_y(cons, pair.y)
+        pr = pr_from_pc(cons, pair.pc)
         rows = np.hstack([b0, b1, x, pr])
         cols = np.vstack([b1, b2, pair.y, pair.pc]).T
         assert not cons.code_row.words_with_errors(rows).any()

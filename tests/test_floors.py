@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from reference import valid_column_set
 from stairfec.bch import ComponentCode
 from stairfec.ff import FFCode, search_construction
 from stairfec.floors import (
@@ -16,7 +17,6 @@ from stairfec.floors import (
     ncg_gap,
     pff_floor,
     sc_floor,
-    valid_column_set,
 )
 from stairfec.pff import PFFCode, search_pff_construction
 from stairfec.staircase import StaircaseCode
@@ -120,6 +120,6 @@ def test_certify_rejects_correctable_pattern():
 
     code = ComponentCode(4, 1, 1)
     sc = StaircaseCode(code, 6, window=4, l_max=4)
-    pattern = StallPattern("sc", (("block", 3, 1, 1),))
+    pattern = StallPattern("sc", (int(sc.slot_frame().blocks[3][1, 1]),))
     fixed, _ = certify_stall(sc, pattern)
     assert not fixed

@@ -59,6 +59,15 @@ def test_truncated_stream_rejected():
         parse_header(data[:10])
 
 
+def test_trailing_bytes_rejected():
+    codec = build_codec("sc", 4, 1, 1, length=4)
+    frame = codec.encode_payload(np.zeros(codec.payload_bits, dtype=np.uint8))
+    data = write_stream(codec, frame)
+    read_stream(data)
+    with pytest.raises(StreamFormatError):
+        read_stream(data + b"\x00")
+
+
 def test_ff_cache_round_trip(tmp_path):
     cons = search_construction(6, 1, 1, seed=0)
     path = tmp_path / "ff.npz"

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from reference import perm_matrix, unknown_map
 from stairfec import gf2
 from stairfec.pff import PFFCode, build_b_matrix, search_pff_construction
+from test_acceptance import check_frame
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +23,7 @@ def cons_roomy():
 def col_read_indices(cons):
     """colidx recomputed from the permutation matrix: (V Pi)[:, j] = V[:, l]
     with Pi[l, j] = 1."""
-    p = gf2.perm_matrix(cons.pi)
+    p = perm_matrix(cons.pi)
     return np.argmax(p, axis=0)
 
 
@@ -44,7 +46,7 @@ def test_b_matrix_matches_unknown_map(cons):
         y2 = rng.integers(0, 2, (r, 2 * r), dtype=np.uint8)
         lhs = gf2.unvec(gf2.mat_mul(b, gf2.vec(y2, order="row")),
                         2 * r, r, order="row")
-        assert (lhs == cons.unknown_map(y2)).all()
+        assert (lhs == unknown_map(cons, y2)).all()
 
 
 def _split_unknowns(cons, u):
@@ -119,31 +121,13 @@ def test_staged_encoder_matches_joint_solve(fixture_name, request):
         assert (s_blk[m_side - 2 * r :] == bottom).all()
 
 
-def check_frame_constraints(codec, frame):
-    cons = codec.cons
-    r = codec.r
-    for q in range(codec.n_periods):
-        base = q * (codec.L + 1)
-        for i in range(1, codec.L):
-            words = np.hstack([frame.blocks[base + i - 1].T,
-                               frame.blocks[base + i]])
-            assert not cons.code_row.words_with_errors(words, pad=2 * r).any()
-        m0 = frame.blocks[base + codec.L - 1]
-        s_blk = frame.blocks[base + codec.L]
-        d_blk = frame.blocks[base + codec.L + 1]
-        cols = np.vstack([m0, s_blk]).T
-        assert not cons.code_col.words_with_errors(cols, pad=2 * r).any()
-        rows = codec._row_words(s_blk, d_blk)
-        assert not cons.code_row.words_with_errors(rows).any()
-
-
 @pytest.mark.parametrize("L", [1, 2, 3])
 def test_constraints_and_round_trip(cons, L):
     codec = PFFCode(cons, L, 3, window=3 * (L + 1), l_max=4)
     rng = np.random.default_rng(2 + L)
     payload = rng.integers(0, 2, codec.payload_bits, dtype=np.uint8)
     frame = codec.encode_payload(payload)
-    check_frame_constraints(codec, frame)
+    check_frame(codec, frame)
     codec.decode_frame(frame)
     assert (codec.extract_payload(frame) == payload).all()
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stairfec.bch import ComponentCode
-from stairfec.staircase import SCFrame, StaircaseCode, correct_word, decode_pair
+from stairfec.staircase import StaircaseCode
 
 
 @pytest.fixture(scope="module")
@@ -54,39 +54,6 @@ def test_corrects_scattered_errors(toy):
         assert (toy.extract_payload(frame) == payload).all()
 
 
-def test_correct_word_pad_freeze():
-    code = ComponentCode(5, 1, 2)   # n=29
-    msg = np.zeros(code.k, dtype=np.uint8)
-    msg[10] = 1
-    word = code.systematic_encode(msg)
-    pad = 4
-    assert (word[:pad] == 0).all()
-    stripped = word[pad:].copy()
-    stripped[3] ^= 1
-    flips = correct_word(code, stripped, pad)
-    assert flips == (3,)
-    # an error pattern whose correction lands in the pad is refused
-    bad = word[pad:].copy()
-    full = word.copy()
-    full[0] ^= 1   # error in the pad region of the full word
-    res = code.decode(full)
-    assert res.ok and res.flips == (0,)
-    assert correct_word(code, bad, pad) == ()  # clean word: no flips
-
-
-def test_decode_pair_freeze_prev():
-    code = ComponentCode(4, 1, 1)
-    sc = StaircaseCode(code, 2, window=2, l_max=2)
-    payload = np.zeros(sc.payload_bits, dtype=np.uint8)
-    frame = sc.encode_payload(payload)
-    zero = frame.blocks[0]
-    # an error in B_1 is corrected without touching the frozen zero block
-    frame.blocks[1][2, 3] ^= 1
-    decode_pair(code, frame.blocks[0], frame.blocks[1], freeze_prev=True)
-    assert (zero == 0).all()
-    assert (frame.blocks[1] == sc.encode_payload(payload).blocks[1]).all()
-
-
 def test_payload_size_validated(toy):
     with pytest.raises(ValueError):
         toy.encode_payload(np.zeros(5, dtype=np.uint8))
@@ -97,13 +64,20 @@ def test_channel_and_info_views(toy):
     frame = toy.encode_payload(payload)
     arrays = toy.channel_arrays(frame)
     assert len(arrays) == toy.n_blocks
-    views = toy.info_block_views(frame)
-    assert all(v.shape == (toy.M, toy.info_cols) for v in views)
+    assert all(a.shape == (toy.M, toy.M) for a in arrays)
+    assert toy.info_starts.tolist() == [
+        i * toy.M * toy.info_cols for i in range(toy.n_blocks)
+    ]
     # views alias frame storage
     arrays[0][0, 0] ^= 1
     assert frame.blocks[1][0, 0] == 1
+    assert toy.extract_payload(frame)[0] == 1
 
 
-def test_frame_container():
-    frame = SCFrame([np.zeros((2, 2), dtype=np.uint8)] * 3)
-    assert frame.n_blocks == 2
+def test_frame_container(toy):
+    frame = toy.encode_payload(np.zeros(toy.payload_bits, dtype=np.uint8))
+    assert frame.n_blocks == toy.n_blocks
+    assert frame.buf.size == toy.n_tx + 1
+    # B_0 is a read-only view of the zero slot
+    assert not frame.blocks[0].flags.writeable
+    assert np.shares_memory(frame.blocks[0], frame.buf[-1:])
