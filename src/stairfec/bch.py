@@ -7,7 +7,12 @@ k = n - m*t information bits, r = m*t parity bits.  Codewords are laid out
 x^(n-1-i); the s shortened positions are the leading information positions
 of the parent code and are never transmitted or flipped.
 
-Decoding is bounded-distance: syndromes, Berlekamp-Massey, Chien search.
+Decoding is bounded-distance (BDD) and batched: ``decode_batch`` takes a
+whole matrix of received words.  One float32 matmul against a bit table
+gives every word's odd syndromes; the flagged words then run binary
+Berlekamp-Massey together, in the log domain, and a Chien search looks their
+locators' roots up in one exponent table.  A word's result depends on that
+word alone, so a batch decodes exactly as its words would one by one.
 Miscorrections are applied, not suppressed; error-floor behaviour depends
 on them.
 """
@@ -146,106 +151,104 @@ class ComponentCode:
 
     def _build_decode_tables(self):
         f = self.field
-        n, m, t = self.n, self.m, self.t
-        order = f.order
+        n, m, t, order = self.n, self.m, self.t, f.order
         degs = n - 1 - np.arange(n)
         # The reciprocal generator has roots alpha^-1..alpha^-2t, so the
         # whole decode chain runs on sign-flipped exponents for column codes.
-        self._sign = -1 if self.reciprocal else 1
-        # alpha^(sign*j*deg) for j=1..2t as field ints, shape (2t, n)
-        js = self._sign * np.arange(1, 2 * t + 1)[:, None]
-        self._pos_power = f.exp[(js * degs[None, :]) % order]
-        # Same table bit-decomposed: (n, 2t*m) uint8, for batch syndrome tests.
-        shifted = (self._pos_power[:, :, None] >> np.arange(m)) & 1
-        self._syndrome_bits = (
-            shifted.astype(np.uint8).transpose(1, 0, 2).reshape(n, 2 * t * m)
-        )
+        sign = -1 if self.reciprocal else 1
+        # Bits of alpha^(sign*j*deg) for odd j < 2t, as float32 (exact for
+        # n < 2**24); a binary word's even syndromes are S_2j = S_j^2.
+        odd = f.exp[(sign * np.arange(1, 2 * t, 2)[:, None] * degs) % order]
+        bits = (odd[:, :, None] >> np.arange(m)) & 1
+        self._syndrome_table = np.ascontiguousarray(
+            bits.transpose(1, 0, 2).reshape(n, t * m), dtype=np.float32)
+        # Log 0 is a sentinel ``big`` and exp reads 0 from ``big`` on, so a
+        # zero factor needs no mask: sums of true logs stay below ``big``.
+        big = 4 * order
+        self._log = f.log.copy()
+        self._log[0] = big
+        self._exp = np.zeros(2 * big + order + 1, dtype=np.int64)
+        self._exp[:big] = f.exp[np.arange(big) % order]
+        # Chien search: sigma's roots invert the locators alpha^(sign*deg),
+        # so row j - 1 holds term j's exponent -sign*j*deg at each position.
+        self._chien_exp = (-sign * np.arange(1, t + 1)[:, None] * degs) % order
 
-    def syndromes(self, word):
-        """Syndromes S_1..S_2t as field ints."""
-        idx = np.nonzero(np.asarray(word, dtype=np.uint8))[0]
-        if idx.size == 0:
-            return [0] * (2 * self.t)
-        sel = self._pos_power[:, idx]
-        return [int(v) for v in np.bitwise_xor.reduce(sel, axis=1)]
+    def _syndrome_bits(self, words):
+        prod = np.asarray(words, dtype=np.float32) @ self._syndrome_table
+        return prod.astype(np.int32) & 1
 
     def words_with_errors(self, words):
         """Boolean mask of rows whose syndrome is nonzero (batch test)."""
-        words = np.asarray(words, dtype=np.uint8)
-        synd = gf2.mat_mul(words, self._syndrome_bits)
-        return synd.any(axis=1)
+        return self._syndrome_bits(words).any(axis=1)
 
-    def _berlekamp_massey(self, synd):
-        f = self.field
-        c = [1]
-        b = [1]
-        L, mshift, bb = 0, 1, 1
-        for i, s in enumerate(synd):
-            d = s
-            for j in range(1, L + 1):
-                if j < len(c) and c[j]:
-                    d ^= f.mul(c[j], synd[i - j])
-            if d == 0:
-                mshift += 1
-            elif 2 * L <= i:
-                tmp = list(c)
-                coef = f.div(d, bb)
-                shifted = [0] * mshift + [f.mul(coef, x) for x in b]
-                if len(shifted) > len(c):
-                    c = c + [0] * (len(shifted) - len(c))
-                for j, x in enumerate(shifted):
-                    c[j] ^= x
-                L = i + 1 - L
-                b = tmp
-                bb = d
-                mshift = 1
-            else:
-                coef = f.div(d, bb)
-                shifted = [0] * mshift + [f.mul(coef, x) for x in b]
-                if len(shifted) > len(c):
-                    c = c + [0] * (len(shifted) - len(c))
-                for j, x in enumerate(shifted):
-                    c[j] ^= x
-                mshift += 1
-        while len(c) > 1 and c[-1] == 0:
-            c.pop()
-        return c, L
+    def decode_batch(self, words):
+        """Bounded-distance decode of every row of ``words`` at once.
 
-    def _chien(self, sigma):
-        """Degrees l in [0, n) where the error locator has a root.
-
-        Locators are X_i = alpha^(sign*l_i); sigma's roots are their
-        inverses, so evaluate sigma at alpha^(-sign*l).
+        Returns ``(ok, rows, pos)``: ``ok[w]`` is False where row w has no
+        codeword within distance t; accepted corrections flip position
+        ``pos[i]`` of row ``rows[i]``.  Binary Berlekamp-Massey takes t steps
+        (its odd discrepancies vanish); a row is accepted when L <= t and the
+        Chien search finds L roots of sigma among the n positions.
         """
-        f = self.field
-        order = f.order
-        ls = np.arange(self.n)
-        acc = np.zeros(self.n, dtype=np.int64)
-        for j, coef in enumerate(sigma):
-            if coef == 0:
-                continue
-            logc = int(f.log[coef])
-            acc ^= f.exp[(logc - j * self._sign * ls) % order]
-        return np.nonzero(acc == 0)[0]
+        bits = self._syndrome_bits(words)
+        flagged = np.flatnonzero(bits.any(axis=1))
+        ok = np.ones(len(bits), dtype=bool)
+        if flagged.size == 0:
+            return ok, flagged, flagged
+        t, m, order = self.t, self.m, self.field.order
+        log, exp = self._log, self._exp
+        n_words = flagged.size
+        synd = np.empty((n_words, 2 * t), dtype=np.int64)  # column j: S_(j+1)
+        synd[:, ::2] = bits[flagged].reshape(n_words, t, m) @ (1 << np.arange(m))
+        for j in range(2, 2 * t + 1, 2):
+            synd[:, j - 1] = exp[2 * log[synd[:, j // 2 - 1]]]
+        lsyn = log[synd]
+        # sigma, and x^mshift B(x) with its shift folded in; both keep t + 1
+        # coefficients, which is all a row that stays within L <= t needs
+        sigma = np.zeros((n_words, t + 1), dtype=np.int64)
+        sigma[:, 0] = 1
+        shifted = np.zeros_like(sigma)
+        shifted[:, 1] = 1
+        L = np.zeros(n_words, dtype=np.int64)
+        log_b = np.zeros(n_words, dtype=np.int64)  # log of the last discrepancy
+        for i in range(0, 2 * t, 2):
+            d = synd[:, i].copy()
+            for j in range(1, min(i, t) + 1):
+                d ^= exp[log[sigma[:, j]] + lsyn[:, i - j]]
+            log_d = log[d]
+            step = exp[(log_d - log_b + order)[:, None] + log[shifted]]
+            grow = (d != 0) & (2 * L <= i)
+            kept = np.where(grow[:, None], sigma, shifted)
+            sigma ^= step
+            shifted[:, 2:] = kept[:, :-2]
+            shifted[:, :2] = 0
+            L = np.where(grow, i + 1 - L, L)
+            log_b = np.where(grow, log_d, log_b)
+        # deg sigma = L needs no test: sigma has at most deg sigma <= L roots
+        cand = np.flatnonzero(L <= t)
+        lsig = log[sigma[cand]]
+        value = 1  # sigma_0
+        for j in range(1, t + 1):
+            value = value ^ exp[lsig[:, j, None] + self._chien_exp[j - 1]]
+        roots = value == 0
+        found = np.count_nonzero(roots, axis=1) == L[cand]
+        accepted = flagged[cand[found]]
+        ok[flagged] = False
+        ok[accepted] = True
+        rows, pos = np.nonzero(roots[found])
+        return ok, accepted[rows], pos
 
     def decode(self, word):
         """Bounded-distance decode; Failure leaves the word unmodified."""
         word = np.asarray(word, dtype=np.uint8).reshape(-1)
         if word.size != self.n:
             raise ValueError(f"word must have {self.n} bits, got {word.size}")
-        synd = self.syndromes(word)
-        if not any(synd):
-            return DecodeResult(True, word, ())
-        sigma, L = self._berlekamp_massey(synd)
-        if L > self.t or len(sigma) - 1 != L:
+        ok, _, pos = self.decode_batch(word[None, :])
+        if not ok[0]:
             return DecodeResult(False, word, ())
-        roots = self._chien(sigma)
-        if roots.size != L:
-            return DecodeResult(False, word, ())
-        flips = tuple(int(self.n - 1 - l) for l in roots)
         fixed = word.copy()
-        fixed[list(flips)] ^= 1
-        return DecodeResult(True, fixed, flips)
+        fixed[pos] ^= 1
+        return DecodeResult(True, fixed, tuple(pos.tolist()))
 
     # -- descriptors ------------------------------------------------------
 

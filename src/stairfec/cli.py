@@ -33,23 +33,26 @@ def _add_code_args(p, family_required=True):
     p.add_argument("--s", type=int, required=True)
 
 
-def _seed(text):
-    """A seed that fits the stream header's u32 field."""
-    value = int(text)
-    if not 0 <= value < 1 << 32:
-        raise argparse.ArgumentTypeError(f"seed {value} is outside [0, 2**32)")
-    return value
+def _unsigned(width):
+    """Argument type for a value stored in a u``width`` stream header field."""
+    def parse(text):
+        value = int(text)
+        if not 0 <= value < 1 << width:
+            raise argparse.ArgumentTypeError(
+                f"{value} is outside [0, 2**{width})")
+        return value
+    return parse
 
 
 def _add_codec_args(p):
     _add_code_args(p)
-    p.add_argument("--L", type=int, default=2,
+    p.add_argument("--L", type=_unsigned(8), default=2,
                    help="period length parameter (pff only)")
-    p.add_argument("--length", type=int, default=8,
+    p.add_argument("--length", type=_unsigned(16), default=8,
                    help="blocks per frame (sc/ff) or periods (pff)")
     p.add_argument("--window", type=int, default=7)
     p.add_argument("--l-max", type=int, default=8)
-    p.add_argument("--seed", type=_seed, default=0,
+    p.add_argument("--seed", type=_unsigned(32), default=0,
                    help="construction search seed")
 
 
@@ -228,7 +231,7 @@ def build_parser():
 
     p = sub.add_parser("construct", help="search and cache a construction")
     _add_code_args(p)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_unsigned(32), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_construct)
 

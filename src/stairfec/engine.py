@@ -22,6 +22,10 @@ bits.  From it the codec takes
 :func:`decode` is the one sliding-window decoder for all families.  Each
 group decodes from a single snapshot of its words, so a word does not see
 the flips made by other words of its own group; later groups see them.
+So a group is one batch for ``code.decode_batch``; a word with a flip on
+the zero slot is vetoed, and the other accepted flips go in with one
+unbuffered ``np.bitwise_xor.at``, which acts like XORing them one at a time:
+a slot flipped by two words, or twice by one (pff's S[i,i]), flips back.
 """
 
 from __future__ import annotations
@@ -60,27 +64,31 @@ def decode(buf, schedule, l_max):
     At each window position, sweep the position's groups up to ``l_max``
     times, stopping after a sweep in which no word was corrected.  A word's
     correction is vetoed when any of its flips lands on the zero slot.
+    Returns the number of sweeps made.
     """
     zero = buf.size - 1
+    sweeps = 0
     for groups in schedule:
         for _ in range(l_max):
+            sweeps += 1
             changed = False
             for code, words in groups:
                 # the tables hold valid slots only, so skip the bounds check
                 snap = buf.take(words, mode="clip")
-                for w in np.flatnonzero(code.words_with_errors(snap)):
-                    res = code.decode(snap[w])
-                    if not res.ok:
-                        continue
-                    slots = [words.item(w, f) for f in res.flips]
-                    if zero in slots:
-                        continue
-                    # one at a time: a slot listed twice in a word flips back
-                    for s in slots:
-                        buf[s] ^= 1
+                _, rows, pos = code.decode_batch(snap)
+                if rows.size == 0:
+                    continue
+                slots = words[rows, pos]
+                vetoed = np.zeros(len(words), dtype=bool)
+                vetoed[rows[slots == zero]] = True
+                slots = slots[~vetoed[rows]]
+                if slots.size:
+                    # unbuffered: a slot listed twice flips back
+                    np.bitwise_xor.at(buf, slots, 1)
                     changed = True
             if not changed:
                 break
+    return sweeps
 
 
 class FrameCodec:

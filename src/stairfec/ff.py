@@ -122,6 +122,7 @@ class FFConstruction:
         self.idx_pc_to_pr = t_rm[gf2.invert_indices(self.pi2)]
         # vec(P_r) -> vec((pi_2(P_r))^T), used on the encoder side
         self.idx_pr_enc = self.pi2[t_mr]
+        self.op_a_inv = gf2.operand(self.a_inv)  # cast once for the encoder
 
 
 def build_construction(code_row, code_col, pi1, pi2, mode="custom"):
@@ -190,7 +191,7 @@ def search_construction(m, t, s, *, seed=0, max_tries=200, primitive_poly=None):
         try:
             return build_construction(code_row, code_col, pi1, pi2, mode=mode)
         except gf2.SingularMatrixError as err:
-            last_err = err
+            last_err = str(err)  # not err: its traceback would pin this frame
     raise gf2.SingularMatrixError(
         f"no invertible permutation pair found for (m={m}, t={t}, s={s}): {last_err}"
     )
@@ -239,21 +240,28 @@ class FFCode(engine.FrameCodec):
     # -- encoding -------------------------------------------------------------
 
     def encode_pair(self, b0, b1, b2):
-        """Redundancy pair (Y, Pc~) for blocks (b0, b1, b2)."""
+        """Redundancy pair (Y, Pc~) for blocks (b0, b1, b2), or for stacks
+        of them along a leading pair axis, one product per stage."""
         c = self.cons
-        p_r = gf2.mat_mul(np.hstack([b0, b1]), c.g_i)
-        p_c = gf2.mat_mul(c.f_i.T, np.vstack([b1, b2]))
-        rhs = gf2.vec(p_c) ^ gf2.vec(p_r)[c.idx_pr_enc]
-        y = gf2.unvec(gf2.mat_mul(c.a_inv, rhs), self.r, self.M)
-        pc = p_c ^ gf2.mat_mul(c.f_r.T, y)
-        return engine.FFPair(y=y, pc=pc)
+        p_r = gf2.mat_mul(np.concatenate([b0, b1], axis=-1), c.g_i)
+        # transposes keep the products' inner axis last: P_c^T, Y^T, Pc~^T
+        p_c = gf2.mat_mul(np.concatenate([b1, b2], axis=-2).swapaxes(-1, -2),
+                          c.f_i)
+        lead = p_c.shape[:-2]
+        # column-wise vec(P_c) and the pi_2-permuted vec(P_r), one row per pair
+        rhs = (p_c.reshape(*lead, -1)
+               ^ p_r.swapaxes(-1, -2).reshape(*lead, -1)[..., c.idx_pr_enc])
+        y = gf2.mat_mul(c.op_a_inv, rhs.T).T.reshape(p_c.shape)
+        pc = p_c ^ gf2.mat_mul(y, c.f_r)
+        return engine.FFPair(y=y.swapaxes(-1, -2), pc=pc.swapaxes(-1, -2))
 
     def encode_payload(self, bits):
         frame = self._payload_frame(bits)
+        blocks = np.stack(frame.blocks)
+        enc = self.encode_pair(blocks[:-1:2], blocks[1::2], blocks[2::2])
         for j, pair in enumerate(frame.pairs):
-            enc = self.encode_pair(*frame.blocks[2 * j : 2 * j + 3])
-            pair.y[...] = enc.y
-            pair.pc[...] = enc.pc
+            pair.y[...] = enc.y[j]
+            pair.pc[...] = enc.pc[j]
         return frame
 
     def decode_frame(self, frame):

@@ -52,18 +52,21 @@ class StreamFormatError(ValueError):
 def write_stream(codec, frame, *, seed=0):
     """Serialize a frame to bytes."""
     desc = codec.describe()
-    header = HEADER.pack(
-        MAGIC,
-        FAMILY_CODES[codec.family],
-        desc["code"]["m"],
-        desc["code"]["t"],
-        desc.get("L", 0),
-        desc["code"]["s"],
-        desc.get("n_periods", desc.get("n_blocks", 0)),
-        seed,
-        codec.payload_bits,
-    )
-    return header + np.packbits(frame.buf[:-1]).tobytes()
+    fields = {
+        "family": FAMILY_CODES[codec.family],
+        "m": desc["code"]["m"],
+        "t": desc["code"]["t"],
+        "L": desc.get("L", 0),
+        "s": desc["code"]["s"],
+        "length": desc.get("n_periods", desc.get("n_blocks", 0)),
+        "seed": seed,
+        "payload_bits": codec.payload_bits,
+    }
+    for (name, value), code in zip(fields.items(), HEADER.format[3:]):
+        if not 0 <= value < 256 ** struct.calcsize(code):
+            raise ValueError(f"{name} = {value} does not fit the stream header")
+    body = np.packbits(frame.buf[:-1]).tobytes()
+    return HEADER.pack(MAGIC, *fields.values()) + body
 
 
 def parse_header(data):

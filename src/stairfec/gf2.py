@@ -2,8 +2,9 @@
 Dense GF(2) matrix arithmetic and structural operators.
 
 Matrices are numpy uint8 arrays with entries in {0, 1}; a vector is a 1-D
-array (conceptually a single-column matrix).  Products use float64 BLAS
-matmuls (exact for the dimensions handled here) and inversion runs on
+array (conceptually a single-column matrix).  Products use float32 BLAS
+matmuls, exact while the inner dimension stays below 2**24; a constant
+operand can be cast once with :func:`operand`.  Inversion runs on
 bit-packed rows so that design-time matrices of a few thousand rows invert
 in seconds.
 """
@@ -17,6 +18,7 @@ __all__ = [
     "zeros",
     "identity",
     "mat_mul",
+    "operand",
     "invert",
     "vec",
     "unvec",
@@ -42,18 +44,25 @@ def _as_bits(a):
     return a
 
 
+def operand(a):
+    """A constant 0/1 matrix cast once to the dtype :func:`mat_mul` uses."""
+    return np.asarray(a, dtype=np.float32)
+
+
 def mat_mul(a, b):
     """Matrix (or matrix-vector) product over GF(2).
 
-    float64 matmul is exact here: inner dimensions stay far below 2**53.
+    ``a`` may be a stack of matrices along leading axes.  The float32
+    matmul is exact while the inner dimension is below 2**24.
     """
-    a = _as_bits(a)
-    b = _as_bits(b)
+    a = np.asarray(a)
+    b = np.asarray(b)
     inner_a = a.shape[-1] if a.ndim > 0 else 1
     inner_b = b.shape[0]
     if inner_a != inner_b:
         raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    prod = a.astype(np.float64) @ b.astype(np.float64)
+    dtype = np.float32 if inner_a < 1 << 24 else np.float64
+    prod = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
     return (prod.astype(np.int64) & 1).astype(np.uint8)
 
 

@@ -88,6 +88,7 @@ class PFFConstruction:
         self.g_c = self.g_i[self.m_side :]
         self.g_b_t = self.g_b[np.asarray(self.pi)]
         self.g_i_mod = np.vstack([self.g_a, self.g_b_t, self.g_c])
+        self.op_b_inv = gf2.operand(self.b_inv)  # cast once for the encoder
 
 
 def build_pff_construction(code_row, code_col, pi, mode="custom"):
@@ -139,7 +140,7 @@ def search_pff_construction(m, t, s, *, seed=0, max_tries=200,
         try:
             return build_pff_construction(code_row, code_col, pi, mode=mode)
         except gf2.SingularMatrixError as err:
-            last_err = err
+            last_err = str(err)  # not err: its traceback would pin this frame
     raise gf2.SingularMatrixError(
         f"no usable Pi found for (m={m}, t={t}, s={s}): {last_err}"
     )
@@ -228,7 +229,7 @@ class PFFCode(engine.FrameCodec):
             np.hstack([gf2.zeros(2 * r, 2 * r), m02.T, m12.T]), c.f_i
         )
         y2 = gf2.unvec(
-            gf2.mat_mul(c.b_inv, gf2.vec(known, order="row")),
+            gf2.mat_mul(c.op_b_inv, gf2.vec(known, order="row")),
             r, 2 * r, order="row",
         )
         pc2 = p_c2 ^ gf2.mat_mul(c.f_r.T, y2)

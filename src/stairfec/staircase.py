@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import engine
+from . import engine, gf2
 
 __all__ = ["StaircaseCode"]
 
@@ -58,8 +58,8 @@ class StaircaseCode(engine.FrameCodec):
         frame = self._payload_frame(bits)
         k = self.info_cols
         for prev, cur in zip(frame.blocks, frame.blocks[1:]):
-            # uint8 products wrap mod 256, which keeps their parity
-            cur[:, k:] = np.hstack([prev.T, cur[:, :k]]) @ self.g_p % 2
+            cur[:, k:] = gf2.mat_mul(np.hstack([prev.T, cur[:, :k]]),
+                                     self.g_p)
         return frame
 
     def decode_frame(self, frame):

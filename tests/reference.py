@@ -181,3 +181,107 @@ def unknown_map(cons, y2):
     stacked = np.vstack([y2, gf2.mat_mul(cons.f_r.T, y2)])
     return (gf2.mat_mul(y2.T, cons.a_small.T)
             ^ gf2.mat_mul(stacked, cons.g_b_t))
+
+
+# -- BCH bounded-distance decoding -------------------------------------------------
+
+
+def _sign(code):
+    """Column codes use the reciprocal generator, whose roots are alpha^-j."""
+    return -1 if code.reciprocal else 1
+
+
+def syndromes(code, word):
+    """Syndromes S_1..S_2t of a word as field ints, one position at a time."""
+    f = code.field
+    out = [0] * (2 * code.t)
+    for i in np.flatnonzero(np.asarray(word, dtype=np.uint8)):
+        deg = code.n - 1 - int(i)
+        for j in range(1, 2 * code.t + 1):
+            out[j - 1] ^= f.pow_alpha(_sign(code) * j * deg)
+    return out
+
+
+def berlekamp_massey(field, synd):
+    """Scalar Berlekamp-Massey over all 2t syndromes: (sigma, L)."""
+    f = field
+    c = [1]
+    b = [1]
+    L, mshift, bb = 0, 1, 1
+    for i, s in enumerate(synd):
+        d = s
+        for j in range(1, L + 1):
+            if j < len(c) and c[j]:
+                d ^= f.mul(c[j], synd[i - j])
+        if d == 0:
+            mshift += 1
+            continue
+        coef = f.div(d, bb)
+        shifted = [0] * mshift + [f.mul(coef, x) for x in b]
+        new = c + [0] * (len(shifted) - len(c))
+        for j, x in enumerate(shifted):
+            new[j] ^= x
+        if 2 * L <= i:
+            L, b, bb, mshift = i + 1 - L, c, d, 1
+        else:
+            mshift += 1
+        c = new
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
+    return c, L
+
+
+def chien(code, sigma):
+    """Word positions whose locator alpha^(sign*deg) inverts a root of sigma."""
+    f = code.field
+    roots = []
+    for i in range(code.n):
+        x = f.pow_alpha(-_sign(code) * (code.n - 1 - i))
+        acc = 0
+        for coef in reversed(sigma):
+            acc = f.mul(acc, x) ^ coef
+        if acc == 0:
+            roots.append(i)
+    return roots
+
+
+def bdd(code, word):
+    """Scalar bounded-distance decode: (ok, sorted flip positions)."""
+    synd = syndromes(code, word)
+    if not any(synd):
+        return True, []
+    sigma, L = berlekamp_massey(code.field, synd)
+    if L > code.t or len(sigma) - 1 != L:
+        return False, []
+    roots = chien(code, sigma)
+    if len(roots) != L:
+        return False, []
+    return True, roots
+
+
+def decode_one_at_a_time(buf, schedule, l_max):
+    """The sliding-window loop with one scalar BDD per flagged word.
+
+    Same contract as ``engine.decode``: each group decodes from one
+    snapshot, a word with a flip on the zero slot is vetoed, and the flips
+    of the others are XORed in one at a time.  Returns the number of sweeps.
+    """
+    zero = buf.size - 1
+    sweeps = 0
+    for groups in schedule:
+        for _ in range(l_max):
+            sweeps += 1
+            changed = False
+            for code, words in groups:
+                snap = buf[words]
+                for w in range(len(words)):
+                    ok, flips = bdd(code, snap[w])
+                    slots = [int(words[w, f]) for f in flips]
+                    if not ok or not slots or zero in slots:
+                        continue
+                    for s in slots:
+                        buf[s] ^= 1
+                    changed = True
+            if not changed:
+                break
+    return sweeps

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference
 from stairfec.bch import ComponentCode, bch_generator, reciprocal_generator
 from stairfec.galois import GaloisField, Poly2, poly_mod
 
@@ -68,7 +69,7 @@ def test_encode_zero_syndrome():
         rng = np.random.default_rng(1)
         msg = rng.integers(0, 2, code.k, dtype=np.uint8)
         word = code.systematic_encode(msg)
-        assert not any(code.syndromes(word))
+        assert not any(reference.syndromes(code, word))
 
 
 def test_decode_corrects_up_to_t():
@@ -106,7 +107,7 @@ def test_decode_beyond_t_fails_or_miscorrects_within_t():
             miscorrections += 1
             assert len(res.flips) <= code.t
             # the output is a codeword either way
-            assert not any(code.syndromes(res.word))
+            assert not any(reference.syndromes(code, res.word))
     assert fails > 0  # t+1 errors are usually detected for t=1
 
 
@@ -119,7 +120,7 @@ def test_shortened_positions_behave_like_parent_prefix():
     msg = rng.integers(0, 2, short.k, dtype=np.uint8)
     word = short.systematic_encode(msg)
     padded = np.concatenate([np.zeros(10, dtype=np.uint8), word])
-    assert not any(parent.syndromes(padded))
+    assert not any(reference.syndromes(parent, padded))
 
 
 def test_words_with_errors_matches_syndromes():
@@ -134,7 +135,7 @@ def test_words_with_errors_matches_syndromes():
             w = w.copy()
             w[rng.integers(0, code.n)] ^= 1
         words.append(w)
-        expect.append(any(code.syndromes(w)))
+        expect.append(any(reference.syndromes(code, w)))
     mask = code.words_with_errors(np.array(words))
     assert (mask == np.array(expect)).all()
 
@@ -161,7 +162,7 @@ def test_mirror_property_row_column():
     for _ in range(10):
         msg = rng.integers(0, 2, row.k, dtype=np.uint8)
         word = row.systematic_encode(msg)
-        assert not any(col.syndromes(word[::-1]))
+        assert not any(reference.syndromes(col, word[::-1]))
 
 
 def test_parameter_validation():

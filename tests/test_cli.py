@@ -113,6 +113,19 @@ def test_encode_seed_out_of_range_exits_2(tmp_path, seed):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--L", "256"), ("--L", "-1"), ("--length", "65536"), ("--length", "-1"),
+])
+def test_encode_header_field_out_of_range_exits_2(tmp_path, option, value):
+    payload_file = tmp_path / "payload.bin"
+    payload_file.write_bytes(bytes(64))
+    with pytest.raises(SystemExit) as exc:
+        main(["encode", "--family", "pff", "--m", "7", "--t", "2", "--s", "41",
+              "--L", "2", "--length", "1", option, value,
+              "--in", str(payload_file), "--out", str(tmp_path / "x.sfc")])
+    assert exc.value.code == 2
+
+
 def test_construct_writes_cache(tmp_path, capsys):
     out = tmp_path / "cons.npz"
     code, text = run_cli(capsys, [

@@ -1,5 +1,6 @@
 import numpy as np
 
+import reference
 from stairfec import engine
 from stairfec.bch import ComponentCode
 from stairfec.staircase import StaircaseCode
@@ -53,3 +54,71 @@ def test_frozen_block_flips_are_vetoed():
     sc.decode_frame(frame)
     assert (frame.buf == before).all()
     assert frame.buf[-1] == 0
+
+
+def test_batch_matches_one_at_a_time_loop():
+    """One group whose words overlap: the batched XOR-at must leave what a
+    word-by-word loop leaves, after the same number of sweeps."""
+    code = ComponentCode(5, 2, 4)   # n=27, t=2
+    n = code.n
+    rng = np.random.default_rng(12)
+
+    def codeword(fixed={}):
+        """A random codeword with the given information bits."""
+        msg = rng.integers(0, 2, code.k, dtype=np.uint8)
+        for pos, bit in fixed.items():
+            msg[pos] = bit
+        return code.systematic_encode(msg)
+
+    # five words over disjoint slots, then three overlaps
+    a, b, c, d, e = np.arange(5 * n).reshape(5, n)
+    zero = 5 * n
+    b[3] = a[5]    # a and b share a slot
+    c[1] = c[0]    # c lists a slot twice
+    d[:2] = zero   # d has two pad positions
+
+    buf = np.zeros(zero + 1, dtype=np.uint8)
+    # a: one error, on the shared slot
+    wa = codeword()
+    buf[a] = wa
+    buf[a[5]] ^= 1
+    # b: its codeword disagrees with the shared slot's received bit, so a
+    # and b both flip it
+    wb = codeword({3: wa[5]})
+    own = np.arange(n) != 3
+    buf[b[own]] = wb[own]
+    # c: zeros at positions 0 and 1 read a 1 from the doubled slot, two
+    # errors on one slot
+    wc = codeword({0: 0, 1: 0})
+    buf[c[1:]] = wc[1:]
+    buf[c[0]] = 1
+    # d: a one at pad position 0 reads as an error there, plus one real
+    # error, so both of d's flips are vetoed
+    wd = codeword({0: 1, 1: 0})
+    buf[d[2:]] = wd[2:]
+    buf[d[10]] ^= 1
+    # e: an ordinary word with two errors
+    we = codeword()
+    buf[e] = we
+    buf[e[[4, 20]]] ^= 1
+    words = np.array([a, b, c, d, e])
+
+    # the premises: every word decodes; the engine refuses d for its pad flip
+    snap = buf[words]
+    flips = [reference.bdd(code, w) for w in snap]
+    assert [ok for ok, _ in flips] == [True] * 5
+    assert flips[0][1] == [5] and flips[1][1] == [3]
+    assert flips[2][1] == [0, 1] and flips[3][1] == [0, 10]
+
+    schedule = [[(code, words)]]
+    expect = buf.copy()
+    expect_sweeps = reference.decode_one_at_a_time(expect, schedule, 4)
+    sweeps = engine.decode(buf, schedule, 4)
+    assert (buf == expect).all()
+    assert sweeps == expect_sweeps
+    # the shared and the doubled slot flip twice per sweep, so every sweep
+    # changes something and the loop runs to l_max
+    assert sweeps == 4
+    assert buf[a[5]] == wa[5] ^ 1 and buf[c[0]] == 1
+    assert buf[d[10]] == wd[10] ^ 1
+    assert (buf[e] == we).all()

@@ -44,6 +44,17 @@ def test_header_fields():
     }
 
 
+def test_header_field_overflow_names_the_field():
+    codec = build_codec("pff", 7, 2, 41, L=256, length=1)
+    frame = codec.encode_payload(np.zeros(codec.payload_bits, dtype=np.uint8))
+    with pytest.raises(ValueError, match="L = 256 "):
+        write_stream(codec, frame)
+    codec = build_codec("sc", 4, 1, 1, length=4)
+    frame = codec.encode_payload(np.zeros(codec.payload_bits, dtype=np.uint8))
+    with pytest.raises(ValueError, match="seed = 4294967296 "):
+        write_stream(codec, frame, seed=1 << 32)
+
+
 def test_bad_magic_rejected():
     with pytest.raises(StreamFormatError):
         parse_header(b"NOPE" + b"\x00" * 16)
