@@ -7,12 +7,16 @@ k = n - m*t information bits, r = m*t parity bits.  Codewords are laid out
 x^(n-1-i); the s shortened positions are the leading information positions
 of the parent code and are never transmitted or flipped.
 
-Decoding is bounded-distance (BDD) and batched: ``decode_batch`` takes a
-whole matrix of received words.  One float32 matmul against a bit table
-gives every word's odd syndromes; the flagged words then run binary
-Berlekamp-Massey together, in the log domain, and a Chien search looks their
-locators' roots up in one exponent table.  A word's result depends on that
-word alone, so a batch decodes exactly as its words would one by one.
+Decoding is bounded-distance (BDD) and works from syndromes.  A word's odd
+syndromes S_1, S_3, ..., S_(2t-1), as field ints, come from one float32
+matmul against a bit table (``odd_syndromes``); the even ones follow from
+S_2j = S_j^2.  A unit error at position i has the odd syndromes
+``odd_columns[i]``, so a caller that keeps syndromes can update them per
+flip.  ``decode_syndromes`` runs binary Berlekamp-Massey over a batch of
+words in the log domain and a Chien search that looks their locators' roots
+up in one exponent table; ``decode_batch`` screens, packs and decodes a
+matrix of received words.  A word's result depends on that word alone, so a
+batch decodes exactly as its words would one by one.
 Miscorrections are applied, not suppressed; error-floor behaviour depends
 on them.
 """
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .galois import GaloisField, Poly2, minimal_polynomial, poly_lcm, poly_mod
+from .galois import GaloisField, Poly2, minimal_polynomial, poly_lcm
 
 __all__ = [
     "bch_generator",
@@ -114,6 +118,7 @@ class ComponentCode:
         self._gen_bits = self.gen.bits
         self._build_parity_matrix()
         self._build_decode_tables()
+        gf2.freeze(self)
 
     # -- encoding ---------------------------------------------------------
 
@@ -127,13 +132,21 @@ class ComponentCode:
         return val
 
     def _build_parity_matrix(self):
-        k, r = self.k, self.r
-        g_p = gf2.zeros(k, r)
-        for j in range(k):
-            parity = poly_mod(1 << (self.n - 1 - j), self._gen_bits)
-            for l in range(r):
-                g_p[j, l] = (parity >> (r - 1 - l)) & 1
-        self.g_p = g_p
+        """Row j holds x^(n-1-j) mod gen, highest power first."""
+        k, r, gen = self.k, self.r, self._gen_bits
+        rems = []
+        rem = gen ^ (1 << r)  # x^r mod gen; then x^(e+1) = x * x^e
+        for _ in range(k):
+            rems.append(rem)
+            rem <<= 1
+            if rem >> r:
+                rem ^= gen
+        width = -(-r // 8)
+        packed = np.frombuffer(
+            b"".join(x.to_bytes(width, "big") for x in reversed(rems)),
+            dtype=np.uint8).reshape(k, width)
+        self.g_p = np.ascontiguousarray(
+            np.unpackbits(packed, axis=1)[:, 8 * width - r :])
 
     def systematic_encode(self, msg):
         """Codeword [msg | parity] with parity = x^r * msg(x) mod gen."""
@@ -156,12 +169,15 @@ class ComponentCode:
         # The reciprocal generator has roots alpha^-1..alpha^-2t, so the
         # whole decode chain runs on sign-flipped exponents for column codes.
         sign = -1 if self.reciprocal else 1
-        # Bits of alpha^(sign*j*deg) for odd j < 2t, as float32 (exact for
-        # n < 2**24); a binary word's even syndromes are S_2j = S_j^2.
+        # alpha^(sign*j*deg) for odd j < 2t: the odd syndromes of a unit
+        # error at each position, as field ints and as float32 bits (exact
+        # for n < 2**24); a binary word's even syndromes are S_2j = S_j^2.
         odd = f.exp[(sign * np.arange(1, 2 * t, 2)[:, None] * degs) % order]
+        self.odd_columns = np.ascontiguousarray(odd.T, dtype=np.uint16)
         bits = (odd[:, :, None] >> np.arange(m)) & 1
         self._syndrome_table = np.ascontiguousarray(
             bits.transpose(1, 0, 2).reshape(n, t * m), dtype=np.float32)
+        self._bit_weights = 1 << np.arange(m)
         # Log 0 is a sentinel ``big`` and exp reads 0 from ``big`` on, so a
         # zero factor needs no mask: sums of true logs stay below ``big``.
         big = 4 * order
@@ -172,71 +188,102 @@ class ComponentCode:
         # Chien search: sigma's roots invert the locators alpha^(sign*deg),
         # so row j - 1 holds term j's exponent -sign*j*deg at each position.
         self._chien_exp = (-sign * np.arange(1, t + 1)[:, None] * degs) % order
+        # S_j with j = 2^a * o, o odd, is S_o^(2^a): column j - 1 of the
+        # syndromes reads row a of the table of log(x^(2^a)) at x = S_o
+        j = np.arange(1, 2 * t + 1)
+        power = j & -j
+        self._syn_source = (j // power - 1) // 2
+        self._syn_square = np.log2(power).astype(np.intp)
+        squares = 1 << np.arange(self._syn_square.max() + 1)
+        self._log_pow = squares[:, None] * self._log % order
+        self._log_pow[:, 0] = big
 
     def _syndrome_bits(self, words):
         prod = np.asarray(words, dtype=np.float32) @ self._syndrome_table
         return prod.astype(np.int32) & 1
 
+    def _pack(self, bits):
+        """Odd-syndrome bits (rows, t*m) to field ints (rows, t)."""
+        return bits.reshape(len(bits), self.t, self.m) @ self._bit_weights
+
     def words_with_errors(self, words):
         """Boolean mask of rows whose syndrome is nonzero (batch test)."""
         return self._syndrome_bits(words).any(axis=1)
 
+    def odd_syndromes(self, words):
+        """S_1, S_3, ..., S_(2t-1) of every row of ``words``, as field ints."""
+        return self._pack(self._syndrome_bits(words))
+
+    def decode_syndromes(self, rows, synd):
+        """Bounded-distance decode of words known by their odd syndromes.
+
+        ``synd[i]`` holds S_1, S_3, ..., S_(2t-1) of word ``rows[i]`` as
+        field ints.  Returns ``(ok, flip_rows, pos)``: ``ok[i]`` is False
+        where word ``rows[i]`` has no codeword within distance t; accepted
+        corrections flip position ``pos[j]`` of word ``flip_rows[j]``.
+        Binary Berlekamp-Massey takes t steps (its odd discrepancies
+        vanish); a word is accepted when L <= t and the Chien search finds
+        L roots of sigma among the n positions.
+        """
+        t, order = self.t, self.field.order
+        log, exp = self._log, self._exp
+        n_words = len(rows)
+        # column j: log S_(j+1)
+        lsyn = self._log_pow[self._syn_square, synd[:, self._syn_source]]
+        # Step 0 in closed form: d = S_1 and L = 0, so sigma = 1 + S_1 x,
+        # and B(x) = 1 becomes x^2 B(x) if S_1 != 0, else x^3 B(x).  sigma
+        # and x^mshift B(x) keep t + 1 coefficients, which is all a word
+        # that stays within L <= t needs.
+        grow = synd[:, 0] != 0
+        sigma = np.zeros((n_words, t + 1), dtype=np.int64)
+        sigma[:, 0] = 1
+        sigma[:, 1] = synd[:, 0]
+        shifted = np.zeros((n_words, t + 3), dtype=np.int64)
+        shifted[:, 2] = grow
+        shifted[:, 3] = ~grow
+        shifted = shifted[:, : t + 1]
+        L = grow.astype(np.int64)
+        log_b = lsyn[:, 0] * grow  # log of the last discrepancy, or 0
+        for i in range(2, 2 * t, 2):
+            # d = S_(i+1) + sum over j of sigma_j S_(i+1-j)
+            span = min(i, t)
+            terms = (log[sigma[:, 1 : span + 1]]
+                     + lsyn[:, i - 1 :: -1][:, :span])
+            d = synd[:, i // 2] ^ np.bitwise_xor.reduce(exp[terms], axis=1)
+            log_d = log[d]
+            step = exp[(log_d - log_b + order)[:, None] + log[shifted]]
+            grow = (d != 0) & (L <= i // 2)
+            L = np.where(grow, i + 1 - L, L)
+            if i < 2 * t - 2:  # the last step needs no new B(x)
+                shifted[:, 2:] = np.where(grow[:, None], sigma, shifted)[:, :-2]
+                shifted[:, :2] = 0
+                log_b = np.where(grow, log_d, log_b)
+            sigma ^= step
+        # Chien search.  A word with L > t fails the root count by itself:
+        # sigma keeps degree <= t, so it has fewer than L roots, and for the
+        # same reason deg sigma = L needs no test.
+        terms = exp[log[sigma[:, 1:, None]] + self._chien_exp]
+        roots = np.bitwise_xor.reduce(terms, axis=1) == 1  # sigma_0 = 1
+        ok = np.count_nonzero(roots, axis=1) == L
+        flip, pos = np.nonzero(roots[ok])
+        return ok, rows[ok][flip], pos
+
     def decode_batch(self, words):
         """Bounded-distance decode of every row of ``words`` at once.
 
-        Returns ``(ok, rows, pos)``: ``ok[w]`` is False where row w has no
-        codeword within distance t; accepted corrections flip position
-        ``pos[i]`` of row ``rows[i]``.  Binary Berlekamp-Massey takes t steps
-        (its odd discrepancies vanish); a row is accepted when L <= t and the
-        Chien search finds L roots of sigma among the n positions.
+        Screens the rows, packs the flagged rows' syndromes and runs
+        :meth:`decode_syndromes` on them.  Returns ``(ok, rows, pos)``:
+        ``ok[w]`` is False where row w has no codeword within distance t;
+        accepted corrections flip position ``pos[i]`` of row ``rows[i]``.
         """
         bits = self._syndrome_bits(words)
         flagged = np.flatnonzero(bits.any(axis=1))
         ok = np.ones(len(bits), dtype=bool)
         if flagged.size == 0:
             return ok, flagged, flagged
-        t, m, order = self.t, self.m, self.field.order
-        log, exp = self._log, self._exp
-        n_words = flagged.size
-        synd = np.empty((n_words, 2 * t), dtype=np.int64)  # column j: S_(j+1)
-        synd[:, ::2] = bits[flagged].reshape(n_words, t, m) @ (1 << np.arange(m))
-        for j in range(2, 2 * t + 1, 2):
-            synd[:, j - 1] = exp[2 * log[synd[:, j // 2 - 1]]]
-        lsyn = log[synd]
-        # sigma, and x^mshift B(x) with its shift folded in; both keep t + 1
-        # coefficients, which is all a row that stays within L <= t needs
-        sigma = np.zeros((n_words, t + 1), dtype=np.int64)
-        sigma[:, 0] = 1
-        shifted = np.zeros_like(sigma)
-        shifted[:, 1] = 1
-        L = np.zeros(n_words, dtype=np.int64)
-        log_b = np.zeros(n_words, dtype=np.int64)  # log of the last discrepancy
-        for i in range(0, 2 * t, 2):
-            d = synd[:, i].copy()
-            for j in range(1, min(i, t) + 1):
-                d ^= exp[log[sigma[:, j]] + lsyn[:, i - j]]
-            log_d = log[d]
-            step = exp[(log_d - log_b + order)[:, None] + log[shifted]]
-            grow = (d != 0) & (2 * L <= i)
-            kept = np.where(grow[:, None], sigma, shifted)
-            sigma ^= step
-            shifted[:, 2:] = kept[:, :-2]
-            shifted[:, :2] = 0
-            L = np.where(grow, i + 1 - L, L)
-            log_b = np.where(grow, log_d, log_b)
-        # deg sigma = L needs no test: sigma has at most deg sigma <= L roots
-        cand = np.flatnonzero(L <= t)
-        lsig = log[sigma[cand]]
-        value = 1  # sigma_0
-        for j in range(1, t + 1):
-            value = value ^ exp[lsig[:, j, None] + self._chien_exp[j - 1]]
-        roots = value == 0
-        found = np.count_nonzero(roots, axis=1) == L[cand]
-        accepted = flagged[cand[found]]
-        ok[flagged] = False
-        ok[accepted] = True
-        rows, pos = np.nonzero(roots[found])
-        return ok, accepted[rows], pos
+        ok[flagged], rows, pos = self.decode_syndromes(
+            flagged, self._pack(bits[flagged]))
+        return ok, rows, pos
 
     def decode(self, word):
         """Bounded-distance decode; Failure leaves the word unmodified."""

@@ -17,15 +17,28 @@ bits.  From it the codec takes
   the slot of position i of full-length component word w.  B_0 and pff's
   structural pad positions map to the zero slot; ff's punctured X and Pr~
   positions map to the Y and Pc~ slots that mirror them;
-- ``schedule``: the groups decoded at each window position, in order.
+- ``windows``: the groups decoded at each window position, in order.
 
-:func:`decode` is the one sliding-window decoder for all families.  Each
-group decodes from a single snapshot of its words, so a word does not see
-the flips made by other words of its own group; later groups see them.
-So a group is one batch for ``code.decode_batch``; a word with a flip on
-the zero slot is vetoed, and the other accepted flips go in with one
-unbuffered ``np.bitwise_xor.at``, which acts like XORing them one at a time:
-a slot flipped by two words, or twice by one (pff's S[i,i]), flips back.
+:class:`Plan` compiles these into syndrome-domain tables once per codec, and
+:func:`decode` is the one sliding-window decoder for all families.  It works
+on syndromes, the way hardware decoders of product-like codes do:
+
+- per frame, every word's odd syndromes come from one gather and one
+  float32 matmul per component code;
+- per group visit, only the words whose syndrome is nonzero and has
+  changed since their last decode go to ``code.decode_syndromes``: there is
+  no gather and no screen, and a word that failed or was vetoed is not
+  decoded again until a flip reaches it;
+- per flip, the flipped position's parity-check column is XORed into the
+  syndrome of every word that holds the slot.
+
+Each group decodes from a single snapshot of its words, so a word does not
+see the flips made by other words of its own group; later groups see them.
+A group's syndromes at its turn are those of a fresh snapshot, so the group
+is one batch.  A word with a flip on the zero slot is vetoed, and the other
+accepted flips go in with one unbuffered ``np.bitwise_xor.at``, which acts
+like XORing them one at a time: a slot flipped by two words, or twice by one
+(pff's S[i,i]), flips back, and so does its syndrome contribution.
 """
 
 from __future__ import annotations
@@ -34,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FFPair", "Frame", "FrameCodec", "decode"]
+__all__ = ["FFPair", "Frame", "FrameCodec", "Plan", "decode"]
 
 
 @dataclass
@@ -58,24 +71,129 @@ class Frame:
         return len(self.blocks) - 1
 
 
-def decode(buf, schedule, l_max):
+class Plan:
+    """A codec's groups and window schedule, compiled for syndrome decoding.
+
+    ``groups`` is a list of ``(code, words)`` pairs, ``windows`` lists the
+    indices of the groups each window position decodes, in order, and
+    ``n_slots`` is the buffer size, zero slot included.
+
+    Words are numbered code by code, each code's groups in turn, so one
+    gather and one matmul per code give a frame's syndromes.  A word's row
+    of ``syndromes`` holds its odd syndromes as uint16 field ints, padded
+    with zeros to the largest t.  Column ``s`` of ``flip_words``/``flip_keys``
+    lists every (word, position) holding slot s: XORing ``hcols[key]``, the
+    odd syndromes of a unit error at that position of that code, into the
+    word's row keeps it in step when slot s flips.  A slot listed twice in
+    one word has two entries; unused entries name a scratch row after the
+    last word, and the zero slot has none.
+    """
+
+    def __init__(self, groups, windows, n_slots):
+        codes = list({id(code): code for code, _ in groups}.values())
+        self.t_max = max(code.t for code in codes)
+        self.n_words = sum(len(words) for _, words in groups)
+        n_keys = sum(code.n for code in codes)
+        # a holder's id packs its word and its column key: word << shift | key
+        shift = (n_keys - 1).bit_length()
+        id_type = np.int32 if (self.n_words + 1) << shift < 2**31 else np.int64
+        # every code's word table is a C-ordered view of one slot array
+        slots = np.empty(sum(words.size for _, words in groups), dtype=np.intp)
+        ids = np.empty(slots.size, dtype=id_type)
+        self.hcols = np.zeros((n_keys, self.t_max), dtype=np.uint16)
+        self.stacks = []  # (code, stacked word table, id of its first word)
+        first = [0] * len(groups)
+        views = [None] * len(groups)
+        n_words = key_base = start = 0
+        for code in codes:
+            mine = [i for i, (c, _) in enumerate(groups) if c is code]
+            rows = sum(len(groups[i][1]) for i in mine)
+            end = start + rows * code.n
+            table = slots[start:end].reshape(rows, code.n)
+            np.concatenate([groups[i][1] for i in mine], out=table)
+            ids[start:end].reshape(rows, code.n)[:] = (
+                (np.arange(n_words, n_words + rows, dtype=id_type)[:, None]
+                 << shift) + np.arange(key_base, key_base + code.n,
+                                       dtype=id_type))
+            table.setflags(write=False)
+            self.stacks.append((code, table, n_words))
+            row = 0
+            for i in mine:
+                first[i] = n_words + row
+                views[i] = table[row : row + len(groups[i][1])]
+                row += len(views[i])
+            n_words += rows
+            self.hcols[key_base : key_base + code.n, : code.t] = code.odd_columns
+            key_base += code.n
+            start = end
+        self.groups = [(code, view) for (code, _), view in zip(groups, views)]
+        self.windows = [[(*self.groups[i], first[i]) for i in window]
+                        for window in windows]
+        self._compile_flips(slots, ids, n_slots, shift)
+        for table in (self.hcols, self.flip_words, self.flip_keys):
+            table.setflags(write=False)
+
+    def _compile_flips(self, slots, ids, n_slots, shift):
+        """Tabulate the holders of each slot from every entry's slot and id.
+
+        Each pass scatters the remaining entries' ids into a new row; an
+        entry whose id did not land, because another holder of its slot
+        took the place, goes on to the next row.
+        """
+        zero = n_slots - 1
+        scratch = self.n_words << shift
+        rows = []
+        while slots.size:
+            row = np.full(n_slots, scratch, dtype=ids.dtype)
+            row[slots] = ids
+            lost = (row[slots] != ids) & (slots != zero)
+            rows.append(row)
+            slots, ids = slots[lost], ids[lost]
+        table = np.stack(rows)
+        table[:, zero] = scratch
+        self.flip_words = (table >> shift).astype(
+            np.min_scalar_type(self.n_words))
+        self.flip_keys = (table & ((1 << shift) - 1)).astype(
+            np.min_scalar_type(len(self.hcols) - 1))
+
+    def syndromes(self, buf):
+        """The odd syndromes of every word of a frame buffer, plus a scratch row."""
+        synd = np.zeros((self.n_words + 1, self.t_max), dtype=np.uint16)
+        for code, table, first in self.stacks:
+            # the tables hold valid slots only, so skip the bounds check
+            synd[first : first + len(table), : code.t] = (
+                code.odd_syndromes(buf.take(table, mode="clip")))
+        return synd
+
+
+def decode(buf, plan, l_max):
     """Sliding-window bounded-distance decode of a frame buffer, in place.
 
     At each window position, sweep the position's groups up to ``l_max``
     times, stopping after a sweep in which no word was corrected.  A word's
     correction is vetoed when any of its flips lands on the zero slot.
-    Returns the number of sweeps made.
+    Returns ``(sweeps, synd)``: the number of sweeps made and the kept
+    syndromes, whose word rows equal those of ``plan.syndromes(buf)`` for
+    the decoded buffer (the last row is scratch).
     """
+    synd = plan.syndromes(buf)
+    # a word is live when its syndrome is nonzero and has changed since its
+    # last decode; a decode that changed nothing would change nothing again
+    live = synd.any(axis=1)
     zero = buf.size - 1
     sweeps = 0
-    for groups in schedule:
+    for window in plan.windows:
         for _ in range(l_max):
             sweeps += 1
             changed = False
-            for code, words in groups:
-                # the tables hold valid slots only, so skip the bounds check
-                snap = buf.take(words, mode="clip")
-                _, rows, pos = code.decode_batch(snap)
+            for code, words, first in window:
+                rows = np.flatnonzero(live[first : first + len(words)])
+                if rows.size == 0:
+                    continue
+                ids = first + rows
+                live[ids] = False
+                _, rows, pos = code.decode_syndromes(
+                    rows, synd[ids, : code.t])
                 if rows.size == 0:
                     continue
                 slots = words[rows, pos]
@@ -85,18 +203,24 @@ def decode(buf, schedule, l_max):
                 if slots.size:
                     # unbuffered: a slot listed twice flips back
                     np.bitwise_xor.at(buf, slots, 1)
+                    touched = plan.flip_words[:, slots].reshape(-1)
+                    np.bitwise_xor.at(
+                        synd, touched,
+                        plan.hcols[plan.flip_keys[:, slots].reshape(-1)])
+                    live[touched] = synd[touched].any(axis=1)
                     changed = True
             if not changed:
                 break
-    return sweeps
+    return sweeps, synd
 
 
 class FrameCodec:
     """Frame layout and payload access common to the three family codecs.
 
     A subclass sets ``M`` and ``n_blocks``, calls :meth:`_compile` with its
-    channel array shapes, and sets ``info_idx``, ``info_starts``,
-    ``groups`` and ``schedule`` from the returned slot frame.
+    channel array shapes, and from the returned slot frame sets
+    ``info_idx`` and ``info_starts`` (:meth:`_set_info`) and ``plan`` and
+    ``groups`` (:meth:`_set_plan`).  The compiled tables are read-only.
     """
 
     def _compile(self, shapes):
@@ -109,6 +233,13 @@ class FrameCodec:
         """Payload slots from the slot-frame views of the information blocks."""
         self.info_idx = np.concatenate([v.reshape(-1) for v in views])
         self.info_starts = np.cumsum([0] + [v.size for v in views[:-1]])
+        self.info_idx.setflags(write=False)
+        self.info_starts.setflags(write=False)
+
+    def _set_plan(self, groups, windows):
+        """Compile the decoding plan; ``groups`` become views of its tables."""
+        self.plan = Plan(groups, windows, self.n_tx + 1)
+        self.groups = self.plan.groups
 
     def _frame(self, buf):
         arrays = self._arrays(buf)

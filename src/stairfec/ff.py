@@ -123,6 +123,7 @@ class FFConstruction:
         # vec(P_r) -> vec((pi_2(P_r))^T), used on the encoder side
         self.idx_pr_enc = self.pi2[t_mr]
         self.op_a_inv = gf2.operand(self.a_inv)  # cast once for the encoder
+        gf2.freeze(self)
 
 
 def build_construction(code_row, code_col, pi1, pi2, mode="custom"):
@@ -151,6 +152,25 @@ def build_construction(code_row, code_col, pi1, pi2, mode="custom"):
     )
 
 
+def _candidates(m_side, r, rng, max_tries):
+    """Permutation pairs in order of preference, drawn from ``rng`` lazily."""
+    if 2 * r < m_side:
+        yield "low_ef", low_ef_indices(m_side, r)
+        # Any pair with 2r pairwise-distinct shifts spreads every row's
+        # mirrors over distinct column words, same as the canonical pair.
+        for _ in range(max_tries):
+            sh = rng.choice(m_side, size=2 * r, replace=False)
+            yield "block_shift_spread", (shifted_block_indices(sh[:r], m_side),
+                                         shifted_block_indices(sh[r:], m_side))
+    for _ in range(max_tries):
+        s1 = rng.integers(0, m_side, size=r)
+        s2 = rng.integers(0, m_side, size=r)
+        yield "block_shift", (shifted_block_indices(s1, m_side),
+                              shifted_block_indices(s2, m_side))
+    for _ in range(max_tries):
+        yield "random", (rng.permutation(m_side * r), rng.permutation(m_side * r))
+
+
 def search_construction(m, t, s, *, seed=0, max_tries=200, primitive_poly=None):
     """Find an invertible construction for the given component parameters.
 
@@ -161,33 +181,9 @@ def search_construction(m, t, s, *, seed=0, max_tries=200, primitive_poly=None):
     code_col = ComponentCode(m, t, s, role="col", reciprocal=True,
                              field=code_row.field)
     m_side = (code_row.k - code_row.r) // 2
-    r = code_row.r
-    rng = np.random.default_rng(seed)
-    candidates = []
-    if 2 * r < m_side:
-        candidates.append(("low_ef", low_ef_indices(m_side, r)))
-        # Any pair with 2r pairwise-distinct shifts spreads every row's
-        # mirrors over distinct column words, same as the canonical pair.
-        for _ in range(max_tries):
-            sh = rng.choice(m_side, size=2 * r, replace=False)
-            candidates.append(
-                ("block_shift_spread",
-                 (shifted_block_indices(sh[:r], m_side),
-                  shifted_block_indices(sh[r:], m_side)))
-            )
-    for _ in range(max_tries):
-        s1 = rng.integers(0, m_side, size=r)
-        s2 = rng.integers(0, m_side, size=r)
-        candidates.append(
-            ("block_shift",
-             (shifted_block_indices(s1, m_side), shifted_block_indices(s2, m_side)))
-        )
-    for _ in range(max_tries):
-        candidates.append(
-            ("random", (rng.permutation(m_side * r), rng.permutation(m_side * r)))
-        )
     last_err = None
-    for mode, (pi1, pi2) in candidates:
+    for mode, (pi1, pi2) in _candidates(m_side, code_row.r,
+                                        np.random.default_rng(seed), max_tries):
         try:
             return build_construction(code_row, code_col, pi1, pi2, mode=mode)
         except gf2.SingularMatrixError as err:
@@ -221,21 +217,20 @@ class FFCode(engine.FrameCodec):
         self._set_info(slots.blocks[1:])
         # groups 2j and 2j + 1: the column and row words of pair j; a row
         # word reads its punctured X and Pr~ from the mirroring Y and Pc~
-        self.groups = []
+        groups = []
         for j, pair in enumerate(slots.pairs):
             b0, b1, b2 = slots.blocks[2 * j : 2 * j + 3]
             # gf2.vec/unvec would cast the slots to bits
             x = pair.y.ravel("F")[c.idx_y_to_x].reshape((m_side, r), order="F")
             pr = pair.pc.ravel("F")[c.idx_pc_to_pr].reshape((m_side, r),
                                                              order="F")
-            self.groups += [
-                (c.code_col, np.ascontiguousarray(
-                    np.vstack([b1, b2, pair.y, pair.pc]).T)),
+            groups += [
+                (c.code_col, np.vstack([b1, b2, pair.y, pair.pc]).T),
                 (c.code_row, np.hstack([b0, b1, x, pr])),
             ]
         wp = min(max(1, window // 2), self.n_pairs)
-        self.schedule = [self.groups[2 * p : 2 * (p + wp)]
-                         for p in range(self.n_pairs - wp + 1)]
+        self._set_plan(groups, [range(2 * p, 2 * (p + wp))
+                                for p in range(self.n_pairs - wp + 1)])
 
     # -- encoding -------------------------------------------------------------
 
@@ -266,7 +261,7 @@ class FFCode(engine.FrameCodec):
 
     def decode_frame(self, frame):
         """Sliding-window decode over pairs, columns then rows, in place."""
-        engine.decode(frame.buf, self.schedule, self.l_max)
+        engine.decode(frame.buf, self.plan, self.l_max)
         return frame
 
     def describe(self):

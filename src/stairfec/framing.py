@@ -28,6 +28,7 @@ import numpy as np
 from . import gf2
 from .bch import ComponentCode
 from .ff import FFConstruction, build_a_matrix
+from .parameters import family_params
 from .pff import PFFConstruction, build_b_matrix
 
 __all__ = [
@@ -89,11 +90,51 @@ def parse_header(data):
     }
 
 
+def _frame_geometry(head):
+    """``(n_tx, payload_bits)`` of the frame a parsed header describes.
+
+    Arithmetic on the header fields, so that a stream's sizes are checked
+    before any code is constructed.
+    """
+    family, length = head["family"], head["length"]
+    try:
+        params = family_params(family, head["m"], head["t"], head["s"])
+    except ValueError as err:
+        raise StreamFormatError(f"header describes no usable code: {err}") from err
+    if length <= 0:
+        raise StreamFormatError("header describes an empty frame")
+    side, r = params.M, params.r
+    if family == "sc":
+        return length * side * side, length * side * (side - r)
+    if family == "ff":
+        return length * side * (side + r), length * side * side
+    periods = length * (head["L"] + 1)
+    return periods * side * side, periods * side * (side - r)
+
+
 def read_stream(data, *, window=7, l_max=8):
-    """Rebuild (codec, frame) from bytes produced by :func:`write_stream`."""
+    """Rebuild (codec, frame) from bytes produced by :func:`write_stream`.
+
+    The header's sizes and the body length are checked first, so a stream
+    that cannot be decoded costs no construction search.
+    """
     from .sim import build_codec
 
     head = parse_header(data)
+    n_tx, payload_bits = _frame_geometry(head)
+    if payload_bits != head["payload_bits"]:
+        raise StreamFormatError(
+            f"payload size mismatch: header says {head['payload_bits']}, "
+            f"geometry gives {payload_bits}"
+        )
+    body = np.frombuffer(data[HEADER.size :], dtype=np.uint8)
+    n_bytes = -(-n_tx // 8)
+    if body.size < n_bytes:
+        raise StreamFormatError("truncated stream body")
+    if body.size > n_bytes:
+        raise StreamFormatError(
+            f"{body.size - n_bytes} trailing bytes after the stream body"
+        )
     kwargs = dict(length=head["length"], window=window, l_max=l_max,
                   seed=head["seed"])
     if head["family"] == "pff":
@@ -103,20 +144,9 @@ def read_stream(data, *, window=7, l_max=8):
                             **kwargs)
     except ValueError as err:  # includes gf2.SingularMatrixError
         raise StreamFormatError(f"header describes no usable code: {err}") from err
-    if codec.payload_bits != head["payload_bits"]:
-        raise StreamFormatError(
-            f"payload size mismatch: header says {head['payload_bits']}, "
-            f"geometry gives {codec.payload_bits}"
-        )
-    body = np.frombuffer(data[HEADER.size :], dtype=np.uint8)
-    n_bytes = -(-codec.n_tx // 8)
-    if body.size < n_bytes:
-        raise StreamFormatError("truncated stream body")
-    if body.size > n_bytes:
-        raise StreamFormatError(
-            f"{body.size - n_bytes} trailing bytes after the stream body"
-        )
-    return codec, codec.frame_from_bits(np.unpackbits(body, count=codec.n_tx))
+    if (codec.n_tx, codec.payload_bits) != (n_tx, payload_bits):
+        raise StreamFormatError("header geometry disagrees with its code")
+    return codec, codec.frame_from_bits(np.unpackbits(body, count=n_tx))
 
 
 # -- construction caches ------------------------------------------------------

@@ -24,6 +24,7 @@ __all__ = [
     "unvec",
     "kron",
     "invert_indices",
+    "freeze",
 ]
 
 
@@ -131,6 +132,13 @@ def unvec(v, rows, cols, order="col"):
 
 def kron(a, b):
     return np.kron(_as_bits(a), _as_bits(b))
+
+
+def freeze(obj):
+    """Make every array attribute of ``obj`` read-only."""
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
 
 
 def invert_indices(idx):

@@ -23,6 +23,7 @@ extensions are read straight out of S's columns.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,7 @@ class PFFConstruction:
         self.g_b_t = self.g_b[np.asarray(self.pi)]
         self.g_i_mod = np.vstack([self.g_a, self.g_b_t, self.g_c])
         self.op_b_inv = gf2.operand(self.b_inv)  # cast once for the encoder
+        gf2.freeze(self)
 
 
 def build_pff_construction(code_row, code_col, pi, mode="custom"):
@@ -132,9 +134,9 @@ def search_pff_construction(m, t, s, *, seed=0, max_tries=200,
                              field=code_row.field)
     r = code_row.r
     rng = np.random.default_rng(seed)
-    candidates = [("identity", np.arange(2 * r))]
-    for _ in range(max_tries):
-        candidates.append(("random", rng.permutation(2 * r)))
+    candidates = itertools.chain(
+        [("identity", np.arange(2 * r))],
+        (("random", rng.permutation(2 * r)) for _ in range(max_tries)))
     last_err = None
     for mode, pi in candidates:
         try:
@@ -176,25 +178,25 @@ class PFFCode(engine.FrameCodec):
         info = []
         # per period, L + 1 groups: the rows of each standard pair
         # [B_(i-1)^T  B_i], the columns of [M0; S], then the rows of S
-        self.groups = []
+        groups = []
         for base in range(0, self.n_blocks, L + 1):
             m0, s_blk, d_blk = blocks[base + L - 1 : base + L + 2]
             info += [b[:, : m_side - r] for b in blocks[base + 1 : base + L]]
             info += [s_blk[:m2], d_blk]
-            self.groups += [
+            groups += [
                 (c.code_row, np.hstack([pad, prev.T, cur]))
                 for prev, cur in zip(blocks[base : base + L - 1],
                                      blocks[base + 1 : base + L])
             ]
-            self.groups += [
+            groups += [
                 (c.code_col, np.hstack([pad, m0.T, s_blk.T])),
                 (c.code_row, np.hstack([s_blk[:, :m2], s_blk[:, m2 + c.colidx],
                                         d_blk, s_blk[m2:].T])),
             ]
         self._set_info(info)
         wper = min(max(2, round(window / (L + 1))), n_periods)
-        self.schedule = [self.groups[p * (L + 1) : (p + wper) * (L + 1)]
-                         for p in range(n_periods - wper + 1)]
+        self._set_plan(groups, [range(p * (L + 1), (p + wper) * (L + 1))
+                                for p in range(n_periods - wper + 1)])
 
     @property
     def bits_per_period(self):
@@ -203,58 +205,74 @@ class PFFCode(engine.FrameCodec):
     # -- encoding -------------------------------------------------------------
 
     def encode_sp_pair(self, prev, s_top, d_block):
-        """The S block's bottom 2r rows from its own top and neighbours."""
+        """The S block from its own top and its neighbours, or the S blocks
+        of stacks of periods along a leading axis, one product per stage.
+
+        Products are taken transposed where needed, so that the stacked
+        operand is always on the left.
+        """
         c = self.cons
         m_side, r = self.M, self.r
         m2 = m_side - 2 * r
-        m11, m12 = s_top[:, :m2], s_top[:, m2:]
-        m01, m02 = prev[:, :m2], prev[:, m2:]
-        m21, m22 = d_block[:m2], d_block[m2:]
-        # stage 1: left M-2r columns
-        p_r1 = gf2.mat_mul(np.hstack([m11, m12[:, c.colidx], m21]), c.g_i)
+        lead = s_top.shape[:-2]
+
+        def tr(a):
+            return a.swapaxes(-1, -2)
+
+        def zeros(rows, cols):
+            return np.zeros(lead + (rows, cols), dtype=np.uint8)
+
+        m11, m12 = s_top[..., :m2], s_top[..., m2:]
+        m01, m02 = prev[..., :m2], prev[..., m2:]
+        m21, m22 = d_block[..., :m2, :], d_block[..., m2:, :]
+        # stage 1, left M-2r columns, transposed: Y1^T and Pc1~^T
+        p_r1 = gf2.mat_mul(
+            np.concatenate([m11, m12[..., c.colidx], m21], axis=-1), c.g_i)
         p_c1 = gf2.mat_mul(
-            c.f_i.T, np.vstack([gf2.zeros(2 * r, m2), m01, m11])
-        )
-        y1 = gf2.mat_mul(c.a_inv, p_c1 ^ p_r1.T)
-        pc1 = p_c1 ^ gf2.mat_mul(c.f_r.T, y1)
-        # stage 2: right 2r columns
-        p_c2 = gf2.mat_mul(
-            c.f_i.T, np.vstack([gf2.zeros(2 * r, 2 * r), m02, m12])
-        )
-        w1 = np.vstack([y1, pc1])
+            tr(np.concatenate([zeros(2 * r, m2), m01, m11], axis=-2)), c.f_i)
+        y1 = gf2.mat_mul(p_c1 ^ p_r1, c.a_inv.T)
+        pc1 = p_c1 ^ gf2.mat_mul(y1, c.f_r)
+        w1 = tr(np.concatenate([y1, pc1], axis=-1))
+        # stage 2, right 2r columns
+        p_c2 = tr(gf2.mat_mul(
+            tr(np.concatenate([zeros(2 * r, 2 * r), m02, m12], axis=-2)), c.f_i))
         known = gf2.mat_mul(
-            np.hstack([w1, np.vstack([gf2.zeros(r, 2 * r), p_c2]), m22]),
+            np.concatenate([w1, np.concatenate([zeros(r, 2 * r), p_c2], axis=-2),
+                            m22], axis=-1),
             c.g_i_mod,
         ) ^ gf2.mat_mul(
-            np.hstack([gf2.zeros(2 * r, 2 * r), m02.T, m12.T]), c.f_i
+            np.concatenate([zeros(2 * r, 2 * r), tr(m02), tr(m12)], axis=-1),
+            c.f_i,
         )
-        y2 = gf2.unvec(
-            gf2.mat_mul(c.op_b_inv, gf2.vec(known, order="row")),
-            r, 2 * r, order="row",
-        )
-        pc2 = p_c2 ^ gf2.mat_mul(c.f_r.T, y2)
-        bottom = np.hstack([np.vstack([y1, pc1]), np.vstack([y2, pc2])])
-        return np.vstack([s_top, bottom])
+        # y2 = unvec(B^-1 vec(known)), row-wise vecs, one column per period
+        flat = known.reshape(lead + (-1,))
+        y2 = gf2.mat_mul(c.op_b_inv, flat.T).T.reshape(lead + (r, 2 * r))
+        pc2 = p_c2 ^ tr(gf2.mat_mul(tr(y2), c.f_r))
+        bottom = np.concatenate(
+            [w1, np.concatenate([y2, pc2], axis=-2)], axis=-1)
+        return np.concatenate([s_top, bottom], axis=-2)
 
     def encode_payload(self, bits):
         frame = self._payload_frame(bits)
-        blocks = frame.blocks
-        k = self.M - self.r
-        for base in range(0, self.n_blocks, self.L + 1):
-            for prev, cur in zip(blocks[base : base + self.L - 1],
-                                 blocks[base + 1 : base + self.L]):
-                cur[:, k:] = gf2.mat_mul(np.hstack([prev.T, cur[:, :k]]),
-                                         self.cons.gp_std)
-            s_blk = blocks[base + self.L]
-            s_blk[...] = self.encode_sp_pair(
-                blocks[base + self.L - 1], s_blk[: self.M - 2 * self.r],
-                blocks[base + self.L + 1],
-            )
+        m_side, L = self.M, self.L
+        k = m_side - self.r
+        # blocks by period: L - 1 standard blocks, S, D; each period's first
+        # block follows the previous period's D (or B_0), all information
+        periods = frame.buf[:-1].reshape(self.n_periods, L + 1, m_side, m_side)
+        prev = np.concatenate([frame.blocks[0][None], periods[:-1, L]])
+        for j in range(L - 1):
+            cur = periods[:, j]
+            cur[..., k:] = gf2.mat_mul(
+                np.concatenate([prev.swapaxes(-1, -2), cur[..., :k]], axis=-1),
+                self.cons.gp_std)
+            prev = cur
+        periods[:, L - 1] = self.encode_sp_pair(
+            prev, periods[:, L - 1, : m_side - 2 * self.r], periods[:, L])
         return frame
 
     def decode_frame(self, frame):
         """Sliding-window decode over periods, in place."""
-        engine.decode(frame.buf, self.schedule, self.l_max)
+        engine.decode(frame.buf, self.plan, self.l_max)
         return frame
 
     def describe(self):

@@ -44,11 +44,10 @@ class StaircaseCode(engine.FrameCodec):
         blocks = self._compile([(self.M, self.M)] * n_blocks).blocks
         self._set_info([b[:, : self.info_cols] for b in blocks[1:]])
         # group i - 1: the rows of [B_(i-1)^T  B_i]
-        self.groups = [(code, np.hstack([prev.T, cur]))
-                       for prev, cur in zip(blocks, blocks[1:])]
         w = min(window, n_blocks + 1)
-        self.schedule = [self.groups[p : p + w - 1]
-                         for p in range(n_blocks + 2 - w)]
+        self._set_plan([(code, np.hstack([prev.T, cur]))
+                        for prev, cur in zip(blocks, blocks[1:])],
+                       [range(p, p + w - 1) for p in range(n_blocks + 2 - w)])
 
     @property
     def info_cols(self):
@@ -64,7 +63,7 @@ class StaircaseCode(engine.FrameCodec):
 
     def decode_frame(self, frame):
         """Sliding-window decode, in place."""
-        engine.decode(frame.buf, self.schedule, self.l_max)
+        engine.decode(frame.buf, self.plan, self.l_max)
         return frame
 
     def describe(self):

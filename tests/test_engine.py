@@ -12,14 +12,14 @@ def test_pad_flips_are_vetoed():
     # word positions 0..pad-1 read the zero slot, the rest buffer slots 0..24
     words = np.concatenate([np.full(pad, code.n - pad),
                             np.arange(code.n - pad)])[None, :]
-    schedule = [[(code, words)]]
+    plan = engine.Plan([(code, words)], [[0]], code.n - pad + 1)
 
     msg = np.zeros(code.k, dtype=np.uint8)
     msg[10] = 1
     word = code.systematic_encode(msg)
     buf = np.append(word[pad:], 0).astype(np.uint8)
     buf[3] ^= 1
-    engine.decode(buf, schedule, 2)
+    engine.decode(buf, plan, 2)
     assert (buf[:-1] == word[pad:]).all()
 
     # a codeword with a one at position 0 reads as a single error there,
@@ -30,7 +30,7 @@ def test_pad_flips_are_vetoed():
     assert code.decode(np.concatenate([[0], word[1:]])).flips == (0,)
     buf = np.append(word[pad:], 0).astype(np.uint8)
     before = buf.copy()
-    engine.decode(buf, schedule, 2)
+    engine.decode(buf, plan, 2)
     assert (buf == before).all()
 
 
@@ -113,7 +113,8 @@ def test_batch_matches_one_at_a_time_loop():
     schedule = [[(code, words)]]
     expect = buf.copy()
     expect_sweeps = reference.decode_one_at_a_time(expect, schedule, 4)
-    sweeps = engine.decode(buf, schedule, 4)
+    sweeps, _ = engine.decode(buf, engine.Plan(schedule[0], [[0]], buf.size),
+                              4)
     assert (buf == expect).all()
     assert sweeps == expect_sweeps
     # the shared and the doubled slot flip twice per sweep, so every sweep

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from stairfec import sim
 from stairfec.ff import search_construction
 from stairfec.framing import (
+    FAMILY_CODES,
+    HEADER,
+    MAGIC,
     StreamFormatError,
     load_construction,
     parse_header,
@@ -77,6 +81,56 @@ def test_trailing_bytes_rejected():
     read_stream(data)
     with pytest.raises(StreamFormatError):
         read_stream(data + b"\x00")
+
+
+@pytest.mark.parametrize("family,m,t,s,kwargs", [
+    ("sc", 4, 1, 1, dict(length=4)),
+    ("ff", 6, 1, 1, dict(length=4, seed=3)),
+    ("pff", 7, 2, 41, dict(L=2, length=2, seed=3)),
+])
+def test_read_stream_codec_matches_and_is_read_only(family, m, t, s, kwargs):
+    codec = build_codec(family, m, t, s, **kwargs)
+    frame = codec.encode_payload(np.zeros(codec.payload_bits, dtype=np.uint8))
+    codec2, frame2 = read_stream(write_stream(codec, frame, seed=3))
+    assert (frame2.buf == frame.buf).all()
+    assert all((w1 == w2).all() for (_, w1), (_, w2)
+               in zip(codec.groups, codec2.groups))
+    for c in (codec, codec2):
+        tables = [c.info_idx, c.info_starts, c.plan.flip_words,
+                  c.plan.flip_keys, c.plan.hcols]
+        tables += [words for _, words in c.groups]
+        if family != "sc":
+            tables += [c.cons.a_inv, c.cons.g_i, c.cons.code_row.g_p]
+        assert not any(table.flags.writeable for table in tables)
+    with pytest.raises(ValueError, match="read-only"):
+        codec.groups[0][1][0, 0] = 0
+
+
+@pytest.mark.parametrize("s,payload_bits", [
+    (1, 0),              # payload size disagrees with the header's code
+    (1, 2 * 32719**2),   # body far shorter than the frame
+    (0, 2 * 32719**2),   # k - r odd: no ff code
+])
+def test_hostile_header_fails_before_any_search(monkeypatch, s, payload_bits):
+    def refuse(*args, **kwargs):
+        raise AssertionError("construction search ran")
+
+    monkeypatch.setattr(sim, "search_construction", refuse)
+    monkeypatch.setattr(sim, "search_pff_construction", refuse)
+    # ff with m = 16, s = 1: M = 32719, so the body would be 268 MB and the
+    # A matrix (M r)^2 = 2.5e12 bits; the header's own numbers reject it
+    head = HEADER.pack(MAGIC, FAMILY_CODES["ff"], 16, 3, 0, s, 2, 0,
+                       payload_bits)
+    with pytest.raises(StreamFormatError):
+        read_stream(head + bytes(64))
+
+
+def test_consistent_header_of_unusable_code_rejected():
+    # pff with L = 0: M = 29, sizes 841 stream and 435 payload bits agree
+    # with the body, and construction refuses the period length
+    head = HEADER.pack(MAGIC, FAMILY_CODES["pff"], 7, 2, 0, 41, 1, 0, 435)
+    with pytest.raises(StreamFormatError, match="no usable code"):
+        read_stream(head + bytes(106))
 
 
 def test_ff_cache_round_trip(tmp_path):
