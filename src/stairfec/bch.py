@@ -34,7 +34,7 @@ __all__ = [
     "bch_generator",
     "reciprocal_generator",
     "ComponentCode",
-    "ParityPartition",
+    "code_pair",
     "DecodeResult",
 ]
 
@@ -64,18 +64,6 @@ def reciprocal_generator(g):
     if g.bits & 1 == 0:
         raise ValueError("generator must have nonzero constant term")
     return g.reciprocal()
-
-
-@dataclass(frozen=True)
-class ParityPartition:
-    """G_p split into the information part (k-r rows) and the tail (r rows)."""
-
-    g_i: np.ndarray
-    g_r: np.ndarray
-
-    @property
-    def g_p(self):
-        return np.vstack([self.g_i, self.g_r])
 
 
 @dataclass(frozen=True)
@@ -122,15 +110,6 @@ class ComponentCode:
 
     # -- encoding ---------------------------------------------------------
 
-    def _msg_int(self, msg):
-        bits = np.asarray(msg, dtype=np.uint8).reshape(-1)
-        if bits.size != self.k:
-            raise ValueError(f"message must have {self.k} bits, got {bits.size}")
-        val = 0
-        for i in np.nonzero(bits)[0]:
-            val |= 1 << (self.n - 1 - int(i))
-        return val
-
     def _build_parity_matrix(self):
         """Row j holds x^(n-1-j) mod gen, highest power first."""
         k, r, gen = self.k, self.r, self._gen_bits
@@ -153,12 +132,6 @@ class ComponentCode:
         bits = np.asarray(msg, dtype=np.uint8).reshape(-1)
         parity = gf2.mat_mul(bits, self.g_p)
         return np.concatenate([bits, parity])
-
-    def parity_partition(self):
-        if self.k <= self.r:
-            raise ValueError("partition needs k > r")
-        return ParityPartition(g_i=self.g_p[: self.k - self.r].copy(),
-                               g_r=self.g_p[self.k - self.r :].copy())
 
     # -- decoding ---------------------------------------------------------
 
@@ -318,3 +291,11 @@ class ComponentCode:
     def __repr__(self):
         return (f"ComponentCode(m={self.m}, t={self.t}, s={self.s}, "
                 f"n={self.n}, k={self.k}, role={self.role!r})")
+
+
+def code_pair(m, t, s, *, primitive_poly=None):
+    """The (row, column) component codes of an FF or PFF construction: the
+    column code uses the reciprocal generator over the same field."""
+    row = ComponentCode(m, t, s, primitive_poly=primitive_poly)
+    col = ComponentCode(m, t, s, role="col", reciprocal=True, field=row.field)
+    return row, col

@@ -22,12 +22,12 @@ back to random permutations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import engine, gf2
-from .bch import ComponentCode
+from .bch import ComponentCode, code_pair
 
 __all__ = [
     "transpose_indices",
@@ -94,27 +94,35 @@ def build_a_matrix(m_side, r, g_r, f_r, pi1, pi2):
 
 @dataclass
 class FFConstruction:
-    """Everything fixed at design time for one FF code."""
+    """Everything fixed at design time for one FF code.
+
+    Takes the component codes, the permutation pair, the mode and, from a
+    cache, the stored A^-1, which is verified (A A^-1 = I) instead of
+    recomputed.  Derives M, r, the parity splits G_p = [G_i; G_r] and
+    F_p = [F_i; F_r], A^-1, the mirror maps and the encoder's operand.
+    """
 
     code_row: ComponentCode
     code_col: ComponentCode
-    m_side: int
-    r: int
     pi1: np.ndarray
     pi2: np.ndarray
-    a_inv: np.ndarray
-    g_i: np.ndarray
-    g_r: np.ndarray
-    f_i: np.ndarray
-    f_r: np.ndarray
-    mode: str
-    # mirror maps, derived in __post_init__
-    idx_y_to_x: np.ndarray = field(init=False)
-    idx_pc_to_pr: np.ndarray = field(init=False)
-    idx_pr_enc: np.ndarray = field(init=False)
+    mode: str = "custom"
+    a_inv: np.ndarray | None = None
 
     def __post_init__(self):
-        m_side, r = self.m_side, self.r
+        row, col = self.code_row, self.code_col
+        if row.k <= row.r or (row.k - row.r) % 2:
+            raise ValueError("FF needs k > r with k - r even")
+        m_side = self.m_side = (row.k - row.r) // 2
+        r = self.r = row.r
+        self.pi1 = gf2.check_permutation(self.pi1, m_side * r)
+        self.pi2 = gf2.check_permutation(self.pi2, m_side * r)
+        self.g_i, self.g_r = row.g_p[: 2 * m_side], row.g_p[2 * m_side :]
+        self.f_i, self.f_r = col.g_p[: 2 * m_side], col.g_p[2 * m_side :]
+        a = build_a_matrix(m_side, r, self.g_r, self.f_r, self.pi1, self.pi2)
+        self.a_inv = (gf2.invert(a) if self.a_inv is None
+                      else gf2.verify_inverse(a, self.a_inv))
+        del a  # before the float32 copy of A^-1, four times A's size
         t_rm = transpose_indices(r, m_side)
         t_mr = transpose_indices(m_side, r)
         # vec(X) = vec(Y)[idx_y_to_x] and vec(Pr~) = vec(Pc~)[idx_pc_to_pr]
@@ -127,29 +135,8 @@ class FFConstruction:
 
 
 def build_construction(code_row, code_col, pi1, pi2, mode="custom"):
-    """Assemble and invert the A matrix; SingularMatrixError if unusable."""
-    if code_row.k <= code_row.r or (code_row.k - code_row.r) % 2:
-        raise ValueError("FF needs k > r with k - r even")
-    m_side = (code_row.k - code_row.r) // 2
-    r = code_row.r
-    part_row = code_row.parity_partition()
-    part_col = code_col.parity_partition()
-    a = build_a_matrix(m_side, r, part_row.g_r, part_col.g_r, pi1, pi2)
-    a_inv = gf2.invert(a)
-    return FFConstruction(
-        code_row=code_row,
-        code_col=code_col,
-        m_side=m_side,
-        r=r,
-        pi1=np.asarray(pi1),
-        pi2=np.asarray(pi2),
-        a_inv=a_inv,
-        g_i=part_row.g_i,
-        g_r=part_row.g_r,
-        f_i=part_col.g_i,
-        f_r=part_col.g_r,
-        mode=mode,
-    )
+    """One search candidate; SingularMatrixError if A is not invertible."""
+    return FFConstruction(code_row, code_col, pi1, pi2, mode)
 
 
 def _candidates(m_side, r, rng, max_tries):
@@ -177,9 +164,7 @@ def search_construction(m, t, s, *, seed=0, max_tries=200, primitive_poly=None):
     Order of preference: the low-error-floor shifted pair, then random
     shifted-block-diagonal pairs, then unstructured random permutations.
     """
-    code_row = ComponentCode(m, t, s, role="row", primitive_poly=primitive_poly)
-    code_col = ComponentCode(m, t, s, role="col", reciprocal=True,
-                             field=code_row.field)
+    code_row, code_col = code_pair(m, t, s, primitive_poly=primitive_poly)
     m_side = (code_row.k - code_row.r) // 2
     last_err = None
     for mode, (pi1, pi2) in _candidates(m_side, code_row.r,

@@ -13,23 +13,23 @@ construction-search seed, which fixes the permutations and must match
 between encoder and decoder.
 
 A construction cache is an .npz holding a JSON descriptor plus the
-permutations and inverted system matrices; the loader rebuilds the system
-matrix from the permutations and re-verifies the stored inverse before
-trusting it.
+permutations and inverted system matrices, bit-packed by rows; the loader
+hands them to the construction, which rebuilds each system matrix from the
+permutations and re-verifies the stored inverse before trusting it.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import zipfile
 
 import numpy as np
 
-from . import gf2
-from .bch import ComponentCode
-from .ff import FFConstruction, build_a_matrix
+from .bch import code_pair
+from .ff import FFConstruction
 from .parameters import family_params
-from .pff import PFFConstruction, build_b_matrix
+from .pff import PFFConstruction
 
 __all__ = [
     "StreamFormatError",
@@ -153,81 +153,45 @@ def read_stream(data, *, window=7, l_max=8):
 
 
 def save_construction(cons, path):
-    """Write an FF or PFF construction cache."""
+    """Write an FF or PFF construction cache to exactly ``path``."""
     if isinstance(cons, FFConstruction):
-        meta = {
-            "kind": "ff",
-            "mode": cons.mode,
-            "code": cons.code_row.descriptor(),
-        }
-        np.savez_compressed(
-            path, meta=json.dumps(meta), pi1=cons.pi1, pi2=cons.pi2,
-            a_inv=np.packbits(cons.a_inv, axis=1),
-        )
+        kind, arrays = "ff", {"pi1": cons.pi1, "pi2": cons.pi2}
     elif isinstance(cons, PFFConstruction):
-        meta = {
-            "kind": "pff",
-            "mode": cons.mode,
-            "code": cons.code_row.descriptor(),
-        }
-        np.savez_compressed(
-            path, meta=json.dumps(meta), pi=cons.pi,
-            a_inv=np.packbits(cons.a_inv, axis=1),
-            b_inv=np.packbits(cons.b_inv, axis=1),
-        )
+        kind, arrays = "pff", {"pi": cons.pi,
+                               "b_inv": np.packbits(cons.b_inv, axis=1)}
     else:
         raise TypeError("only FF/PFF constructions are cached")
+    meta = {"kind": kind, "mode": cons.mode, "code": cons.code_row.descriptor()}
+    # through a file object: given a name, numpy would append ".npz"
+    with open(path, "wb") as fh:
+        np.savez_compressed(fh, meta=json.dumps(meta),
+                            a_inv=np.packbits(cons.a_inv, axis=1), **arrays)
 
 
-def _unpack_square(packed, n):
-    return np.unpackbits(packed, axis=1, count=n)
+def _unpack_square(packed):
+    return np.unpackbits(packed, axis=1, count=len(packed))
 
 
 def load_construction(path):
-    """Load a cache, rebuilding codes and re-verifying the inverses."""
-    with np.load(path) as data:
-        meta = json.loads(str(data["meta"]))
-        code_desc = meta["code"]
-        code_row = ComponentCode(
-            code_desc["m"], code_desc["t"], code_desc["s"],
-            primitive_poly=int(code_desc["primitive_poly"], 16),
-        )
-        code_col = ComponentCode(
-            code_desc["m"], code_desc["t"], code_desc["s"],
-            role="col", reciprocal=True, field=code_row.field,
-        )
-        part_row = code_row.parity_partition()
-        part_col = code_col.parity_partition()
-        m_side = (code_row.k - code_row.r) // 2
-        r = code_row.r
-        if meta["kind"] == "ff":
-            pi1, pi2 = data["pi1"], data["pi2"]
-            a_inv = _unpack_square(data["a_inv"], m_side * r)
-            a = build_a_matrix(m_side, r, part_row.g_r, part_col.g_r, pi1, pi2)
-            if not (gf2.mat_mul(a, a_inv) == gf2.identity(m_side * r)).all():
-                raise StreamFormatError("cached FF inverse fails verification")
-            return FFConstruction(
-                code_row=code_row, code_col=code_col, m_side=m_side, r=r,
-                pi1=pi1, pi2=pi2, a_inv=a_inv,
-                g_i=part_row.g_i, g_r=part_row.g_r,
-                f_i=part_col.g_i, f_r=part_col.g_r, mode=meta["mode"],
-            )
-        if meta["kind"] == "pff":
-            pi = data["pi"]
-            a_small = part_row.g_r.T ^ part_col.g_r.T
-            a_inv = _unpack_square(data["a_inv"], r)
-            b_inv = _unpack_square(data["b_inv"], 2 * r * r)
-            if not (gf2.mat_mul(a_small, a_inv) == gf2.identity(r)).all():
-                raise StreamFormatError("cached stage-1 inverse fails verification")
-            g_b_t = part_row.g_i[m_side - 2 * r : m_side][np.asarray(pi)]
-            b = build_b_matrix(r, a_small, g_b_t, part_col.g_r)
-            if not (gf2.mat_mul(b, b_inv) == gf2.identity(2 * r * r)).all():
-                raise StreamFormatError("cached stage-2 inverse fails verification")
-            return PFFConstruction(
-                code_row=code_row, code_col=code_col, m_side=m_side, r=r,
-                pi=pi, a_small=a_small, a_inv=a_inv, b_inv=b_inv,
-                g_i=part_row.g_i, g_r=part_row.g_r,
-                f_i=part_col.g_i, f_r=part_col.g_r,
-                gp_std=code_row.g_p[2 * r :], mode=meta["mode"],
-            )
-        raise StreamFormatError(f"unknown cache kind {meta['kind']!r}")
+    """Load a cache; the construction re-verifies the stored inverses.
+
+    Every malformed cache raises :class:`StreamFormatError`.
+    """
+    try:
+        with np.load(path) as data:
+            meta = json.loads(str(data["meta"]))
+            code = meta["code"]
+            pair = code_pair(code["m"], code["t"], code["s"],
+                             primitive_poly=int(code["primitive_poly"], 16))
+            if meta["kind"] == "ff":
+                return FFConstruction(*pair, data["pi1"], data["pi2"],
+                                      meta["mode"],
+                                      a_inv=_unpack_square(data["a_inv"]))
+            if meta["kind"] == "pff":
+                return PFFConstruction(*pair, data["pi"], meta["mode"],
+                                       a_inv=_unpack_square(data["a_inv"]),
+                                       b_inv=_unpack_square(data["b_inv"]))
+    except (KeyError, TypeError, ValueError, EOFError,
+            zipfile.BadZipFile) as err:  # ValueError covers bad JSON
+        raise StreamFormatError(f"malformed construction cache: {err}") from err
+    raise StreamFormatError(f"unknown cache kind {meta['kind']!r}")

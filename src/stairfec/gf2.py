@@ -20,10 +20,12 @@ __all__ = [
     "mat_mul",
     "operand",
     "invert",
+    "verify_inverse",
     "vec",
     "unvec",
     "kron",
     "invert_indices",
+    "check_permutation",
     "freeze",
 ]
 
@@ -38,11 +40,6 @@ def zeros(rows, cols):
 
 def identity(n):
     return np.eye(n, dtype=np.uint8)
-
-
-def _as_bits(a):
-    a = np.asarray(a, dtype=np.uint8)
-    return a
 
 
 def operand(a):
@@ -67,10 +64,6 @@ def mat_mul(a, b):
     return (prod.astype(np.int64) & 1).astype(np.uint8)
 
 
-def _pack_rows(a):
-    return np.packbits(a, axis=1)
-
-
 def invert(a):
     """Invert a square GF(2) matrix by Gauss-Jordan elimination.
 
@@ -78,14 +71,14 @@ def invert(a):
     :class:`SingularMatrixError` when the rank is deficient; callers that
     search over permutations treat that as "try the next candidate".
     """
-    a = _as_bits(a)
+    a = np.asarray(a, dtype=np.uint8)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"invert expects a square matrix, got {a.shape}")
     n = a.shape[0]
     if n == 0:
         return zeros(0, 0)
     aug = np.concatenate([a, identity(n)], axis=1)
-    packed = _pack_rows(aug)
+    packed = np.packbits(aug, axis=1)
     for col in range(n):
         byte, shift = divmod(col, 8)
         bits = (packed[:, byte] >> (7 - shift)) & 1
@@ -104,13 +97,22 @@ def invert(a):
     return np.ascontiguousarray(full[:, n:])
 
 
+def verify_inverse(a, a_inv):
+    """``a_inv`` as bits once ``a @ a_inv`` is the identity; ValueError if not."""
+    a_inv = np.asarray(a_inv, dtype=np.uint8)
+    if a_inv.shape != a.shape or (mat_mul(a, a_inv) != identity(len(a))).any():
+        raise ValueError(f"the stored {a_inv.shape} inverse of a {a.shape} "
+                         "matrix fails verification")
+    return a_inv
+
+
 def vec(q, order="col"):
     """Vectorize a matrix.
 
     ``order="col"`` uses the column-wise mapping v(i,j) = j*rows + i,
     ``order="row"`` the row-wise mapping v(i,j) = i*cols + j.
     """
-    q = _as_bits(q)
+    q = np.asarray(q, dtype=np.uint8)
     if order == "col":
         return q.reshape(-1, order="F")
     if order == "row":
@@ -120,7 +122,7 @@ def vec(q, order="col"):
 
 def unvec(v, rows, cols, order="col"):
     """Inverse of :func:`vec`."""
-    v = _as_bits(v).reshape(-1)
+    v = np.asarray(v, dtype=np.uint8).reshape(-1)
     if v.size != rows * cols:
         raise ValueError(f"cannot reshape {v.size} bits to {rows}x{cols}")
     if order == "col":
@@ -131,7 +133,7 @@ def unvec(v, rows, cols, order="col"):
 
 
 def kron(a, b):
-    return np.kron(_as_bits(a), _as_bits(b))
+    return np.kron(np.asarray(a, dtype=np.uint8), np.asarray(b, dtype=np.uint8))
 
 
 def freeze(obj):
@@ -147,3 +149,12 @@ def invert_indices(idx):
     out = np.empty_like(idx)
     out[idx] = np.arange(idx.size)
     return out
+
+
+def check_permutation(idx, n):
+    """``idx`` once it is an integer array that reorders range(n)."""
+    idx = np.asarray(idx)
+    if (idx.shape != (n,) or not np.issubdtype(idx.dtype, np.integer)
+            or (np.sort(idx) != np.arange(n)).any()):
+        raise ValueError(f"not a permutation of range({n})")
+    return idx

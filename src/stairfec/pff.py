@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine, gf2
-from .bch import ComponentCode
+from .bch import ComponentCode, code_pair
 
 __all__ = [
     "build_b_matrix",
@@ -63,75 +63,57 @@ def build_b_matrix(r, a_small, g_b_t, f_r):
 
 @dataclass
 class PFFConstruction:
-    """Design-time data for one PFF code."""
+    """Design-time data for one PFF code.
+
+    Takes the component codes, the 2r row-permutation indices ``pi``
+    (G_B~ = G_B[pi]), the mode and, from a cache, the stored inverses of
+    the stage-1 system ``a_small`` and the stage-2 system B, which are
+    verified instead of recomputed.  ``gp_std`` is the row code's G_p
+    without its leading 2r pad rows.
+    """
 
     code_row: ComponentCode
     code_col: ComponentCode
-    m_side: int
-    r: int
-    pi: np.ndarray          # 2r row-permutation indices: G_B~ = G_B[pi]
-    a_small: np.ndarray     # r x r stage-1 system
-    a_inv: np.ndarray
-    b_inv: np.ndarray
-    g_i: np.ndarray
-    g_r: np.ndarray
-    f_i: np.ndarray
-    f_r: np.ndarray
-    gp_std: np.ndarray      # row-code G_p without its leading 2r pad rows
-    mode: str
+    pi: np.ndarray
+    mode: str = "custom"
+    a_inv: np.ndarray | None = None
+    b_inv: np.ndarray | None = None
 
     def __post_init__(self):
-        two_r = 2 * self.r
-        self.colidx = gf2.invert_indices(np.asarray(self.pi))
-        m2 = self.m_side - two_r
-        self.g_a = self.g_i[:m2]
-        self.g_b = self.g_i[m2 : self.m_side]
-        self.g_c = self.g_i[self.m_side :]
-        self.g_b_t = self.g_b[np.asarray(self.pi)]
-        self.g_i_mod = np.vstack([self.g_a, self.g_b_t, self.g_c])
+        row, col = self.code_row, self.code_col
+        if row.k <= row.r or (row.k - row.r) % 2:
+            raise ValueError("PFF needs k > r with k - r even")
+        m_side = self.m_side = (row.k - row.r) // 2
+        r = self.r = row.r
+        if m_side <= 2 * r:
+            raise ValueError("PFF needs M > 2r")
+        self.pi = gf2.check_permutation(self.pi, 2 * r)
+        self.g_i, self.g_r = row.g_p[: 2 * m_side], row.g_p[2 * m_side :]
+        self.f_i, self.f_r = col.g_p[: 2 * m_side], col.g_p[2 * m_side :]
+        self.gp_std = row.g_p[2 * r :]
+        self.a_small = self.g_r.T ^ self.f_r.T
+        self.a_inv = (gf2.invert(self.a_small) if self.a_inv is None
+                      else gf2.verify_inverse(self.a_small, self.a_inv))
+        m2 = m_side - 2 * r
+        self.g_b_t = self.g_i[m2:m_side][self.pi]
+        b = build_b_matrix(r, self.a_small, self.g_b_t, self.f_r)
+        self.b_inv = (gf2.invert(b) if self.b_inv is None
+                      else gf2.verify_inverse(b, self.b_inv))
+        self.colidx = gf2.invert_indices(self.pi)
+        self.g_i_mod = np.vstack([self.g_i[:m2], self.g_b_t, self.g_i[m_side:]])
         self.op_b_inv = gf2.operand(self.b_inv)  # cast once for the encoder
         gf2.freeze(self)
 
 
 def build_pff_construction(code_row, code_col, pi, mode="custom"):
-    if code_row.k <= code_row.r or (code_row.k - code_row.r) % 2:
-        raise ValueError("PFF needs k > r with k - r even")
-    m_side = (code_row.k - code_row.r) // 2
-    r = code_row.r
-    if m_side <= 2 * r:
-        raise ValueError("PFF needs M > 2r")
-    part_row = code_row.parity_partition()
-    part_col = code_col.parity_partition()
-    a_small = part_row.g_r.T ^ part_col.g_r.T
-    a_inv = gf2.invert(a_small)
-    m2 = m_side - 2 * r
-    g_b_t = part_row.g_i[m2:m_side][np.asarray(pi)]
-    b = build_b_matrix(r, a_small, g_b_t, part_col.g_r)
-    b_inv = gf2.invert(b)
-    return PFFConstruction(
-        code_row=code_row,
-        code_col=code_col,
-        m_side=m_side,
-        r=r,
-        pi=np.asarray(pi),
-        a_small=a_small,
-        a_inv=a_inv,
-        b_inv=b_inv,
-        g_i=part_row.g_i,
-        g_r=part_row.g_r,
-        f_i=part_col.g_i,
-        f_r=part_col.g_r,
-        gp_std=code_row.g_p[2 * r :],
-        mode=mode,
-    )
+    """One search candidate; SingularMatrixError if a system is singular."""
+    return PFFConstruction(code_row, code_col, pi, mode)
 
 
 def search_pff_construction(m, t, s, *, seed=0, max_tries=200,
                             primitive_poly=None):
     """Find a Pi making both staged systems invertible; identity first."""
-    code_row = ComponentCode(m, t, s, role="row", primitive_poly=primitive_poly)
-    code_col = ComponentCode(m, t, s, role="col", reciprocal=True,
-                             field=code_row.field)
+    code_row, code_col = code_pair(m, t, s, primitive_poly=primitive_poly)
     r = code_row.r
     rng = np.random.default_rng(seed)
     candidates = itertools.chain(

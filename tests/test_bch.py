@@ -3,6 +3,7 @@ import pytest
 
 import reference
 from stairfec.bch import ComponentCode, bch_generator, reciprocal_generator
+from stairfec.ff import search_construction
 from stairfec.galois import GaloisField, Poly2, poly_mod
 
 
@@ -175,11 +176,12 @@ def test_parameter_validation():
 
 
 def test_parity_partition_shapes():
-    code = ComponentCode(6, 2, 5)
-    part = code.parity_partition()
-    assert part.g_i.shape == (code.k - code.r, code.r)
-    assert part.g_r.shape == (code.r, code.r)
-    assert (part.g_p == code.g_p).all()
+    cons = search_construction(6, 2, 5)
+    for code, g_i, g_r in [(cons.code_row, cons.g_i, cons.g_r),
+                           (cons.code_col, cons.f_i, cons.f_r)]:
+        assert g_i.shape == (code.k - code.r, code.r)
+        assert g_r.shape == (code.r, code.r)
+        assert (np.vstack([g_i, g_r]) == code.g_p).all()
 
 
 def test_decode_word_length_check():

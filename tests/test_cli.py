@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stairfec.cli import main
-from stairfec.framing import FAMILY_CODES, HEADER, MAGIC
+from stairfec.framing import FAMILY_CODES, HEADER, MAGIC, load_construction
 from stairfec.sim import build_codec
 
 
@@ -135,6 +135,17 @@ def test_construct_writes_cache(tmp_path, capsys):
     assert code == 0
     assert out.exists()
     assert json.loads(text)["M"] == 25
+
+
+def test_construct_writes_exactly_the_reported_path(tmp_path, capsys):
+    code, text = run_cli(capsys, [
+        "construct", "--family", "pff", "--m", "7", "--t", "2", "--s", "41",
+        "--out", str(tmp_path / "cons.bin"),
+    ])
+    assert code == 0
+    out = json.loads(text)["out"]
+    assert [p.name for p in tmp_path.iterdir()] == ["cons.bin"]
+    assert load_construction(out).m_side == 29
 
 
 def test_construct_sc_rejected(tmp_path):
