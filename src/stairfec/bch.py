@@ -76,10 +76,9 @@ class DecodeResult:
 class ComponentCode:
     """Shortened primitive BCH code with systematic encode and BDD decode."""
 
-    def __init__(self, m, t, s, *, role="row", reciprocal=False, field=None,
-                 primitive_poly=None):
+    def __init__(self, m, t, s, *, role="row", reciprocal=False, field=None):
         if field is None:
-            field = GaloisField(m, primitive_poly)
+            field = GaloisField(m)
         if field.m != m:
             raise ValueError("field degree does not match m")
         if s < 0:
@@ -293,9 +292,9 @@ class ComponentCode:
                 f"n={self.n}, k={self.k}, role={self.role!r})")
 
 
-def code_pair(m, t, s, *, primitive_poly=None):
+def code_pair(m, t, s):
     """The (row, column) component codes of an FF or PFF construction: the
     column code uses the reciprocal generator over the same field."""
-    row = ComponentCode(m, t, s, primitive_poly=primitive_poly)
+    row = ComponentCode(m, t, s)
     col = ComponentCode(m, t, s, role="col", reciprocal=True, field=row.field)
     return row, col

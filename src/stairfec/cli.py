@@ -3,7 +3,7 @@ Command-line front end.
 
 Verbs: params, construct, encode, decode, inject, simulate, floor, ncg.
 Exit codes: 0 success, 2 usage errors (argparse), 3 construction failure,
-4 stream/payload format errors.
+4 stream/payload format errors, unreadable inputs and unwritable caches.
 """
 
 from __future__ import annotations
@@ -12,11 +12,9 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
-from . import gf2
 from .floors import certify_stall, ff_floor, gen_stall, ncg_gap, pff_floor, sc_floor
 from .framing import StreamFormatError, read_stream, save_construction, write_stream
 from .parameters import FAMILIES, family_params
@@ -63,7 +61,7 @@ def _make_codec(args):
             length=args.length, window=args.window, l_max=args.l_max,
             seed=args.seed,
         )
-    except (ValueError, gf2.SingularMatrixError) as err:
+    except ValueError as err:  # includes gf2.SingularMatrixError
         print(f"construction failed: {err}", file=sys.stderr)
         raise SystemExit(EXIT_CONSTRUCTION)
 
@@ -82,19 +80,22 @@ def cmd_construct(args):
     from .ff import search_construction
     from .pff import search_pff_construction
 
+    if args.family == "sc":
+        print("sc needs no precomputed construction", file=sys.stderr)
+        return EXIT_CONSTRUCTION
+    search = (search_construction if args.family == "ff"
+              else search_pff_construction)
     try:
-        if args.family == "ff":
-            cons = search_construction(args.m, args.t, args.s, seed=args.seed)
-        elif args.family == "pff":
-            cons = search_pff_construction(args.m, args.t, args.s,
-                                           seed=args.seed)
-        else:
-            print("sc needs no precomputed construction", file=sys.stderr)
-            return EXIT_CONSTRUCTION
-    except (ValueError, gf2.SingularMatrixError) as err:
+        family_params(args.family, args.m, args.t, args.s)
+        cons = search(args.m, args.t, args.s, seed=args.seed)
+    except ValueError as err:  # includes gf2.SingularMatrixError
         print(f"construction failed: {err}", file=sys.stderr)
         return EXIT_CONSTRUCTION
-    save_construction(cons, args.out)
+    try:
+        save_construction(cons, args.out)
+    except OSError as err:
+        print(f"cannot write cache: {err}", file=sys.stderr)
+        return EXIT_FORMAT
     print(json.dumps({"family": args.family, "mode": cons.mode,
                       "M": cons.m_side, "r": cons.r, "out": args.out}))
     return 0
@@ -118,7 +119,7 @@ def cmd_encode(args):
         print(f"cannot read payload: {err}", file=sys.stderr)
         return EXIT_FORMAT
     frame = codec.encode_payload(payload)
-    data = write_stream(codec, frame, seed=args.seed)
+    data = write_stream(codec, frame)
     with open(args.out, "wb") as fh:
         fh.write(data)
     print(json.dumps({"config": codec.describe(), "bytes": len(data)}))
@@ -161,17 +162,11 @@ def cmd_inject(args):
 
 
 def cmd_simulate(args):
-    codec_factory = partial(
-        build_codec, args.family, args.m, args.t, args.s, L=args.L,
-        length=args.length, window=args.window, l_max=args.l_max,
-        seed=args.seed,
-    )
-    # fail fast on bad parameters before spawning workers
-    _make_codec(args)
+    codec = _make_codec(args)  # once, for every p
     rows = []
     for p in args.p:
         report = run_monte_carlo(
-            codec_factory, p, master_seed=args.master_seed,
+            codec, p, master_seed=args.master_seed,
             min_bit_errors=args.min_bit_errors, max_frames=args.max_frames,
             batch_frames=args.batch_frames, workers=args.workers,
         )

@@ -217,11 +217,44 @@ def decode(buf, plan, l_max):
 class FrameCodec:
     """Frame layout and payload access common to the three family codecs.
 
-    A subclass sets ``M`` and ``n_blocks``, calls :meth:`_compile` with its
-    channel array shapes, and from the returned slot frame sets
-    ``info_idx`` and ``info_starts`` (:meth:`_set_info`) and ``plan`` and
-    ``groups`` (:meth:`_set_plan`).  The compiled tables are read-only.
+    A subclass sets ``code`` (ff/pff: the row code), ``M``, ``n_blocks``,
+    ``length``, ``window``, ``l_max`` and, where it has them, ``L`` and
+    ``mode``; calls :meth:`_compile` with its channel array shapes; and
+    from the returned slot frame sets ``info_idx`` and ``info_starts``
+    (:meth:`_set_info`) and ``plan`` and ``groups`` (:meth:`_set_plan`).
+    The compiled tables are read-only.  ``sim.build_codec`` sets ``seed``.
     """
+
+    L = 0
+    mode = None
+    seed = None
+
+    def describe(self):
+        """The codec's identity, its derived sizes and its component code."""
+        return {
+            "family": self.family,
+            "m": self.code.m,
+            "t": self.code.t,
+            "s": self.code.s,
+            "L": self.L,
+            "length": self.length,
+            "seed": self.seed,
+            "M": self.M,
+            "window": self.window,
+            "l_max": self.l_max,
+            "mode": self.mode,
+            "code": self.code.descriptor(),
+        }
+
+    def identity(self):
+        """The ``sim.build_codec`` arguments that rebuild this codec, bar
+        ``window`` and ``l_max``; ValueError if build_codec did not make it."""
+        if self.seed is None:
+            raise ValueError(f"this {self.family} codec was not made by "
+                             "build_codec, so no seed names its construction")
+        desc = self.describe()
+        return {name: desc[name]
+                for name in ("family", "m", "t", "s", "L", "length", "seed")}
 
     def _compile(self, shapes):
         """Fix the stream layout; returns the frame of buffer slots."""

@@ -158,13 +158,13 @@ def _candidates(m_side, r, rng, max_tries):
         yield "random", (rng.permutation(m_side * r), rng.permutation(m_side * r))
 
 
-def search_construction(m, t, s, *, seed=0, max_tries=200, primitive_poly=None):
+def search_construction(m, t, s, *, seed=0, max_tries=200):
     """Find an invertible construction for the given component parameters.
 
     Order of preference: the low-error-floor shifted pair, then random
     shifted-block-diagonal pairs, then unstructured random permutations.
     """
-    code_row, code_col = code_pair(m, t, s, primitive_poly=primitive_poly)
+    code_row, code_col = code_pair(m, t, s)
     m_side = (code_row.k - code_row.r) // 2
     last_err = None
     for mode, (pi1, pi2) in _candidates(m_side, code_row.r,
@@ -190,9 +190,10 @@ class FFCode(engine.FrameCodec):
         if n_blocks < 2 or n_blocks % 2:
             raise ValueError("FF frames need an even, positive block count")
         c = self.cons = construction
+        self.code, self.mode = c.code_row, c.mode
         m_side = self.M = construction.m_side
         r = self.r = construction.r
-        self.n_blocks = n_blocks
+        self.n_blocks = self.length = n_blocks
         self.n_pairs = n_blocks // 2
         self.window = window
         self.l_max = l_max
@@ -248,14 +249,3 @@ class FFCode(engine.FrameCodec):
         """Sliding-window decode over pairs, columns then rows, in place."""
         engine.decode(frame.buf, self.plan, self.l_max)
         return frame
-
-    def describe(self):
-        return {
-            "family": self.family,
-            "n_blocks": self.n_blocks,
-            "M": self.M,
-            "window": self.window,
-            "l_max": self.l_max,
-            "mode": self.cons.mode,
-            "code": self.cons.code_row.descriptor(),
-        }

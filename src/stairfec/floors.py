@@ -189,7 +189,7 @@ def _gen_pff_candidate(codec, rng):
         raise ValueError("need at least two periods")
     q = (codec.n_periods - 1) // 2
     block = codec.slot_frame().blocks[q * (codec.L + 1) + codec.L + 1]
-    t = codec.cons.code_row.t
+    t = codec.code.t
     m_side = codec.M
     rows = rng.choice(m_side, size=t + 1, replace=False)
     cols = rng.choice(m_side, size=t + 1, replace=False)
@@ -200,7 +200,7 @@ def _gen_pff_candidate(codec, rng):
 def _gen_ff_candidate(codec, rng):
     """t_r(t+1) errors: info bits on a t_r x t_r row/column grid plus the
     Y mirrors that extend each affected row word."""
-    t = codec.cons.code_row.t
+    t = codec.code.t
     t_i = (t + 1) // 2
     t_r = t + 1 - t_i
     m_side, r = codec.M, codec.r

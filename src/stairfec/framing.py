@@ -8,9 +8,11 @@ packed 8 bits per byte:
     magic 'SFC1' | family u8 | m u8 | t u8 | L u8 |
     s u16 | length u16 | seed u32 | payload_bits u32
 
-``length`` counts blocks for sc/ff and periods for pff; ``seed`` is the
-construction-search seed, which fixes the permutations and must match
-between encoder and decoder.
+The fields family..seed are the codec's identity, the ``sim.build_codec``
+arguments that made it: ``L`` is 0 for sc/ff, ``length`` counts blocks for
+sc/ff and periods for pff, and ``seed`` is the codec's build seed, which
+fixes the permutations.  The reader rebuilds the codec through that call
+and rejects a header which the rebuilt codec would not write.
 
 A construction cache is an .npz holding a JSON descriptor plus the
 permutations and inverted system matrices, bit-packed by rows; the loader
@@ -42,6 +44,7 @@ __all__ = [
 
 MAGIC = b"SFC1"
 HEADER = struct.Struct("<4sBBBBHHII")
+FIELDS = ("family", "m", "t", "L", "s", "length", "seed", "payload_bits")
 FAMILY_CODES = {"sc": 0, "ff": 1, "pff": 2}
 FAMILY_NAMES = {v: k for k, v in FAMILY_CODES.items()}
 
@@ -50,19 +53,21 @@ class StreamFormatError(ValueError):
     """Malformed or inconsistent stream/cache contents."""
 
 
-def write_stream(codec, frame, *, seed=0):
-    """Serialize a frame to bytes."""
-    desc = codec.describe()
-    fields = {
-        "family": FAMILY_CODES[codec.family],
-        "m": desc["code"]["m"],
-        "t": desc["code"]["t"],
-        "L": desc.get("L", 0),
-        "s": desc["code"]["s"],
-        "length": desc.get("n_periods", desc.get("n_blocks", 0)),
-        "seed": seed,
-        "payload_bits": codec.payload_bits,
-    }
+def _header_fields(codec):
+    """The header of ``codec``'s streams, as :func:`parse_header` returns it."""
+    fields = {**codec.identity(), "payload_bits": codec.payload_bits}
+    return {name: fields[name] for name in FIELDS}
+
+
+def write_stream(codec, frame):
+    """Serialize a frame to bytes; the header is the codec's identity.
+
+    Raises ValueError for a codec that ``sim.build_codec`` did not make,
+    whose construction no header can name, or for a field the header
+    cannot hold.
+    """
+    fields = _header_fields(codec)
+    fields["family"] = FAMILY_CODES[fields["family"]]
     for (name, value), code in zip(fields.items(), HEADER.format[3:]):
         if not 0 <= value < 256 ** struct.calcsize(code):
             raise ValueError(f"{name} = {value} does not fit the stream header")
@@ -73,21 +78,12 @@ def write_stream(codec, frame, *, seed=0):
 def parse_header(data):
     if len(data) < HEADER.size:
         raise StreamFormatError("truncated header")
-    magic, fam, m, t, L, s, length, seed, payload_bits = HEADER.unpack_from(data)
+    magic, fam, *rest = HEADER.unpack_from(data)
     if magic != MAGIC:
         raise StreamFormatError(f"bad magic {magic!r}")
     if fam not in FAMILY_NAMES:
         raise StreamFormatError(f"unknown family code {fam}")
-    return {
-        "family": FAMILY_NAMES[fam],
-        "m": m,
-        "t": t,
-        "L": L,
-        "s": s,
-        "length": length,
-        "seed": seed,
-        "payload_bits": payload_bits,
-    }
+    return dict(zip(FIELDS, [FAMILY_NAMES[fam], *rest]))
 
 
 def _frame_geometry(head):
@@ -135,17 +131,14 @@ def read_stream(data, *, window=7, l_max=8):
         raise StreamFormatError(
             f"{body.size - n_bytes} trailing bytes after the stream body"
         )
-    kwargs = dict(length=head["length"], window=window, l_max=l_max,
-                  seed=head["seed"])
-    if head["family"] == "pff":
-        kwargs["L"] = head["L"]
     try:
         codec = build_codec(head["family"], head["m"], head["t"], head["s"],
-                            **kwargs)
+                            L=head["L"], length=head["length"], window=window,
+                            l_max=l_max, seed=head["seed"])
     except ValueError as err:  # includes gf2.SingularMatrixError
         raise StreamFormatError(f"header describes no usable code: {err}") from err
-    if (codec.n_tx, codec.payload_bits) != (n_tx, payload_bits):
-        raise StreamFormatError("header geometry disagrees with its code")
+    if _header_fields(codec) != head or codec.n_tx != n_tx:
+        raise StreamFormatError("header disagrees with the codec it names")
     return codec, codec.frame_from_bits(np.unpackbits(body, count=n_tx))
 
 
@@ -175,14 +168,18 @@ def _unpack_square(packed):
 def load_construction(path):
     """Load a cache; the construction re-verifies the stored inverses.
 
-    Every malformed cache raises :class:`StreamFormatError`.
+    The component codes are rebuilt with the default field polynomial.
+    Every malformed cache, and one whose stored code descriptor is not
+    that of the rebuilt row code, raises :class:`StreamFormatError`.
     """
     try:
         with np.load(path) as data:
             meta = json.loads(str(data["meta"]))
             code = meta["code"]
-            pair = code_pair(code["m"], code["t"], code["s"],
-                             primitive_poly=int(code["primitive_poly"], 16))
+            pair = code_pair(code["m"], code["t"], code["s"])
+            if pair[0].descriptor() != code:
+                raise ValueError(f"cache code {code} is not the default "
+                                 f"code {pair[0].descriptor()}")
             if meta["kind"] == "ff":
                 return FFConstruction(*pair, data["pi1"], data["pi2"],
                                       meta["mode"],

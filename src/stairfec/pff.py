@@ -110,10 +110,9 @@ def build_pff_construction(code_row, code_col, pi, mode="custom"):
     return PFFConstruction(code_row, code_col, pi, mode)
 
 
-def search_pff_construction(m, t, s, *, seed=0, max_tries=200,
-                            primitive_poly=None):
+def search_pff_construction(m, t, s, *, seed=0, max_tries=200):
     """Find a Pi making both staged systems invertible; identity first."""
-    code_row, code_col = code_pair(m, t, s, primitive_poly=primitive_poly)
+    code_row, code_col = code_pair(m, t, s)
     r = code_row.r
     rng = np.random.default_rng(seed)
     candidates = itertools.chain(
@@ -145,10 +144,11 @@ class PFFCode(engine.FrameCodec):
         if n_periods < 1:
             raise ValueError("need at least one period")
         c = self.cons = construction
+        self.code, self.mode = c.code_row, c.mode
         m_side = self.M = construction.m_side
         r = self.r = construction.r
         self.L = L
-        self.n_periods = n_periods
+        self.n_periods = self.length = n_periods
         self.n_blocks = n_periods * (L + 1)
         self.window = window
         self.l_max = l_max
@@ -256,15 +256,3 @@ class PFFCode(engine.FrameCodec):
         """Sliding-window decode over periods, in place."""
         engine.decode(frame.buf, self.plan, self.l_max)
         return frame
-
-    def describe(self):
-        return {
-            "family": self.family,
-            "L": self.L,
-            "n_periods": self.n_periods,
-            "M": self.M,
-            "window": self.window,
-            "l_max": self.l_max,
-            "mode": self.cons.mode,
-            "code": self.cons.code_row.descriptor(),
-        }

@@ -19,10 +19,11 @@ from functools import partial
 
 import numpy as np
 
+from .bch import ComponentCode
 from .ff import FFCode, search_construction
+from .parameters import family_params
 from .pff import PFFCode, search_pff_construction
 from .staircase import StaircaseCode
-from .bch import ComponentCode
 
 __all__ = [
     "build_codec",
@@ -33,22 +34,25 @@ __all__ = [
 ]
 
 
-def build_codec(family, m, t, s, *, L=2, length=8, window=7, l_max=8, seed=0,
-                primitive_poly=None):
-    """Construct a frame codec; ``length`` counts blocks (sc/ff) or
-    periods (pff)."""
+def build_codec(family, m, t, s, *, L=2, length=8, window=7, l_max=8, seed=0):
+    """Construct a frame codec of a code :func:`family_params` accepts.
+
+    ``length`` counts blocks (sc/ff) or periods (pff); only pff reads
+    ``L``.  The arguments bar ``window`` and ``l_max`` are the codec's
+    identity (``codec.identity()``), which stream headers record.
+    """
+    family_params(family, m, t, s)
     if family == "sc":
-        code = ComponentCode(m, t, s, primitive_poly=primitive_poly)
-        return StaircaseCode(code, length, window=window, l_max=l_max)
-    if family == "ff":
-        cons = search_construction(m, t, s, seed=seed,
-                                   primitive_poly=primitive_poly)
-        return FFCode(cons, length, window=window, l_max=l_max)
-    if family == "pff":
-        cons = search_pff_construction(m, t, s, seed=seed,
-                                       primitive_poly=primitive_poly)
-        return PFFCode(cons, L, length, window=window, l_max=l_max)
-    raise ValueError(f"unknown family {family!r}")
+        codec = StaircaseCode(ComponentCode(m, t, s), length, window=window,
+                              l_max=l_max)
+    elif family == "ff":
+        codec = FFCode(search_construction(m, t, s, seed=seed), length,
+                       window=window, l_max=l_max)
+    else:
+        codec = PFFCode(search_pff_construction(m, t, s, seed=seed), L,
+                        length, window=window, l_max=l_max)
+    codec.seed = seed
+    return codec
 
 
 def bsc_corrupt(codec, frame, p, rng):
@@ -153,11 +157,14 @@ def run_monte_carlo(codec_factory, p, *, master_seed=0, min_bit_errors=100,
                     max_frames=10000, batch_frames=16, workers=1):
     """Fixed-round Monte Carlo over a BSC with crossover p.
 
-    ``codec_factory`` must be a picklable zero-argument callable (for
-    example functools.partial over :func:`build_codec`) when workers > 1.
-    The counters after any round are identical for every worker count.
+    ``codec_factory`` is a codec or a zero-argument callable that builds
+    one.  With workers > 1 each worker rebuilds the codec through
+    :func:`build_codec` from its identity, so it must be one that
+    build_codec made.  The counters after any round are identical for
+    every worker count.
     """
     start = time.monotonic()
+    codec = codec_factory() if callable(codec_factory) else codec_factory
     totals = [0, 0, 0, 0, 0]
     next_index = 0
 
@@ -166,8 +173,6 @@ def run_monte_carlo(codec_factory, p, *, master_seed=0, min_bit_errors=100,
             totals[i] += res[i]
 
     if workers <= 1:
-        codec = codec_factory() if callable(codec_factory) else codec_factory
-        family = codec.family
         while totals[2] < min_bit_errors and totals[0] < max_frames:
             count = min(batch_frames, max_frames - totals[0])
             accumulate(run_frames(
@@ -175,11 +180,12 @@ def run_monte_carlo(codec_factory, p, *, master_seed=0, min_bit_errors=100,
             ))
             next_index += count
     else:
-        family = codec_factory().family
+        factory = partial(build_codec, **codec.identity(),
+                          window=codec.window, l_max=codec.l_max)
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(codec_factory,),
+            initargs=(factory,),
         ) as pool:
             while totals[2] < min_bit_errors and totals[0] < max_frames:
                 count = min(batch_frames, max_frames - totals[0])
@@ -194,7 +200,7 @@ def run_monte_carlo(codec_factory, p, *, master_seed=0, min_bit_errors=100,
                     accumulate(fut.result())
 
     return SimReport(
-        family=family,
+        family=codec.family,
         p=p,
         master_seed=master_seed,
         frames=totals[0],

@@ -36,10 +36,9 @@ class StaircaseCode(engine.FrameCodec):
         self.r = code.r
         if self.M <= self.r:
             raise ValueError("block side must exceed r")
-        self.n_blocks = n_blocks
+        self.n_blocks = self.length = n_blocks
         self.window = window
         self.l_max = l_max
-        self.g_p = code.g_p
 
         blocks = self._compile([(self.M, self.M)] * n_blocks).blocks
         self._set_info([b[:, : self.info_cols] for b in blocks[1:]])
@@ -58,20 +57,10 @@ class StaircaseCode(engine.FrameCodec):
         k = self.info_cols
         for prev, cur in zip(frame.blocks, frame.blocks[1:]):
             cur[:, k:] = gf2.mat_mul(np.hstack([prev.T, cur[:, :k]]),
-                                     self.g_p)
+                                     self.code.g_p)
         return frame
 
     def decode_frame(self, frame):
         """Sliding-window decode, in place."""
         engine.decode(frame.buf, self.plan, self.l_max)
         return frame
-
-    def describe(self):
-        return {
-            "family": self.family,
-            "n_blocks": self.n_blocks,
-            "M": self.M,
-            "window": self.window,
-            "l_max": self.l_max,
-            "code": self.code.descriptor(),
-        }

@@ -23,10 +23,22 @@ def test_params_json(capsys):
     assert d["M"] == 72 and d["R"] == "3/4"
 
 
-def test_params_invalid_exits_3(capsys):
+def test_params_invalid_exits_3(capsys, tmp_path):
     code = main(["params", "--family", "pff", "--m", "4", "--t", "2",
                  "--s", "0"])
     assert code == 3
+    # 2r >= M: the code params rejects is the one encode rejects
+    code = main(["params", "--family", "ff", "--m", "6", "--t", "2",
+                 "--s", "1"])
+    assert code == 3
+    payload_file = tmp_path / "payload.bin"
+    payload_file.write_bytes(bytes(4096))
+    with pytest.raises(SystemExit) as exc:
+        main(["encode", "--family", "ff", "--m", "6", "--t", "2", "--s", "1",
+              "--length", "2", "--in", str(payload_file),
+              "--out", str(tmp_path / "x.sfc")])
+    assert exc.value.code == 3
+    assert not (tmp_path / "x.sfc").exists()
 
 
 def test_usage_error_exits_2():
@@ -146,6 +158,32 @@ def test_construct_writes_exactly_the_reported_path(tmp_path, capsys):
     out = json.loads(text)["out"]
     assert [p.name for p in tmp_path.iterdir()] == ["cons.bin"]
     assert load_construction(out).m_side == 29
+
+
+def test_construct_into_missing_directory_exits_4(tmp_path):
+    code = main(["construct", "--family", "ff", "--m", "6", "--t", "1",
+                 "--s", "1", "--out", str(tmp_path / "missing" / "c.npz")])
+    assert code == 4
+
+
+def test_simulate_searches_once_for_every_p(monkeypatch, capsys):
+    from stairfec import sim
+    calls = []
+    search = sim.search_construction
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "search_construction", counting)
+    code, out = run_cli(capsys, [
+        "simulate", "--family", "ff", "--m", "6", "--t", "1", "--s", "1",
+        "--length", "2", "--window", "2", "--l-max", "2", "--workers", "1",
+        "--p", "0.01,0.02,0.03", "--min-bit-errors", "1", "--max-frames", "2",
+    ])
+    assert code == 0
+    assert len(json.loads(out)) == 3
+    assert len(calls) == 1
 
 
 def test_construct_sc_rejected(tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from stairfec import sim
-from stairfec.ff import FFCode, search_construction
+from stairfec.bch import ComponentCode
+from stairfec.ff import FFCode, FFConstruction, low_ef_indices, search_construction
 from stairfec.framing import (
     FAMILY_CODES,
     HEADER,
@@ -16,6 +17,7 @@ from stairfec.framing import (
     save_construction,
     write_stream,
 )
+from stairfec.galois import GaloisField
 from stairfec.pff import PFFCode, search_pff_construction
 from stairfec.sim import build_codec
 
@@ -27,11 +29,11 @@ from stairfec.sim import build_codec
     ("pff", 7, 2, 41, dict(L=1, length=3)),
 ])
 def test_stream_round_trip(family, m, t, s, kwargs):
-    codec = build_codec(family, m, t, s, window=4, l_max=4, **kwargs)
+    codec = build_codec(family, m, t, s, window=4, l_max=4, seed=0, **kwargs)
     rng = np.random.default_rng(0)
     payload = rng.integers(0, 2, codec.payload_bits, dtype=np.uint8)
     frame = codec.encode_payload(payload)
-    data = write_stream(codec, frame, seed=0)
+    data = write_stream(codec, frame)
     codec2, frame2 = read_stream(data, window=4, l_max=4)
     assert codec2.family == family
     assert (codec2.extract_payload(frame2) == payload).all()
@@ -40,9 +42,9 @@ def test_stream_round_trip(family, m, t, s, kwargs):
 
 
 def test_header_fields():
-    codec = build_codec("pff", 7, 2, 41, L=3, length=2)
+    codec = build_codec("pff", 7, 2, 41, L=3, length=2, seed=9)
     frame = codec.encode_payload(np.zeros(codec.payload_bits, dtype=np.uint8))
-    data = write_stream(codec, frame, seed=9)
+    data = write_stream(codec, frame)
     head = parse_header(data)
     assert head == {
         "family": "pff", "m": 7, "t": 2, "L": 3, "s": 41,
@@ -55,10 +57,42 @@ def test_header_field_overflow_names_the_field():
     frame = codec.encode_payload(np.zeros(codec.payload_bits, dtype=np.uint8))
     with pytest.raises(ValueError, match="L = 256 "):
         write_stream(codec, frame)
-    codec = build_codec("sc", 4, 1, 1, length=4)
+    codec = build_codec("sc", 4, 1, 1, length=4, seed=1 << 32)
     frame = codec.encode_payload(np.zeros(codec.payload_bits, dtype=np.uint8))
     with pytest.raises(ValueError, match="seed = 4294967296 "):
-        write_stream(codec, frame, seed=1 << 32)
+        write_stream(codec, frame)
+
+
+def test_stream_decodes_under_the_encoders_construction():
+    # pff(8,3,15) needs a random Pi, so the build seed picks the permutation
+    codec = build_codec("pff", 8, 3, 15, L=1, length=1, seed=5)
+    rng = np.random.default_rng(2)
+    payload = rng.integers(0, 2, codec.payload_bits, dtype=np.uint8)
+    frame = codec.encode_payload(payload)
+    frame.buf[rng.choice(codec.n_tx, size=3, replace=False)] ^= 1
+    codec2, frame2 = read_stream(write_stream(codec, frame))
+    assert codec2.seed == 5
+    assert (codec2.cons.pi == codec.cons.pi).all()
+    codec2.decode_frame(frame2)
+    assert (codec2.extract_payload(frame2) == payload).all()
+
+
+def test_codec_without_identity_cannot_be_framed():
+    # no header field can name permutations that no seeded search yields
+    codec = FFCode(search_construction(6, 1, 1), 4)
+    frame = codec.encode_payload(np.zeros(codec.payload_bits, dtype=np.uint8))
+    with pytest.raises(ValueError, match="build_codec"):
+        write_stream(codec, frame)
+
+
+def test_header_naming_another_codec_rejected():
+    # sc has no period length: a header with L = 1 names no codec
+    codec = build_codec("sc", 4, 1, 1, length=4)
+    data = bytearray(write_stream(codec, codec.encode_payload(
+        np.zeros(codec.payload_bits, dtype=np.uint8))))
+    data[7] = 1  # L
+    with pytest.raises(StreamFormatError, match="disagrees"):
+        read_stream(bytes(data))
 
 
 def test_bad_magic_rejected():
@@ -86,14 +120,14 @@ def test_trailing_bytes_rejected():
 
 
 @pytest.mark.parametrize("family,m,t,s,kwargs", [
-    ("sc", 4, 1, 1, dict(length=4)),
+    ("sc", 4, 1, 1, dict(length=4, seed=3)),
     ("ff", 6, 1, 1, dict(length=4, seed=3)),
     ("pff", 7, 2, 41, dict(L=2, length=2, seed=3)),
 ])
 def test_read_stream_codec_matches_and_is_read_only(family, m, t, s, kwargs):
     codec = build_codec(family, m, t, s, **kwargs)
     frame = codec.encode_payload(np.zeros(codec.payload_bits, dtype=np.uint8))
-    codec2, frame2 = read_stream(write_stream(codec, frame, seed=3))
+    codec2, frame2 = read_stream(write_stream(codec, frame))
     assert (frame2.buf == frame.buf).all()
     assert all((w1 == w2).all() for (_, w1), (_, w2)
                in zip(codec.groups, codec2.groups))
@@ -199,8 +233,14 @@ def _repeat_first(pi):
 def cache_arrays(tmp_path_factory):
     """The arrays of an ff(6,1,1) and a pff(7,2,41) cache, by family."""
     out = {}
+    # a valid ff(6,1,1) construction over another field polynomial
+    field = GaloisField(6, 0x61)
+    codes = (ComponentCode(6, 1, 1, field=field),
+             ComponentCode(6, 1, 1, role="col", reciprocal=True, field=field))
     for family, cons in [("ff", search_construction(6, 1, 1, seed=0)),
-                         ("pff", search_pff_construction(7, 2, 41, seed=0))]:
+                         ("pff", search_pff_construction(7, 2, 41, seed=0)),
+                         ("ff-0x61", FFConstruction(*codes,
+                                                    *low_ef_indices(25, 6)))]:
         path = tmp_path_factory.mktemp("cache") / f"{family}.npz"
         save_construction(cons, path)
         with np.load(path) as data:
@@ -233,6 +273,9 @@ def cache_arrays(tmp_path_factory):
     pytest.param("ff", lambda arrays: b"PK\x03\x04" + bytes(40),
                  id="truncated-zip"),
     pytest.param("ff", lambda arrays: b"", id="empty-file"),
+    pytest.param("ff-0x61", lambda arrays: arrays, id="other-polynomial"),
+    pytest.param("ff", _edit_meta(lambda meta: {**meta, "code": {
+        **meta["code"], "generator": "0x61"}}), id="other-generator"),
 ])
 def test_tampered_cache_rejected(tmp_path, cache_arrays, family, tamper):
     edited = tamper(dict(cache_arrays[family]))
@@ -246,6 +289,5 @@ def test_tampered_cache_rejected(tmp_path, cache_arrays, family, tamper):
 
 
 def test_sc_has_no_cache():
-    from stairfec.bch import ComponentCode
     with pytest.raises(TypeError):
         save_construction(ComponentCode(4, 1, 1), "/tmp/never.npz")

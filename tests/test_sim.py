@@ -16,6 +16,10 @@ def test_build_codec_families():
     assert build_codec("pff", 7, 2, 41, L=1, length=2).family == "pff"
     with pytest.raises(ValueError):
         build_codec("nope", 4, 1, 1)
+    # 2r >= M: params, floor and read_stream reject these ff codes too
+    for m, t, s in [(6, 2, 1), (6, 2, 3), (7, 3, 1), (5, 1, 1), (6, 2, 5)]:
+        with pytest.raises(ValueError):
+            build_codec("ff", m, t, s, length=2)
 
 
 def test_bsc_corrupt_rates():
