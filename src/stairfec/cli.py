@@ -3,7 +3,7 @@ Command-line front end.
 
 Verbs: params, construct, encode, decode, inject, simulate, floor, ncg.
 Exit codes: 0 success, 2 usage errors (argparse), 3 construction failure,
-4 stream/payload format errors, unreadable inputs and unwritable caches.
+4 stream/payload format errors, unreadable inputs and unwritable outputs.
 """
 
 from __future__ import annotations
@@ -120,8 +120,12 @@ def cmd_encode(args):
         return EXIT_FORMAT
     frame = codec.encode_payload(payload)
     data = write_stream(codec, frame)
-    with open(args.out, "wb") as fh:
-        fh.write(data)
+    try:
+        with open(args.out, "wb") as fh:
+            fh.write(data)
+    except OSError as err:
+        print(f"cannot write stream: {err}", file=sys.stderr)
+        return EXIT_FORMAT
     print(json.dumps({"config": codec.describe(), "bytes": len(data)}))
     return 0
 
@@ -136,8 +140,12 @@ def cmd_decode(args):
         return EXIT_FORMAT
     codec.decode_frame(frame)
     payload = codec.extract_payload(frame)
-    with open(args.out, "wb") as fh:
-        fh.write(np.packbits(payload).tobytes())
+    try:
+        with open(args.out, "wb") as fh:
+            fh.write(np.packbits(payload).tobytes())
+    except OSError as err:
+        print(f"cannot write payload: {err}", file=sys.stderr)
+        return EXIT_FORMAT
     print(json.dumps({"config": codec.describe(),
                       "payload_bits": int(payload.size)}))
     return 0

@@ -158,11 +158,15 @@ def _candidates(m_side, r, rng, max_tries):
         yield "random", (rng.permutation(m_side * r), rng.permutation(m_side * r))
 
 
+@gf2.memoize
 def search_construction(m, t, s, *, seed=0, max_tries=200):
     """Find an invertible construction for the given component parameters.
 
     Order of preference: the low-error-floor shifted pair, then random
     shifted-block-diagonal pairs, then unstructured random permutations.
+    A process searches once per ``(m, t, s, seed, max_tries)`` and shares
+    the read-only result while it fits the byte budget of
+    :func:`gf2.memoize`; a failed search is repeated on every call.
     """
     code_row, code_col = code_pair(m, t, s)
     m_side = (code_row.k - code_row.r) // 2

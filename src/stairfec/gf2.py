@@ -6,10 +6,17 @@ array (conceptually a single-column matrix).  Products use float32 BLAS
 matmuls, exact while the inner dimension stays below 2**24; a constant
 operand can be cast once with :func:`operand`.  Inversion runs on
 bit-packed rows so that design-time matrices of a few thousand rows invert
-in seconds.
+in seconds.  Read-only results of design-time searches are kept by
+:func:`memoize`, keyed by the integer arguments of the search, while their
+arrays fit in ``MEMO_BYTES``.
 """
 
 from __future__ import annotations
+
+import functools
+import inspect
+import operator
+from collections import OrderedDict
 
 import numpy as np
 
@@ -27,7 +34,16 @@ __all__ = [
     "invert_indices",
     "check_permutation",
     "freeze",
+    "nbytes",
+    "memoize",
+    "MEMO_BYTES",
 ]
+
+# Bytes of arrays that memoized results may hold together in one process;
+# ff(8,3,63) holds 14.3 MiB, ff(10,3,183) about 650 MiB.
+MEMO_BYTES = 256 << 20
+# (search, its integer arguments) -> (result, nbytes), least recently used first
+_memo = OrderedDict()
 
 
 class SingularMatrixError(ValueError):
@@ -141,6 +157,51 @@ def freeze(obj):
     for value in vars(obj).values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
+
+
+def nbytes(obj):
+    """Summed size of the array attributes of ``obj``."""
+    return sum(value.nbytes for value in vars(obj).values()
+               if isinstance(value, np.ndarray))
+
+
+def memoize(search):
+    """Keep the results of ``search``, a function of integer arguments.
+
+    The key is every argument, defaults included, cast to ``int``; the
+    value is the result object itself, so it must be read-only (see
+    :func:`freeze`).  Least recently used results are evicted once the
+    arrays of all kept results exceed ``MEMO_BYTES``; a result larger than
+    that on its own is returned but not kept, and a call that raises keeps
+    nothing.  ``cache_clear()`` forgets this function's results.
+    """
+    signature = inspect.signature(search)
+
+    @functools.wraps(search)
+    def memoized(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        for name, value in bound.arguments.items():
+            bound.arguments[name] = operator.index(value)
+        key = (search, *bound.arguments.values())
+        if key in _memo:
+            _memo.move_to_end(key)
+            return _memo[key][0]
+        result = search(*bound.args, **bound.kwargs)
+        size = nbytes(result)
+        if size <= MEMO_BYTES:
+            _memo[key] = result, size
+            total = sum(kept for _, kept in _memo.values())
+            while total > MEMO_BYTES:
+                total -= _memo.popitem(last=False)[1][1]
+        return result
+
+    def cache_clear():
+        for key in [key for key in _memo if key[0] is search]:
+            del _memo[key]
+
+    memoized.cache_clear = cache_clear
+    return memoized
 
 
 def invert_indices(idx):

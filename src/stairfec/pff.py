@@ -110,8 +110,13 @@ def build_pff_construction(code_row, code_col, pi, mode="custom"):
     return PFFConstruction(code_row, code_col, pi, mode)
 
 
+@gf2.memoize
 def search_pff_construction(m, t, s, *, seed=0, max_tries=200):
-    """Find a Pi making both staged systems invertible; identity first."""
+    """Find a Pi making both staged systems invertible; identity first.
+
+    Memoized like :func:`ff.search_construction`: one search per process
+    and ``(m, t, s, seed, max_tries)``, within :func:`gf2.memoize`'s budget.
+    """
     code_row, code_col = code_pair(m, t, s)
     r = code_row.r
     rng = np.random.default_rng(seed)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from stairfec.cli import main
-from stairfec.framing import FAMILY_CODES, HEADER, MAGIC, load_construction
+from stairfec.framing import (FAMILY_CODES, HEADER, MAGIC, load_construction,
+                              write_stream)
 from stairfec.sim import build_codec
 
 
@@ -88,6 +89,25 @@ def test_encode_short_payload_exits_4(tmp_path, capsys):
         "--length", "4", "--in", str(payload_file),
         "--out", str(tmp_path / "x.sfc"),
     ])
+    assert code == 4
+
+
+def test_encode_into_missing_directory_exits_4(tmp_path):
+    payload_file = tmp_path / "payload.bin"
+    payload_file.write_bytes(bytes(64))
+    code = main(["encode", "--family", "sc", "--m", "4", "--t", "1",
+                 "--s", "1", "--length", "4", "--in", str(payload_file),
+                 "--out", str(tmp_path / "missing" / "x.sfc")])
+    assert code == 4
+
+
+def test_decode_into_missing_directory_exits_4(tmp_path):
+    codec = build_codec("sc", 4, 1, 1, length=4)
+    frame = codec.encode_payload(np.zeros(codec.payload_bits, dtype=np.uint8))
+    stream = tmp_path / "frame.sfc"
+    stream.write_bytes(write_stream(codec, frame))
+    code = main(["decode", "--in", str(stream),
+                 "--out", str(tmp_path / "missing" / "y.bin")])
     assert code == 4
 
 

@@ -1,8 +1,10 @@
+import multiprocessing
 from functools import partial
 
 import numpy as np
 import pytest
 
+from stairfec import ff
 from stairfec.sim import build_codec, bsc_corrupt, run_frames, run_monte_carlo
 
 
@@ -62,6 +64,24 @@ def test_worker_invariance():
                               min_bit_errors=20, max_frames=200, workers=3)
     for attr in ("frames", "info_bits", "bit_errors", "blocks", "block_errors"):
         assert getattr(report1, attr) == getattr(report3, attr)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="only forked workers inherit the parent's "
+                           "construction memo; others search again")
+def test_forked_workers_reuse_the_memoized_construction(monkeypatch):
+    codec = build_codec("ff", 6, 1, 1, length=4, window=4, l_max=4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker searched for the construction again")
+
+    monkeypatch.setattr(ff, "build_construction", refuse)
+    run = partial(run_monte_carlo, codec, 0.02, master_seed=7,
+                  min_bit_errors=1 << 62, max_frames=8, batch_frames=4)
+    one, two = run(workers=1), run(workers=2)
+    for attr in ("frames", "info_bits", "bit_errors", "blocks", "block_errors"):
+        assert getattr(one, attr) == getattr(two, attr)
+    assert two.frames == 8
 
 
 def test_stop_rules():
