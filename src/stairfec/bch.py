@@ -12,17 +12,31 @@ syndromes S_1, S_3, ..., S_(2t-1), as field ints, come from one float32
 matmul against a bit table (``odd_syndromes``); the even ones follow from
 S_2j = S_j^2.  A unit error at position i has the odd syndromes
 ``odd_columns[i]``, so a caller that keeps syndromes can update them per
-flip.  ``decode_syndromes`` runs binary Berlekamp-Massey over a batch of
-words in the log domain and a Chien search that looks their locators' roots
-up in one exponent table; ``decode_batch`` screens, packs and decodes a
-matrix of received words.  A word's result depends on that word alone, so a
-batch decodes exactly as its words would one by one.
+flip.  ``decode_batch`` screens, packs and decodes a matrix of received
+words; ``decode_syndromes`` decodes a batch of words known by their
+syndromes.  A word's result depends on that word alone, so a batch decodes
+exactly as its words would one by one.
+
+BDD is one lookup in a :class:`SyndromeTable`, which lists error patterns
+of weight <= t of the parent cyclic code of length N = 2^m - 1 by their
+syndromes; a pattern's locators are alpha^e for exponents e in [0, N).
+Shifting a pattern cyclically by j multiplies each S_k by alpha^(k*j), so
+the table lists only the patterns with S_1 = 1 and those with S_1 = 0.  A
+word with S_1 = alpha^j is looked up with each S_k scaled by
+alpha^(-k*j), and the locators found are shifted back by j.  The table
+depends on the field and t alone, so the row and column codes of every n
+share one per process (:func:`syndrome_table`).  A code whose table would
+exceed ``TABLE_BYTES`` by the closed-form :func:`table_bytes` decodes by
+binary Berlekamp-Massey and a Chien search instead (``berlekamp_chien``);
+the two give the same result for every syndrome.
 Miscorrections are applied, not suppressed; error-floor behaviour depends
 on them.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +50,17 @@ __all__ = [
     "ComponentCode",
     "code_pair",
     "DecodeResult",
+    "SyndromeTable",
+    "build_syndrome_table",
+    "syndrome_table",
+    "table_bytes",
+    "TABLE_BYTES",
 ]
+
+# Largest table_bytes of a code that decodes by syndrome table: (8, 3) has
+# 0.9 MB and (10, 3) 14.6 MB, while (11, 3), (8, 4) and (6, 5) decode by
+# Berlekamp-Massey.  It keeps m*t <= 32, so a key fits an int64.
+TABLE_BYTES = 16 << 20
 
 
 def bch_generator(field, t):
@@ -71,6 +95,89 @@ class DecodeResult:
     ok: bool
     word: np.ndarray
     flips: tuple
+
+
+def table_bytes(m, t):
+    """Closed-form bound on the size of the syndrome table of (m, t),
+    about t times its size: an 8-byte key and t 2-byte locators for each
+    of the 2 * C(2^m - 1, t - 1) patterns of weight t its build tries."""
+    return 2 * math.comb((1 << m) - 1, t - 1) * (8 + 2 * t)
+
+
+def _increasing(order, k, start=0):
+    """Every strictly increasing k-tuple of range(start, order), in blocks
+    of at most ``order`` rows that share all entries but the last."""
+    if k <= 1:
+        yield np.arange(start, order)[:, None] if k else np.zeros((1, 0), int)
+        return
+    for first in range(start, order - k + 1):
+        for block in _increasing(order, k - 1, first + 1):
+            yield np.column_stack([np.full(len(block), first), block])
+
+
+class SyndromeTable:
+    """The error patterns of weight <= t of the BCH codes over one field.
+
+    ``keys`` is sorted and ends with a sentinel above every key.  Entry i
+    is the pattern whose locators are alpha^e for the exponents e in
+    ``locators[i]`` (padded with -1): the empty pattern, the patterns with
+    S_1 = 1, and those with S_1 = 0, each keyed by its odd syndromes
+    S_1, S_3, ..., S_(2t-1) packed m bits apiece, S_1 lowest.
+    """
+
+    def __init__(self, keys, locators):
+        self.keys = keys
+        self.locators = locators
+        gf2.freeze(self)
+
+
+def build_syndrome_table(field, t):
+    """Enumerate the :class:`SyndromeTable` of ``field`` and radius ``t``.
+
+    A pattern of weight w with a given S_1 is a choice of w - 1 exponents;
+    the last locator is S_1 plus theirs, and the pattern is kept once, when
+    that locator's exponent is the largest.  No two patterns of weight <= t
+    share their syndromes, since the parent code has distance >= 2t + 1.
+    The choices go in blocks of at most N, so the build holds no large
+    temporary array besides the table.
+    """
+    order, m = field.order, field.m
+    odd = np.arange(1, 2 * t, 2)[:, None, None]
+    weights = np.left_shift(1, m * np.arange(t), dtype=np.int64)
+    dtype = np.min_scalar_type(-order)  # locators, with -1 for padding
+    keys, locators = [np.zeros(1, np.int64)], [np.full((1, t), -1, dtype)]
+    for s1 in (1, 0):
+        for w in range(1, t + 1):
+            for chosen in _increasing(order, w - 1):
+                last = s1 ^ np.bitwise_xor.reduce(field.exp[chosen], axis=1)
+                keep = last != 0
+                last = field.log[last]
+                if w > 1:
+                    keep &= last > chosen[:, -1]
+                locs = np.full((np.count_nonzero(keep), t), -1)
+                locs[:, : w - 1] = chosen[keep]
+                locs[:, w - 1] = last[keep]
+                synd = np.bitwise_xor.reduce(
+                    field.exp[odd * locs[:, :w] % order], axis=2)
+                keys.append(weights @ synd)
+                locators.append(locs.astype(dtype))
+    keys.append([np.iinfo(np.int64).max])
+    locators.append(np.full((1, t), -1, dtype))
+    keys = np.concatenate(keys)
+    by_key = np.argsort(keys)
+    keys = keys[by_key]
+    if (keys[1:] <= keys[:-1]).any():
+        raise AssertionError(f"two patterns of weight <= {t} share their "
+                             f"syndromes over GF(2^{m})")
+    return SyndromeTable(keys, np.concatenate(locators)[by_key])
+
+
+@gf2.memoize
+def syndrome_table(poly, t):
+    """The :class:`SyndromeTable` over the field of primitive polynomial
+    ``poly``; a process builds one per ``(poly, t)`` while it fits
+    :func:`gf2.memoize`'s budget."""
+    return build_syndrome_table(GaloisField(poly.bit_length() - 1, poly), t)
 
 
 class ComponentCode:
@@ -147,7 +254,7 @@ class ComponentCode:
         odd = f.exp[(sign * np.arange(1, 2 * t, 2)[:, None] * degs) % order]
         self.odd_columns = np.ascontiguousarray(odd.T, dtype=np.uint16)
         bits = (odd[:, :, None] >> np.arange(m)) & 1
-        self._syndrome_table = np.ascontiguousarray(
+        self._check_bits = np.ascontiguousarray(
             bits.transpose(1, 0, 2).reshape(n, t * m), dtype=np.float32)
         self._bit_weights = 1 << np.arange(m)
         # Log 0 is a sentinel ``big`` and exp reads 0 from ``big`` on, so a
@@ -169,9 +276,14 @@ class ComponentCode:
         squares = 1 << np.arange(self._syn_square.max() + 1)
         self._log_pow = squares[:, None] * self._log % order
         self._log_pow[:, 0] = big
+        # Table lookup: S_k * alpha^(-k*j) reads exp at log S_k + (N - k)*j
+        # mod N, and a key packs the scaled S_1, S_3, ... m bits apiece.
+        self._sign = sign
+        self._unshift = order - np.arange(1, 2 * t, 2)
+        self._key_weights = np.left_shift(1, m * np.arange(t), dtype=np.int64)
 
     def _syndrome_bits(self, words):
-        prod = np.asarray(words, dtype=np.float32) @ self._syndrome_table
+        prod = np.asarray(words, dtype=np.float32) @ self._check_bits
         return prod.astype(np.int32) & 1
 
     def _pack(self, bits):
@@ -186,16 +298,67 @@ class ComponentCode:
         """S_1, S_3, ..., S_(2t-1) of every row of ``words``, as field ints."""
         return self._pack(self._syndrome_bits(words))
 
+    @functools.cached_property
+    def bdd_table(self):
+        """The :class:`SyndromeTable` this code decodes by, or None for a
+        code whose :func:`table_bytes` exceed ``TABLE_BYTES``.
+
+        Fetched from :func:`syndrome_table` at first use, not at
+        construction: a construction search builds its component codes
+        first, and a table built then would sit under the search's
+        temporary arrays and add to the process's peak memory.
+        """
+        if table_bytes(self.m, self.t) > TABLE_BYTES:
+            return None
+        return syndrome_table(self.field.poly, self.t)
+
     def decode_syndromes(self, rows, synd):
         """Bounded-distance decode of words known by their odd syndromes.
 
         ``synd[i]`` holds S_1, S_3, ..., S_(2t-1) of word ``rows[i]`` as
         field ints.  Returns ``(ok, flip_rows, pos)``: ``ok[i]`` is False
         where word ``rows[i]`` has no codeword within distance t; accepted
-        corrections flip position ``pos[j]`` of word ``flip_rows[j]``.
+        corrections flip position ``pos[j]`` of word ``flip_rows[j]``, in
+        order of word, then position.
+
+        A word with S_1 = alpha^j has the syndromes of its error pattern
+        shifted by -j: S_k * alpha^(-k*j), so S_1 becomes 1; a word with
+        S_1 = 0 is taken as it is.  One search of the :class:`SyndromeTable`
+        finds the pattern of weight <= t with those syndromes, or shows
+        there is none.  Its locators alpha^e, shifted back to e + j, lie at
+        degree (e + j) mod N (-(e + j) mod N for a column code, whose
+        syndromes run on alpha^-1), and the word is accepted when every
+        degree is below n: bounded-distance decoding of the shortened code.
+        A code without a table (``bdd_table`` is None, as
+        :func:`table_bytes` exceeds ``TABLE_BYTES``) runs
+        :meth:`berlekamp_chien` instead.
+        """
+        table = self.bdd_table
+        if table is None:
+            return self.berlekamp_chien(rows, synd)
+        n, order = self.n, self.field.order
+        shift = self.field.log[synd[:, 0]]  # log 0 reads 0: no shift
+        scaled = self._unshift * shift[:, None]
+        scaled %= order
+        scaled += self._log[synd]
+        keys = self._exp[scaled] @ self._key_weights
+        entry = np.searchsorted(table.keys, keys)  # the sentinel bounds it
+        found = table.keys[entry] == keys
+        locs = table.locators[entry]
+        degree = self._sign * (locs + shift[:, None]) % order
+        pos = np.where(locs < 0, n, n - 1 - degree)  # a pad reads n
+        ok = found & (pos >= 0).all(axis=1)
+        pos = np.sort(pos[ok], axis=1)
+        flip, col = np.nonzero(pos < n)
+        return ok, rows[ok][flip], pos[flip, col]
+
+    def berlekamp_chien(self, rows, synd):
+        """:meth:`decode_syndromes` by Berlekamp-Massey and a Chien search.
+
         Binary Berlekamp-Massey takes t steps (its odd discrepancies
         vanish); a word is accepted when L <= t and the Chien search finds
-        L roots of sigma among the n positions.
+        L roots of sigma among the n positions.  Works for every code; it
+        is the decoder of codes too large for a syndrome table.
         """
         t, order = self.t, self.field.order
         log, exp = self._log, self._exp

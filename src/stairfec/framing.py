@@ -12,7 +12,9 @@ The fields family..seed are the codec's identity, the ``sim.build_codec``
 arguments that made it: ``L`` is 0 for sc/ff, ``length`` counts blocks for
 sc/ff and periods for pff, and ``seed`` is the codec's build seed, which
 fixes the permutations.  The reader rebuilds the codec through that call
-and rejects a header which the rebuilt codec would not write.
+and rejects a header which the rebuilt codec would not write, and, before
+building anything, one whose body length does not match or whose FF/PFF
+construction would invert a system of more than ``MAX_SYSTEM_ROWS`` rows.
 
 A construction cache is an .npz holding a JSON descriptor plus the
 permutations and inverted system matrices, bit-packed by rows; the loader
@@ -36,6 +38,7 @@ from .pff import PFFConstruction
 __all__ = [
     "StreamFormatError",
     "FAMILY_CODES",
+    "MAX_SYSTEM_ROWS",
     "write_stream",
     "read_stream",
     "save_construction",
@@ -47,6 +50,11 @@ HEADER = struct.Struct("<4sBBBBHHII")
 FIELDS = ("family", "m", "t", "L", "s", "length", "seed", "payload_bits")
 FAMILY_CODES = {"sc": 0, "ff": 1, "pff": 2}
 FAMILY_NAMES = {v: k for k, v in FAMILY_CODES.items()}
+# Rows of the largest GF(2) system whose inversion a stream header may ask
+# for: M*r for ff (its A), 2r^2 for pff (its B).  ff(10,3,183), the rate-13/14
+# code, has 11,700 and takes about 17 s and 1 GB to construct; ff(11,3,1)
+# would have 32,670 and need some 8 GB.
+MAX_SYSTEM_ROWS = 12_000
 
 
 class StreamFormatError(ValueError):
@@ -89,8 +97,9 @@ def parse_header(data):
 def _frame_geometry(head):
     """``(n_tx, payload_bits)`` of the frame a parsed header describes.
 
-    Arithmetic on the header fields, so that a stream's sizes are checked
-    before any code is constructed.
+    Arithmetic on the header fields, so that a stream's sizes, and the
+    size of the system its construction search inverts, are checked before
+    any code is constructed.
     """
     family, length = head["family"], head["length"]
     try:
@@ -100,6 +109,11 @@ def _frame_geometry(head):
     if length <= 0:
         raise StreamFormatError("header describes an empty frame")
     side, r = params.M, params.r
+    rows = {"sc": 0, "ff": side * r, "pff": 2 * r * r}[family]
+    if rows > MAX_SYSTEM_ROWS:
+        raise StreamFormatError(
+            f"header describes a {family} code whose construction inverts a "
+            f"{rows}-row system; streams are limited to {MAX_SYSTEM_ROWS} rows")
     if family == "sc":
         return length * side * side, length * side * (side - r)
     if family == "ff":

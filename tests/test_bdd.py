@@ -1,11 +1,14 @@
-"""The batched BDD kernel against the scalar oracle in ``reference``."""
+"""The batched BDD kernels, syndrome table and Berlekamp-Massey + Chien,
+against the scalar oracle in ``reference`` and against each other."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
 
 import reference
+from stairfec import bch
 from stairfec.bch import ComponentCode
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -37,16 +40,28 @@ def batches(draw):
     return code, np.array(words)
 
 
+def berlekamp_chien_batch(code, words):
+    """``decode_batch`` with the flagged words decoded by Berlekamp-Massey."""
+    synd = code.odd_syndromes(words)
+    flagged = np.flatnonzero(synd.any(axis=1))
+    ok = np.ones(len(words), dtype=bool)
+    ok[flagged], rows, pos = code.berlekamp_chien(flagged, synd[flagged])
+    return ok, rows, pos
+
+
 @hypothesis.settings(deadline=None, max_examples=150)
 @hypothesis.given(batches())
 def test_batch_matches_scalar_oracle(batch):
     code, words = batch
-    ok, rows, pos = code.decode_batch(words)
-    assert ok.shape == (len(words),)
-    for w, word in enumerate(words):
-        expect_ok, expect_flips = reference.bdd(code, word)
-        assert ok[w] == expect_ok
-        assert sorted(pos[rows == w].tolist()) == expect_flips
+    assert code.bdd_table is not None
+    for decode in (code.decode_batch,
+                   functools.partial(berlekamp_chien_batch, code)):
+        ok, rows, pos = decode(words)
+        assert ok.shape == (len(words),)
+        for w, word in enumerate(words):
+            expect_ok, expect_flips = reference.bdd(code, word)
+            assert ok[w] == expect_ok
+            assert sorted(pos[rows == w].tolist()) == expect_flips
 
 
 @pytest.mark.parametrize("reciprocal", [False, True])
@@ -63,3 +78,63 @@ def test_single_word_decode_matches_oracle(reciprocal):
         fixed = word.copy()
         fixed[expect_flips] ^= 1
         assert (res.word == fixed).all()
+
+
+@pytest.mark.parametrize("reciprocal", [False, True])
+@pytest.mark.parametrize("m,t,s", [(6, 3, 5), (5, 2, 4)])
+def test_table_and_berlekamp_chien_agree_on_every_syndrome(m, t, s, reciprocal):
+    code = component(m, t, s, reciprocal)
+    assert code.bdd_table is not None
+    q = 1 << m
+    every = np.stack(np.meshgrid(*[np.arange(q)] * t, indexing="ij"), axis=-1)
+    every = every.reshape(-1, t)[1:].astype(np.uint16)  # nonzero syndromes
+    accepted = 0
+    for start in range(0, len(every), 8192):  # bounds the Chien search's terms
+        synd = every[start : start + 8192]
+        rows = start + np.arange(len(synd))
+        table = code.decode_syndromes(rows, synd)
+        chien = code.berlekamp_chien(rows, synd)
+        for got, expect in zip(table, chien):
+            assert got.shape == expect.shape and (got == expect).all()
+        accepted += np.count_nonzero(table[0])
+    # every pattern of weight 1..t at the n positions, and nothing else
+    assert accepted == sum(math.comb(code.n, w) for w in range(1, t + 1))
+
+
+def test_code_beyond_the_table_budget_decodes_by_berlekamp_chien(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a syndrome table")
+
+    monkeypatch.setattr(bch, "build_syndrome_table", refuse)
+    assert bch.table_bytes(16, 3) > bch.TABLE_BYTES
+    code = ComponentCode(16, 3, (1 << 16) - 1 - 120)  # n = 120
+    assert code.bdd_table is None
+    rng = np.random.default_rng(3)
+    words = []
+    for weight in range(6):
+        word = code.systematic_encode(rng.integers(0, 2, code.k, dtype=np.uint8))
+        word[rng.choice(code.n, size=weight, replace=False)] ^= 1
+        words.append(word)
+    ok, rows, pos = code.decode_batch(np.array(words))
+    for w, word in enumerate(words):
+        expect_ok, expect_flips = reference.bdd(code, word)
+        assert ok[w] == expect_ok
+        assert sorted(pos[rows == w].tolist()) == expect_flips
+    assert ok[:4].all()
+
+
+def test_table_holds_every_pattern_once():
+    field = bch.GaloisField(5)
+    table = bch.build_syndrome_table(field, 2)
+    assert (np.diff(table.keys) > 0).all()
+    assert table.keys[-1] == np.iinfo(np.int64).max
+    # weight 0, then S_1 = 1: {0}, and the pairs {a, b} with
+    # alpha^a + alpha^b = 1, each once: (N - 1) / 2 of them
+    assert len(table.keys) == 1 + 1 + (field.order - 1) // 2 + 1  # sentinel
+    for key, locs in zip(table.keys[:-1], table.locators[:-1]):
+        locs = locs[locs >= 0]
+        s1, s3 = 0, 0
+        for e in locs.tolist():
+            s1 ^= field.pow_alpha(e)
+            s3 ^= field.pow_alpha(3 * e)
+        assert s1 in (0, 1) and key == s1 | s3 << 5

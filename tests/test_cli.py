@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from stairfec import sim
 from stairfec.cli import main
 from stairfec.framing import (FAMILY_CODES, HEADER, MAGIC, load_construction,
                               write_stream)
@@ -129,6 +130,22 @@ def test_decode_invalid_header_exits_4(tmp_path, family, m, t, L, s, length):
     stream = tmp_path / "bad.sfc"
     stream.write_bytes(HEADER.pack(MAGIC, FAMILY_CODES[family], m, t, L, s,
                                    length, 0, 100) + bytes(64))
+    code = main(["decode", "--in", str(stream),
+                 "--out", str(tmp_path / "y.bin")])
+    assert code == 4
+
+
+def test_decode_oversized_construction_exits_4(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("construction search ran")
+
+    monkeypatch.setattr(sim, "search_construction", refuse)
+    # ff(11,3,1): M = 990 and r = 33, so A would have 32,670 rows; the
+    # header's sizes agree with a 253 KB body of two blocks
+    stream = tmp_path / "big.sfc"
+    stream.write_bytes(HEADER.pack(MAGIC, FAMILY_CODES["ff"], 11, 3, 0, 1, 2,
+                                   0, 2 * 990 * 990)
+                       + bytes(-(-2 * 990 * 1023 // 8)))
     code = main(["decode", "--in", str(stream),
                  "--out", str(tmp_path / "y.bin")])
     assert code == 4

@@ -10,7 +10,9 @@ from stairfec.framing import (
     FAMILY_CODES,
     HEADER,
     MAGIC,
+    MAX_SYSTEM_ROWS,
     StreamFormatError,
+    _frame_geometry,
     load_construction,
     parse_header,
     read_stream,
@@ -159,6 +161,37 @@ def test_hostile_header_fails_before_any_search(monkeypatch, s, payload_bits):
                        payload_bits)
     with pytest.raises(StreamFormatError):
         read_stream(head + bytes(64))
+
+
+# (family, m, t, s, L, length, payload bits, body bytes): headers whose sizes
+# agree with their bodies, of codes whose searches would invert too large a
+# system: ff(11,3,1) has M = 990, r = 33 and A of M r = 32,670 rows (a 253 KB
+# body); pff(10,8,1) has M = 431, r = 80 and B of 2 r^2 = 12,800 rows
+OVERSIZED = [
+    ("ff", 11, 3, 1, 0, 2, 2 * 990 * 990, -(-2 * 990 * (990 + 33) // 8)),
+    ("pff", 10, 8, 1, 1, 1, 2 * 431 * (431 - 80), -(-2 * 431 * 431 // 8)),
+]
+
+
+@pytest.mark.parametrize("family,m,t,s,L,length,payload_bits,n_bytes", OVERSIZED)
+def test_oversized_construction_rejected_before_any_search(
+        monkeypatch, family, m, t, s, L, length, payload_bits, n_bytes):
+    def refuse(*args, **kwargs):
+        raise AssertionError("construction search ran")
+
+    monkeypatch.setattr(sim, "search_construction", refuse)
+    monkeypatch.setattr(sim, "search_pff_construction", refuse)
+    head = HEADER.pack(MAGIC, FAMILY_CODES[family], m, t, L, s, length, 0,
+                       payload_bits)
+    with pytest.raises(StreamFormatError, match=f"limited to {MAX_SYSTEM_ROWS}"):
+        read_stream(head + bytes(n_bytes))
+
+
+def test_system_limit_admits_the_rate_13_14_code():
+    # ff(10,3,183): M = 390, r = 30, so A has 11,700 rows
+    head = parse_header(HEADER.pack(MAGIC, FAMILY_CODES["ff"], 10, 3, 0, 183,
+                                    2, 0, 2 * 390 * 390))
+    assert _frame_geometry(head) == (2 * 390 * 420, 2 * 390 * 390)
 
 
 def test_consistent_header_of_unusable_code_rejected():

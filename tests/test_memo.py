@@ -1,13 +1,15 @@
-"""The construction memo: a process searches each FF/PFF code once.
+"""The memos: a process searches each FF/PFF code once and builds each
+syndrome table once.
 
 ``ff.search_construction`` and ``pff.search_pff_construction`` keep their
-results by ``(m, t, s, seed, max_tries)`` within ``gf2.MEMO_BYTES``.
+results by ``(m, t, s, seed, max_tries)``, ``bch.syndrome_table`` by
+``(poly, t)``, each within ``gf2.MEMO_BYTES``.
 """
 
 import numpy as np
 import pytest
 
-from stairfec import ff, framing, gf2, pff, sim
+from stairfec import bch, ff, framing, gf2, pff, sim
 
 # search, module, the candidate builder it calls, a small code
 SEARCHES = {
@@ -120,3 +122,32 @@ def test_second_read_stream_of_a_body_reuses_the_construction(monkeypatch):
     again, second = decode()
     assert again is cons is codec.cons
     assert (first == second).all()
+
+
+def test_codes_over_one_field_share_one_syndrome_table():
+    row, col = bch.code_pair(8, 3, 63)
+    other = bch.ComponentCode(8, 3, 15)
+    assert row.bdd_table is not None
+    assert col.bdd_table is row.bdd_table
+    assert other.bdd_table is row.bdd_table
+    assert bch.ComponentCode(8, 2, 63).bdd_table is not row.bdd_table
+
+
+def test_second_sc_read_stream_reuses_the_syndrome_table(monkeypatch):
+    codec = sim.build_codec("sc", 8, 3, 63, length=2)
+    rng = np.random.default_rng(6)
+    payload = rng.integers(0, 2, codec.payload_bits, dtype=np.uint8)
+    frame = codec.encode_payload(payload)
+    sim.bsc_corrupt(codec, frame, 0.005, rng)
+    body = framing.write_stream(codec, frame)
+
+    def decode():
+        dec_codec, received = framing.read_stream(body)
+        dec_codec.decode_frame(received)
+        return dec_codec.code.bdd_table, dec_codec.extract_payload(received)
+
+    table, first = decode()
+    monkeypatch.setattr(bch, "build_syndrome_table", refuse)
+    again, second = decode()
+    assert again is table is codec.code.bdd_table
+    assert (first == second).all() and (first == payload).all()
