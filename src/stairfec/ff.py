@@ -122,7 +122,7 @@ class FFConstruction:
         a = build_a_matrix(m_side, r, self.g_r, self.f_r, self.pi1, self.pi2)
         self.a_inv = (gf2.invert(a) if self.a_inv is None
                       else gf2.verify_inverse(a, self.a_inv))
-        del a  # before the float32 copy of A^-1, four times A's size
+        del a  # before the operand's padded copy of A^-1, as large as A
         t_rm = transpose_indices(r, m_side)
         t_mr = transpose_indices(m_side, r)
         # vec(X) = vec(Y)[idx_y_to_x] and vec(Pr~) = vec(Pc~)[idx_pc_to_pr]
@@ -130,7 +130,7 @@ class FFConstruction:
         self.idx_pc_to_pr = t_rm[gf2.invert_indices(self.pi2)]
         # vec(P_r) -> vec((pi_2(P_r))^T), used on the encoder side
         self.idx_pr_enc = self.pi2[t_mr]
-        self.op_a_inv = gf2.operand(self.a_inv)  # cast once for the encoder
+        self.op_a_inv = gf2.operand(self.a_inv)  # packed once for the encoder
         gf2.freeze(self)
 
 
@@ -236,7 +236,7 @@ class FFCode(engine.FrameCodec):
         # column-wise vec(P_c) and the pi_2-permuted vec(P_r), one row per pair
         rhs = (p_c.reshape(*lead, -1)
                ^ p_r.swapaxes(-1, -2).reshape(*lead, -1)[..., c.idx_pr_enc])
-        y = gf2.mat_mul(c.op_a_inv, rhs.T).T.reshape(p_c.shape)
+        y = gf2.apply(c.op_a_inv, rhs).reshape(p_c.shape)
         pc = p_c ^ gf2.mat_mul(y, c.f_r)
         return engine.FFPair(y=y.swapaxes(-1, -2), pc=pc.swapaxes(-1, -2))
 

@@ -3,12 +3,15 @@ Dense GF(2) matrix arithmetic and structural operators.
 
 Matrices are numpy uint8 arrays with entries in {0, 1}; a vector is a 1-D
 array (conceptually a single-column matrix).  Products use float32 BLAS
-matmuls, exact while the inner dimension stays below 2**24; a constant
-operand can be cast once with :func:`operand`.  Inversion runs on
-bit-packed rows so that design-time matrices of a few thousand rows invert
-in seconds.  Read-only results of design-time searches are kept by
-:func:`memoize`, keyed by the integer arguments of the search, while their
-arrays fit in ``MEMO_BYTES``.
+matmuls, exact while the inner dimension stays below 2**24.  A large
+constant square matrix is instead packed once by :func:`operand`, its
+columns into uint64 words, and :func:`apply` multiplies by it with a gather
+and XOR of the packed columns each vector selects, so a product reads at
+most n*n/8 bytes (packed words as in M4RI; Albrecht, Bard & Hart, ACM
+TOMS 2010).  Inversion runs on bit-packed rows so that design-time
+matrices of a few thousand rows invert in seconds.  Read-only results of
+design-time searches are kept by :func:`memoize`, keyed by the integer
+arguments of the search, while their arrays fit in ``MEMO_BYTES``.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
     "identity",
     "mat_mul",
     "operand",
+    "apply",
     "invert",
     "verify_inverse",
     "vec",
@@ -40,7 +44,7 @@ __all__ = [
 ]
 
 # Bytes of arrays that memoized results may hold together in one process;
-# ff(8,3,63) holds 14.3 MiB, ff(10,3,183) about 650 MiB.
+# ff(8,3,63) holds 3.3 MiB, ff(10,3,183) about 150 MiB.
 MEMO_BYTES = 256 << 20
 # (search, its integer arguments) -> (result, nbytes), least recently used first
 _memo = OrderedDict()
@@ -58,9 +62,52 @@ def identity(n):
     return np.eye(n, dtype=np.uint8)
 
 
+def _square(a):
+    a = np.asarray(a, dtype=np.uint8)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got {a.shape}")
+    return a
+
+
 def operand(a):
-    """A constant 0/1 matrix cast once to the dtype :func:`mat_mul` uses."""
-    return np.asarray(a, dtype=np.float32)
+    """The columns of a square 0/1 matrix packed into uint64 words.
+
+    Row j of the ``(n, ceil(n/64))`` result holds column j of ``a``, bit i
+    of the column in bit i % 8 of byte i // 8 of the row; :func:`apply`
+    multiplies by it.
+    """
+    a = _square(a)
+    n = len(a)
+    words = -(-n // 64)
+    # rows zero-padded to whole words; by8[b, k] is row 8b + k
+    by8 = zeros(64 * words, n)
+    by8[:n] = a
+    by8 = by8.reshape(8 * words, 8, n)
+    packed = by8[:, 0].copy()
+    for k in range(1, 8):
+        packed |= by8[:, k] << k
+    return np.ascontiguousarray(packed.T).view(np.uint64)
+
+
+def apply(op, x):
+    """``a @ v`` as bits for every vector ``v`` along the last axis of ``x``,
+    where ``op`` is :func:`operand` of the square matrix ``a``.
+
+    Each product is the XOR of the packed columns that the ones of ``v``
+    select; the result has the shape of ``x``.
+    """
+    x = np.asarray(x)
+    n = op.shape[0]
+    if x.shape[-1:] != (n,):
+        raise ValueError(f"dimension mismatch: {n}x{n} @ {x.shape}")
+    flat = x.reshape(-1, n)
+    acc = np.empty((len(flat), op.shape[1]), dtype=np.uint64)
+    for out, v in zip(acc, flat):
+        np.bitwise_xor.reduce(np.take(op, np.flatnonzero(v), axis=0),
+                              axis=0, out=out)
+    bits = np.unpackbits(acc.view(np.uint8), axis=1, count=n,
+                         bitorder="little")
+    return bits.reshape(x.shape)
 
 
 def mat_mul(a, b):
@@ -87,14 +134,16 @@ def invert(a):
     :class:`SingularMatrixError` when the rank is deficient; callers that
     search over permutations treat that as "try the next candidate".
     """
-    a = np.asarray(a, dtype=np.uint8)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"invert expects a square matrix, got {a.shape}")
+    a = _square(a)
     n = a.shape[0]
     if n == 0:
         return zeros(0, 0)
-    aug = np.concatenate([a, identity(n)], axis=1)
-    packed = np.packbits(aug, axis=1)
+    # [a | I] packed row by row, each half padded to whole bytes
+    half = -(-n // 8)
+    packed = np.zeros((n, 2 * half), dtype=np.uint8)
+    packed[:, :half] = np.packbits(a, axis=1)
+    diag = np.arange(n)
+    packed[diag, half + diag // 8] = 0x80 >> (diag % 8)
     for col in range(n):
         byte, shift = divmod(col, 8)
         bits = (packed[:, byte] >> (7 - shift)) & 1
@@ -109,14 +158,25 @@ def invert(a):
         others = others[others != col]
         if others.size:
             packed[others] ^= packed[col]
-    full = np.unpackbits(packed, axis=1, count=2 * n)
-    return np.ascontiguousarray(full[:, n:])
+    return np.unpackbits(packed[:, half:], axis=1, count=n)
+
+
+def _is_identity(a):
+    # without an n x n identity to compare against
+    return np.count_nonzero(a) == len(a) and a.diagonal().all()
 
 
 def verify_inverse(a, a_inv):
-    """``a_inv`` as bits once ``a @ a_inv`` is the identity; ValueError if not."""
+    """``a_inv`` as bits once ``a_inv @ a`` is the identity; ValueError if not.
+
+    For square matrices that is the same as ``a @ a_inv`` being the
+    identity.  The product is taken packed (:func:`apply`), one XOR of
+    columns of ``a_inv`` per column of ``a``, so it costs the ones of ``a``.
+    """
+    a = np.asarray(a)
     a_inv = np.asarray(a_inv, dtype=np.uint8)
-    if a_inv.shape != a.shape or (mat_mul(a, a_inv) != identity(len(a))).any():
+    if (a_inv.shape != a.shape or (a_inv > 1).any()
+            or not _is_identity(apply(operand(a_inv), a.T))):
         raise ValueError(f"the stored {a_inv.shape} inverse of a {a.shape} "
                          "matrix fails verification")
     return a_inv

@@ -101,7 +101,7 @@ class PFFConstruction:
                       else gf2.verify_inverse(b, self.b_inv))
         self.colidx = gf2.invert_indices(self.pi)
         self.g_i_mod = np.vstack([self.g_i[:m2], self.g_b_t, self.g_i[m_side:]])
-        self.op_b_inv = gf2.operand(self.b_inv)  # cast once for the encoder
+        self.op_b_inv = gf2.operand(self.b_inv)  # packed once for the encoder
         gf2.freeze(self)
 
 
@@ -231,9 +231,9 @@ class PFFCode(engine.FrameCodec):
             np.concatenate([zeros(2 * r, 2 * r), tr(m02), tr(m12)], axis=-1),
             c.f_i,
         )
-        # y2 = unvec(B^-1 vec(known)), row-wise vecs, one column per period
+        # y2 = unvec(B^-1 vec(known)), row-wise vecs, one row per period
         flat = known.reshape(lead + (-1,))
-        y2 = gf2.mat_mul(c.op_b_inv, flat.T).T.reshape(lead + (r, 2 * r))
+        y2 = gf2.apply(c.op_b_inv, flat).reshape(lead + (r, 2 * r))
         pc2 = p_c2 ^ tr(gf2.mat_mul(tr(y2), c.f_r))
         bottom = np.concatenate(
             [w1, np.concatenate([y2, pc2], axis=-2)], axis=-1)

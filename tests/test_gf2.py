@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import reference
-from stairfec import gf2
+from stairfec import ff, gf2, pff
 
 
 def naive_mat_mul(a, b):
@@ -52,6 +52,59 @@ def test_invert_multiplies_back_to_identity():
         inv = gf2.invert(a)
         assert (gf2.mat_mul(a, inv) == gf2.identity(n)).all()
         assert (gf2.mat_mul(inv, a) == gf2.identity(n)).all()
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 63, 64, 65, 130])
+def test_apply_matches_mat_mul(n):
+    rng = np.random.default_rng(n)
+    a = rng.integers(0, 2, (n, n), dtype=np.uint8)
+    op = gf2.operand(a)
+    assert op.dtype == np.uint64 and op.shape == (n, -(-n // 64))
+    for x in (rng.integers(0, 2, (2, 3, n), dtype=np.uint8),
+              rng.integers(0, 2, n, dtype=np.uint8),
+              np.zeros((4, n), dtype=np.uint8),
+              np.ones((4, n), dtype=np.uint8)):
+        # a @ v for every v along the last axis: x a^T, row by row
+        expected = gf2.mat_mul(x.reshape(-1, n), a.T).reshape(x.shape)
+        assert (gf2.apply(op, x) == expected).all()
+
+
+def test_apply_dimension_check():
+    with pytest.raises(ValueError):
+        gf2.apply(gf2.operand(gf2.identity(3)), gf2.zeros(2, 4))
+    with pytest.raises(ValueError):
+        gf2.operand(gf2.zeros(2, 3))
+
+
+def test_verify_inverse_rejects_wrong_inverses():
+    rng = np.random.default_rng(6)
+    a = gf2.identity(70)
+    for _ in range(280):
+        i, j = rng.integers(0, 70, 2)
+        if i != j:
+            a[i] ^= a[j]
+    inv = gf2.invert(a)
+    assert (gf2.verify_inverse(a, inv) == inv).all()
+    # a 2 over a 1 in the next row of its column packs to the same bits
+    i, j = np.argwhere((inv[:-1] == 0) & (inv[1:] == 1)
+                       & (np.arange(69) % 8 != 7)[:, None])[0]
+    not_bits = inv.copy()
+    not_bits[i, j] = 2
+    for bad in (inv ^ gf2.identity(70), inv[:-1], not_bits):
+        with pytest.raises(ValueError):
+            gf2.verify_inverse(a, bad)
+
+
+def test_construction_operands_are_packed_and_read_only():
+    ff_cons = ff.search_construction(8, 3, 63)
+    pff_cons = pff.search_pff_construction(8, 3, 15)
+    for op, inv in ((ff_cons.op_a_inv, ff_cons.a_inv),
+                    (pff_cons.op_b_inv, pff_cons.b_inv)):
+        assert type(op) is np.ndarray and not op.flags.writeable
+        assert (op == gf2.operand(inv)).all()
+        with pytest.raises(ValueError):
+            op[0, 0] = 0
+    assert gf2.nbytes(ff_cons) < 4 << 20
 
 
 def test_invert_singular_raises():
