@@ -76,7 +76,9 @@ class Plan:
 
     ``groups`` is a list of ``(code, words)`` pairs, ``windows`` lists the
     indices of the groups each window position decodes, in order, and
-    ``n_slots`` is the buffer size, zero slot included.
+    ``n_slots`` is the buffer size, zero slot included.  The compiled
+    ``groups``, ``windows`` and ``stacks`` are tuples and every table is
+    read-only, so one plan can serve any number of decodes at once.
 
     Words are numbered code by code, each code's groups in turn, so one
     gather and one matmul per code give a frame's syndromes.  A word's row
@@ -101,7 +103,7 @@ class Plan:
         slots = np.empty(sum(words.size for _, words in groups), dtype=np.intp)
         ids = np.empty(slots.size, dtype=id_type)
         self.hcols = np.zeros((n_keys, self.t_max), dtype=np.uint16)
-        self.stacks = []  # (code, stacked word table, id of its first word)
+        stacks = []  # (code, stacked word table, id of its first word)
         first = [0] * len(groups)
         views = [None] * len(groups)
         n_words = key_base = start = 0
@@ -116,7 +118,7 @@ class Plan:
                  << shift) + np.arange(key_base, key_base + code.n,
                                        dtype=id_type))
             table.setflags(write=False)
-            self.stacks.append((code, table, n_words))
+            stacks.append((code, table, n_words))
             row = 0
             for i in mine:
                 first[i] = n_words + row
@@ -126,9 +128,11 @@ class Plan:
             self.hcols[key_base : key_base + code.n, : code.t] = code.odd_columns
             key_base += code.n
             start = end
-        self.groups = [(code, view) for (code, _), view in zip(groups, views)]
-        self.windows = [[(*self.groups[i], first[i]) for i in window]
-                        for window in windows]
+        self.stacks = tuple(stacks)
+        self.groups = tuple((code, view)
+                            for (code, _), view in zip(groups, views))
+        self.windows = tuple(tuple((*self.groups[i], first[i]) for i in window)
+                             for window in windows)
         self._compile_flips(slots, ids, n_slots, shift)
         for table in (self.hcols, self.flip_words, self.flip_keys):
             table.setflags(write=False)
@@ -228,6 +232,8 @@ class FrameCodec:
     L = 0
     mode = None
     seed = None
+    # the plan is this codec's own; gf2.nbytes counts its tables
+    owned = ("plan",)
 
     def describe(self):
         """The codec's identity, its derived sizes and its component code."""
@@ -258,7 +264,7 @@ class FrameCodec:
 
     def _compile(self, shapes):
         """Fix the stream layout; returns the frame of buffer slots."""
-        self.shapes = shapes
+        self.shapes = tuple(shapes)
         self.n_tx = sum(rows * cols for rows, cols in shapes)
         return self.slot_frame()
 

@@ -11,10 +11,13 @@ packed 8 bits per byte:
 The fields family..seed are the codec's identity, the ``sim.build_codec``
 arguments that made it: ``L`` is 0 for sc/ff, ``length`` counts blocks for
 sc/ff and periods for pff, and ``seed`` is the codec's build seed, which
-fixes the permutations.  The reader rebuilds the codec through that call
-and rejects a header which the rebuilt codec would not write, and, before
+fixes the permutations.  The reader builds the codec through that call
+and rejects a header which the built codec would not write, and, before
 building anything, one whose body length does not match or whose FF/PFF
 construction would invert a system of more than ``MAX_SYSTEM_ROWS`` rows.
+A process builds each codec once: the reader keeps it, read-only, by the
+header's identity and the decoder settings (``gf2.memoize``), so later
+streams of the same code reuse it and its compiled decoding plan.
 
 A construction cache is an .npz holding a JSON descriptor plus the
 permutations and inverted system matrices, bit-packed by rows; the loader
@@ -30,6 +33,7 @@ import zipfile
 
 import numpy as np
 
+from . import gf2
 from .bch import code_pair
 from .ff import FFConstruction
 from .parameters import family_params
@@ -122,14 +126,29 @@ def _frame_geometry(head):
     return periods * side * side, periods * side * (side - r)
 
 
+@gf2.memoize
+def _stream_codec(family, m, t, L, s, length, seed, window, l_max):
+    """The codec a stream header names, ``family`` as its ``FAMILY_CODES``
+    value, set up to decode with ``window`` and ``l_max``.
+
+    The codec is kept and shared by every later call with these arguments,
+    so it is complete and read-only when ``build_codec`` returns it.
+    """
+    from .sim import build_codec
+
+    return build_codec(FAMILY_NAMES[family], m, t, s, L=L, length=length,
+                       window=window, l_max=l_max, seed=seed)
+
+
 def read_stream(data, *, window=7, l_max=8):
     """Rebuild (codec, frame) from bytes produced by :func:`write_stream`.
 
     The header's sizes and the body length are checked first, so a stream
-    that cannot be decoded costs no construction search.
+    that cannot be decoded costs no construction search and is not kept.
+    The codec is built once per process for each header identity,
+    ``window`` and ``l_max``, and every later stream with those shares it;
+    it is read-only, and the frame is the caller's own.
     """
-    from .sim import build_codec
-
     head = parse_header(data)
     n_tx, payload_bits = _frame_geometry(head)
     if payload_bits != head["payload_bits"]:
@@ -146,9 +165,9 @@ def read_stream(data, *, window=7, l_max=8):
             f"{body.size - n_bytes} trailing bytes after the stream body"
         )
     try:
-        codec = build_codec(head["family"], head["m"], head["t"], head["s"],
-                            L=head["L"], length=head["length"], window=window,
-                            l_max=l_max, seed=head["seed"])
+        codec = _stream_codec(FAMILY_CODES[head["family"]],
+                              *(head[name] for name in FIELDS[1:-1]),
+                              window, l_max)
     except ValueError as err:  # includes gf2.SingularMatrixError
         raise StreamFormatError(f"header describes no usable code: {err}") from err
     if _header_fields(codec) != head or codec.n_tx != n_tx:

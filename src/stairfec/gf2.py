@@ -10,8 +10,9 @@ and XOR of the packed columns each vector selects, so a product reads at
 most n*n/8 bytes (packed words as in M4RI; Albrecht, Bard & Hart, ACM
 TOMS 2010).  Inversion runs on bit-packed rows so that design-time
 matrices of a few thousand rows invert in seconds.  Read-only results of
-design-time searches are kept by :func:`memoize`, keyed by the integer
-arguments of the search, while their arrays fit in ``MEMO_BYTES``.
+design-time searches, and the codecs that stream readers build, are kept by
+:func:`memoize`, keyed by the integer arguments of the call, while their
+arrays (:func:`nbytes`) fit in ``MEMO_BYTES``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,9 @@ __all__ = [
 ]
 
 # Bytes of arrays that memoized results may hold together in one process;
-# ff(8,3,63) holds 3.3 MiB, ff(10,3,183) about 150 MiB.
+# ff(8,3,63) holds 3.3 MiB, ff(10,3,183) about 150 MiB, and the stream
+# codecs sc(8,3,63), ff(8,3,63) and pff(8,3,15) L=2 of the benchmark 2.0,
+# 1.6 and 3.0 MiB besides their constructions.
 MEMO_BYTES = 256 << 20
 # (search, its integer arguments) -> (result, nbytes), least recently used first
 _memo = OrderedDict()
@@ -219,10 +222,36 @@ def freeze(obj):
             value.setflags(write=False)
 
 
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+
+
+def _held_arrays(obj):
+    for value in vars(obj).values():
+        yield from _arrays(value)
+    for name in getattr(obj, "owned", ()):
+        yield from _held_arrays(getattr(obj, name))
+
+
 def nbytes(obj):
-    """Summed size of the array attributes of ``obj``."""
-    return sum(value.nbytes for value in vars(obj).values()
-               if isinstance(value, np.ndarray))
+    """Bytes of the arrays ``obj`` holds, each buffer counted once however
+    many views of it there are.
+
+    The arrays are those in its attributes, directly or in tuples and
+    lists, and in those of the objects its ``owned`` attribute names.
+    Other objects it refers to, such as a construction or component code
+    that several codecs share, are not counted.
+    """
+    buffers = {}
+    for value in _held_arrays(obj):
+        while isinstance(value.base, np.ndarray):
+            value = value.base
+        buffers[id(value)] = value.nbytes
+    return sum(buffers.values())
 
 
 def memoize(search):
@@ -231,9 +260,10 @@ def memoize(search):
     The key is every argument, defaults included, cast to ``int``; the
     value is the result object itself, so it must be read-only (see
     :func:`freeze`).  Least recently used results are evicted once the
-    arrays of all kept results exceed ``MEMO_BYTES``; a result larger than
-    that on its own is returned but not kept, and a call that raises keeps
-    nothing.  ``cache_clear()`` forgets this function's results.
+    :func:`nbytes` of all kept results exceed ``MEMO_BYTES``; a result
+    larger than that on its own is returned but not kept, and a call that
+    raises keeps nothing.  ``cache_clear()`` forgets this function's
+    results.
     """
     signature = inspect.signature(search)
 

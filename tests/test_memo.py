@@ -1,15 +1,19 @@
-"""The memos: a process searches each FF/PFF code once and builds each
-syndrome table once.
+"""The memos: a process searches each FF/PFF code once, builds each
+syndrome table once and builds each stream codec once.
 
 ``ff.search_construction`` and ``pff.search_pff_construction`` keep their
 results by ``(m, t, s, seed, max_tries)``, ``bch.syndrome_table`` by
-``(poly, t)``, each within ``gf2.MEMO_BYTES``.
+``(poly, t)`` and ``framing.read_stream`` its codecs by the header's
+identity, ``window`` and ``l_max``, each within ``gf2.MEMO_BYTES``.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
-from stairfec import bch, ff, framing, gf2, pff, sim
+from stairfec import bch, engine, ff, framing, gf2, pff, sim
+from stairfec.framing import FAMILY_CODES, HEADER, MAGIC, StreamFormatError
 
 # search, module, the candidate builder it calls, a small code
 SEARCHES = {
@@ -19,10 +23,19 @@ SEARCHES = {
 }
 
 
+# build_codec arguments of a small code of each family
+CODECS = {
+    "sc": ((5, 2, 1), dict(length=4)),
+    "ff": ((6, 1, 1), dict(length=4)),
+    "pff": ((6, 1, 1), dict(L=2, length=2)),
+}
+
+
 @pytest.fixture(autouse=True)
 def cold_memo():
     for search, *_ in SEARCHES.values():
         search.cache_clear()
+    framing._stream_codec.cache_clear()
 
 
 def refuse(*args, **kwargs):
@@ -113,6 +126,8 @@ def test_second_read_stream_of_a_body_reuses_the_construction(monkeypatch):
     body = framing.write_stream(codec, frame)
 
     def decode():
+        # a codec built anew, so that only the construction memo is reused
+        framing._stream_codec.cache_clear()
         dec_codec, received = framing.read_stream(body)
         dec_codec.decode_frame(received)
         return dec_codec.cons, dec_codec.extract_payload(received)
@@ -142,6 +157,7 @@ def test_second_sc_read_stream_reuses_the_syndrome_table(monkeypatch):
     body = framing.write_stream(codec, frame)
 
     def decode():
+        framing._stream_codec.cache_clear()
         dec_codec, received = framing.read_stream(body)
         dec_codec.decode_frame(received)
         return dec_codec.code.bdd_table, dec_codec.extract_payload(received)
@@ -151,3 +167,185 @@ def test_second_sc_read_stream_reuses_the_syndrome_table(monkeypatch):
     again, second = decode()
     assert again is table is codec.code.bdd_table
     assert (first == second).all() and (first == payload).all()
+
+
+# -- stream codecs --------------------------------------------------------------
+
+
+def noisy_body(family, seed=0, **changes):
+    """A stream of a small code of ``family`` with BSC noise, and the payload
+    that the encoder's own codec decodes from it."""
+    args, kwargs = CODECS[family]
+    codec = sim.build_codec(family, *args, **{**kwargs, "seed": seed, **changes})
+    rng = np.random.default_rng(7)
+    frame = codec.encode_payload(
+        rng.integers(0, 2, codec.payload_bits, dtype=np.uint8))
+    sim.bsc_corrupt(codec, frame, 0.005, rng)
+    body = framing.write_stream(codec, frame)
+    codec.decode_frame(frame)
+    return body, codec.extract_payload(frame)
+
+
+def decoded(body, **settings):
+    codec, frame = framing.read_stream(body, **settings)
+    codec.decode_frame(frame)
+    return codec, frame, codec.extract_payload(frame)
+
+
+def kept_codecs():
+    return [key[1:] for key in gf2._memo
+            if key[0] is framing._stream_codec.__wrapped__]
+
+
+def codec_arrays(value):
+    """Every array of a codec and its plan, found apart from gf2.nbytes."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from codec_arrays(item)
+    elif isinstance(value, (engine.FrameCodec, engine.Plan)):
+        for item in vars(value).values():
+            yield from codec_arrays(item)
+
+
+@pytest.mark.parametrize("family", CODECS)
+def test_second_read_stream_of_a_body_returns_the_kept_codec(monkeypatch,
+                                                             family):
+    body, expected = noisy_body(family)
+    codec, frame, first = decoded(body)
+    assert len(kept_codecs()) == 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compiled a plan again")
+
+    monkeypatch.setattr(engine, "Plan", refuse)
+    again, frame2, second = decoded(body)
+    assert again is codec
+    assert frame2.buf is not frame.buf  # the frame is the caller's own
+    assert (second == first).all() and (first == expected).all()
+
+
+@pytest.mark.parametrize("family", CODECS)
+def test_other_settings_or_identity_give_another_codec(family):
+    body, _ = noisy_body(family)
+    codec = decoded(body)[0]
+    others = [decoded(body, window=3)[0], decoded(body, l_max=2)[0],
+              decoded(noisy_body(family, seed=1)[0])[0],
+              decoded(noisy_body(family, length=codec.length + 2)[0])[0]]
+    assert (codec.window, codec.l_max) == (7, 8)
+    assert [(c.window, c.l_max) for c in others[:2]] == [(3, 8), (7, 2)]
+    assert [c.seed for c in others[2:]] == [1, 0]
+    assert others[3].length == codec.length + 2
+    assert len({id(c) for c in [codec, *others]}) == 5
+    assert len(kept_codecs()) == 5
+    assert decoded(body)[0] is codec
+
+
+@pytest.mark.parametrize("family", CODECS)
+def test_codec_enters_the_memo_complete(monkeypatch, family):
+    body, _ = noisy_body(family, seed=2)
+    entering = []
+    nbytes = gf2.nbytes
+
+    def recording(result):
+        entering.append((result, result.seed))
+        return nbytes(result)
+
+    monkeypatch.setattr(gf2, "nbytes", recording)
+    codec = decoded(body)[0]
+    assert (codec, 2) in entering
+    assert codec.identity()["seed"] == 2
+
+
+def test_rejected_header_leaves_no_entry():
+    body, _ = noisy_body("sc")
+    head = bytearray(body[: HEADER.size])
+    head[-4:] = (1).to_bytes(4, "little")  # payload_bits the code cannot carry
+    rejected = [
+        body[:-1],                    # truncated body
+        body + b"\x00",               # trailing byte
+        bytes(head) + body[HEADER.size :],
+        # ff(11,3,1): sizes agree, but A would have 32,670 rows
+        HEADER.pack(MAGIC, FAMILY_CODES["ff"], 11, 3, 0, 1, 2, 0,
+                    2 * 990 * 990) + bytes(-(-2 * 990 * 1023 // 8)),
+        # pff with L = 0: sizes agree, and construction refuses the code
+        HEADER.pack(MAGIC, FAMILY_CODES["pff"], 7, 2, 0, 41, 1, 0, 435)
+        + bytes(-(-841 // 8)),
+    ]
+    for data in rejected:
+        with pytest.raises(StreamFormatError):
+            framing.read_stream(data)
+    assert kept_codecs() == []
+
+
+@pytest.mark.parametrize("family", CODECS)
+def test_codec_larger_than_the_budget_is_built_but_not_kept(monkeypatch,
+                                                            family):
+    body, expected = noisy_body(family)
+    args, kwargs = CODECS[family]
+    size = gf2.nbytes(sim.build_codec(family, *args, **kwargs))
+    monkeypatch.setattr(gf2, "MEMO_BYTES", size - 1)
+    codec, _, first = decoded(body)
+    again, _, second = decoded(body)
+    assert again is not codec
+    assert kept_codecs() == []
+    assert (first == expected).all() and (second == expected).all()
+
+
+@pytest.mark.parametrize("family", CODECS)
+def test_codec_bytes_count_its_plan_once_and_no_shared_part(family):
+    args, kwargs = CODECS[family]
+    codec = sim.build_codec(family, *args, **kwargs)
+    plan = codec.plan
+    # the stacked word tables are views covering one slot array, and the
+    # groups and windows are views of those tables
+    slots = {id(table.base) for _, table, _ in plan.stacks}
+    assert len(slots) == 1
+    expected = (codec.info_idx.nbytes + codec.info_starts.nbytes
+                + plan.hcols.nbytes + plan.flip_words.nbytes
+                + plan.flip_keys.nbytes
+                + sum(table.nbytes for _, table, _ in plan.stacks))
+    # and nothing of the component codes or the construction, which the
+    # memo charges to their own entries
+    assert gf2.nbytes(codec) == expected
+
+
+def test_views_of_one_buffer_count_once():
+    class Holder:
+        pass
+
+    holder = Holder()
+    base = np.zeros((4, 8), dtype=np.uint8)
+    holder.whole, holder.rows = base, base[:2]
+    holder.listed = [(base[1:], None), "not an array"]
+    holder.other = np.zeros(3, dtype=np.uint16)
+    assert gf2.nbytes(holder) == base.nbytes + holder.other.nbytes
+
+
+@pytest.mark.parametrize("family", CODECS)
+def test_kept_codec_is_read_only_and_unchanged_by_decoding(family):
+    body, expected = noisy_body(family, seed=1)
+    codec = decoded(body)[0]
+    assert isinstance(codec.shapes, tuple)
+    for compiled in (codec.groups, codec.plan.windows, codec.plan.stacks):
+        assert isinstance(compiled, tuple)
+        assert all(isinstance(item, tuple) for item in compiled)
+    tables = list(codec_arrays(codec))
+    assert len(tables) > 4
+    assert not any(table.flags.writeable for table in tables)
+
+    def state():
+        return [(table.nbytes, hashlib.sha256(table.tobytes()).hexdigest())
+                for table in tables]
+
+    before = state()
+    for _ in range(2):
+        again, frame = framing.read_stream(body)
+        received = frame.buf.copy()
+        again.decode_frame(frame)
+        assert again is codec
+        assert (frame.buf != received).any()  # the decoder corrected bits
+        assert (codec.extract_payload(frame) == expected).all()
+    assert state() == before
+    assert codec.seed == 1
