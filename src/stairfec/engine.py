@@ -232,8 +232,6 @@ class FrameCodec:
     L = 0
     mode = None
     seed = None
-    # the plan is this codec's own; gf2.nbytes counts its tables
-    owned = ("plan",)
 
     def describe(self):
         """The codec's identity, its derived sizes and its component code."""

@@ -15,9 +15,10 @@ fixes the permutations.  The reader builds the codec through that call
 and rejects a header which the built codec would not write, and, before
 building anything, one whose body length does not match or whose FF/PFF
 construction would invert a system of more than ``MAX_SYSTEM_ROWS`` rows.
-A process builds each codec once: the reader keeps it, read-only, by the
-header's identity and the decoder settings (``gf2.memoize``), so later
-streams of the same code reuse it and its compiled decoding plan.
+The reader keeps each codec it builds, read-only, by the header's
+identity and the decoder settings (``gf2.memoize``, within its byte
+budget), so later streams of the same code reuse it and its compiled
+decoding plan.
 
 A construction cache is an .npz holding a JSON descriptor plus the
 permutations and inverted system matrices, bit-packed by rows; the loader
@@ -145,9 +146,10 @@ def read_stream(data, *, window=7, l_max=8):
 
     The header's sizes and the body length are checked first, so a stream
     that cannot be decoded costs no construction search and is not kept.
-    The codec is built once per process for each header identity,
-    ``window`` and ``l_max``, and every later stream with those shares it;
-    it is read-only, and the frame is the caller's own.
+    The codec is kept per process for each header identity, ``window``
+    and ``l_max`` while ``gf2.MEMO_BYTES`` allows, and every later stream
+    with those shares it; it is read-only, and the frame is the caller's
+    own.
     """
     head = parse_header(data)
     n_tx, payload_bits = _frame_geometry(head)

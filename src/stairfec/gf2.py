@@ -11,8 +11,8 @@ most n*n/8 bytes (packed words as in M4RI; Albrecht, Bard & Hart, ACM
 TOMS 2010).  Inversion runs on bit-packed rows so that design-time
 matrices of a few thousand rows invert in seconds.  Read-only results of
 design-time searches, and the codecs that stream readers build, are kept by
-:func:`memoize`, keyed by the integer arguments of the call, while their
-arrays (:func:`nbytes`) fit in ``MEMO_BYTES``.
+:func:`memoize`, keyed by the integer arguments of the call, while the
+arrays they keep alive (:func:`nbytes`) fit in ``MEMO_BYTES``.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import inspect
 import operator
+import types
 from collections import OrderedDict
 
 import numpy as np
@@ -45,11 +46,12 @@ __all__ = [
 ]
 
 # Bytes of arrays that memoized results may hold together in one process;
-# ff(8,3,63) holds 3.3 MiB, ff(10,3,183) about 150 MiB, and the stream
+# ff(8,3,63) holds 3.4 MiB, ff(10,3,183) about 150 MiB, and the stream
 # codecs sc(8,3,63), ff(8,3,63) and pff(8,3,15) L=2 of the benchmark 2.0,
-# 1.6 and 3.0 MiB besides their constructions.
+# 5.0 and 4.6 MiB, their constructions included.
 MEMO_BYTES = 256 << 20
-# (search, its integer arguments) -> (result, nbytes), least recently used first
+# (search, its integer arguments) -> (result, the buffers it holds: id of
+# each base array -> its bytes), least recently used first
 _memo = OrderedDict()
 
 
@@ -222,36 +224,46 @@ def freeze(obj):
             value.setflags(write=False)
 
 
-def _arrays(value):
-    if isinstance(value, np.ndarray):
-        yield value
-    elif isinstance(value, (tuple, list)):
-        for item in value:
-            yield from _arrays(item)
+def _buffers(objs):
+    """The base arrays that ``objs`` hold, as {id: bytes} (see nbytes)."""
+    buffers, seen, todo = {}, set(), list(objs)
+    while todo:
+        value = todo.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            buffers[id(value)] = value.nbytes
+        elif isinstance(value, (tuple, list)):
+            todo.extend(value)
+        elif isinstance(value, dict):
+            todo.extend(value.values())
+        elif (hasattr(value, "__dict__") and not callable(value)
+              and not isinstance(value, types.ModuleType)):
+            todo.extend(vars(value).values())
+    return buffers
 
 
-def _held_arrays(obj):
-    for value in vars(obj).values():
-        yield from _arrays(value)
-    for name in getattr(obj, "owned", ()):
-        yield from _held_arrays(getattr(obj, name))
+def nbytes(*objs):
+    """Bytes of the arrays that ``objs`` hold together, each buffer counted
+    once however many views of it there are and whichever object refers
+    to it.
 
-
-def nbytes(obj):
-    """Bytes of the arrays ``obj`` holds, each buffer counted once however
-    many views of it there are.
-
-    The arrays are those in its attributes, directly or in tuples and
-    lists, and in those of the objects its ``owned`` attribute names.
-    Other objects it refers to, such as a construction or component code
-    that several codecs share, are not counted.
+    The arrays are found in the attributes of each object, in the tuples,
+    lists and dicts there, and likewise in the attributes of every object
+    reached that way (a codec's plan, construction and component codes,
+    a table cached on a code), so the count is what the objects keep alive.
     """
-    buffers = {}
-    for value in _held_arrays(obj):
-        while isinstance(value.base, np.ndarray):
-            value = value.base
-        buffers[id(value)] = value.nbytes
-    return sum(buffers.values())
+    return sum(_buffers(objs).values())
+
+
+def _kept_bytes():
+    kept = {}
+    for _, buffers in _memo.values():
+        kept.update(buffers)
+    return sum(kept.values())
 
 
 def memoize(search):
@@ -259,11 +271,20 @@ def memoize(search):
 
     The key is every argument, defaults included, cast to ``int``; the
     value is the result object itself, so it must be read-only (see
-    :func:`freeze`).  Least recently used results are evicted once the
-    :func:`nbytes` of all kept results exceed ``MEMO_BYTES``; a result
-    larger than that on its own is returned but not kept, and a call that
-    raises keeps nothing.  ``cache_clear()`` forgets this function's
-    results.
+    :func:`freeze`).  Each time a result is kept, least recently used
+    results are evicted until the arrays that the kept results hold
+    together, :func:`nbytes` of them all, fit in ``MEMO_BYTES``.  That
+    count includes what a result shares with others, once: a construction
+    that a kept codec holds stays counted after its own entry is evicted,
+    so eviction goes on until the memory the memo keeps alive fits.  A
+    result larger than ``MEMO_BYTES`` on its own is returned but not kept,
+    and a call that raises keeps nothing.  ``cache_clear()`` forgets this
+    function's results.
+
+    Each entry keeps the buffers its result held when it was kept, so an
+    insert walks only the new result; before evicting, every kept result
+    is walked again, since it may hold more by then (a syndrome table
+    that a component code fetched from this memo at its first decode).
     """
     signature = inspect.signature(search)
 
@@ -278,12 +299,14 @@ def memoize(search):
             _memo.move_to_end(key)
             return _memo[key][0]
         result = search(*bound.args, **bound.kwargs)
-        size = nbytes(result)
-        if size <= MEMO_BYTES:
-            _memo[key] = result, size
-            total = sum(kept for _, kept in _memo.values())
-            while total > MEMO_BYTES:
-                total -= _memo.popitem(last=False)[1][1]
+        buffers = _buffers([result])
+        if sum(buffers.values()) <= MEMO_BYTES:
+            _memo[key] = result, buffers
+            if _kept_bytes() > MEMO_BYTES:
+                for kept, (value, _) in _memo.items():
+                    _memo[kept] = value, _buffers([value])
+                while _kept_bytes() > MEMO_BYTES:
+                    _memo.popitem(last=False)
         return result
 
     def cache_clear():

@@ -7,7 +7,9 @@ results by ``(m, t, s, seed, max_tries)``, ``bch.syndrome_table`` by
 identity, ``window`` and ``l_max``, each within ``gf2.MEMO_BYTES``.
 """
 
+import gc
 import hashlib
+import types
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ CODECS = {
 def cold_memo():
     for search, *_ in SEARCHES.values():
         search.cache_clear()
+    bch.syndrome_table.cache_clear()
     framing._stream_codec.cache_clear()
 
 
@@ -197,6 +200,34 @@ def kept_codecs():
             if key[0] is framing._stream_codec.__wrapped__]
 
 
+def held_bytes(roots):
+    """Bytes of the array buffers reachable from ``roots``, each buffer once,
+    found through ``gc.get_referents`` apart from gf2.nbytes."""
+    skip = (type, types.ModuleType, types.FunctionType,
+            types.BuiltinFunctionType, types.MethodType)
+    buffers, seen, todo = {}, set(), list(roots)
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            buffers[id(obj)] = obj.nbytes
+        else:
+            todo.extend(gc.get_referents(obj))
+    return sum(buffers.values())
+
+
+def kept_results():
+    return [result for result, _ in gf2._memo.values()]
+
+
+def memo_held_bytes():
+    return held_bytes(kept_results())
+
+
 def codec_arrays(value):
     """Every array of a codec and its plan, found apart from gf2.nbytes."""
     if isinstance(value, np.ndarray):
@@ -246,13 +277,14 @@ def test_other_settings_or_identity_give_another_codec(family):
 def test_codec_enters_the_memo_complete(monkeypatch, family):
     body, _ = noisy_body(family, seed=2)
     entering = []
-    nbytes = gf2.nbytes
+    buffers = gf2._buffers
 
-    def recording(result):
-        entering.append((result, result.seed))
-        return nbytes(result)
+    def recording(results):
+        entering.extend((result, getattr(result, "seed", None))
+                        for result in results)
+        return buffers(results)
 
-    monkeypatch.setattr(gf2, "nbytes", recording)
+    monkeypatch.setattr(gf2, "_buffers", recording)
     codec = decoded(body)[0]
     assert (codec, 2) in entering
     assert codec.identity()["seed"] == 2
@@ -294,7 +326,7 @@ def test_codec_larger_than_the_budget_is_built_but_not_kept(monkeypatch,
 
 
 @pytest.mark.parametrize("family", CODECS)
-def test_codec_bytes_count_its_plan_once_and_no_shared_part(family):
+def test_codec_bytes_count_what_it_keeps_alive_once(family):
     args, kwargs = CODECS[family]
     codec = sim.build_codec(family, *args, **kwargs)
     plan = codec.plan
@@ -302,25 +334,79 @@ def test_codec_bytes_count_its_plan_once_and_no_shared_part(family):
     # groups and windows are views of those tables
     slots = {id(table.base) for _, table, _ in plan.stacks}
     assert len(slots) == 1
-    expected = (codec.info_idx.nbytes + codec.info_starts.nbytes
-                + plan.hcols.nbytes + plan.flip_words.nbytes
-                + plan.flip_keys.nbytes
-                + sum(table.nbytes for _, table, _ in plan.stacks))
-    # and nothing of the component codes or the construction, which the
-    # memo charges to their own entries
-    assert gf2.nbytes(codec) == expected
+    own = (codec.info_idx.nbytes + codec.info_starts.nbytes
+           + plan.hcols.nbytes + plan.flip_words.nbytes
+           + plan.flip_keys.nbytes
+           + sum(table.nbytes for _, table, _ in plan.stacks))
+    # the construction (ff/pff) or component code (sc) the codec shares
+    shared = getattr(codec, "cons", codec.code)
+    assert gf2.nbytes(shared) > 0
+    assert gf2.nbytes(codec) == own + gf2.nbytes(shared)
+    assert gf2.nbytes(codec, shared, plan) == gf2.nbytes(codec)
+    assert gf2.nbytes(codec) == held_bytes([codec])
 
 
 def test_views_of_one_buffer_count_once():
     class Holder:
         pass
 
-    holder = Holder()
+    holder, inner = Holder(), Holder()
     base = np.zeros((4, 8), dtype=np.uint8)
     holder.whole, holder.rows = base, base[:2]
     holder.listed = [(base[1:], None), "not an array"]
     holder.other = np.zeros(3, dtype=np.uint16)
     assert gf2.nbytes(holder) == base.nbytes + holder.other.nbytes
+    inner.column = base[:, 0]
+    inner.own = np.zeros(5, dtype=np.int64)
+    holder.keyed = {"inner": inner}
+    expected = base.nbytes + holder.other.nbytes + inner.own.nbytes
+    assert gf2.nbytes(holder) == expected
+    assert gf2.nbytes(holder, inner, base) == expected
+    assert gf2.nbytes(inner) == base.nbytes + inner.own.nbytes
+
+
+def test_memo_keeps_no_more_alive_than_its_budget(monkeypatch):
+    """A kept codec holds its construction.  Once the construction's own
+    entry is evicted, the memo still counts it, through the codec, so the
+    memory that kept results hold stays within MEMO_BYTES."""
+    search = ff.search_construction
+    body, expected = noisy_body("ff")
+    codec = decoded(body)[0]
+    budget = gf2.nbytes(codec) + gf2.nbytes(codec.cons) // 2
+    search.cache_clear()
+    framing._stream_codec.cache_clear()
+    monkeypatch.setattr(gf2, "MEMO_BYTES", budget)
+    codec = decoded(body)[0]
+    assert search(6, 1, 1, seed=0) is codec.cons
+    assert decoded(body)[0] is codec  # the search is now least recent
+    assert memo_held_bytes() <= budget
+    other = search(6, 1, 1, seed=1)  # evicts the search, then the codec
+    assert memo_held_bytes() == gf2.nbytes(*kept_results()) <= budget
+    assert kept_codecs() == []
+    assert search(6, 1, 1, seed=1) is other
+    for seed in range(2, 6):  # streams whose headers differ in their seed
+        body, expected = noisy_body("ff", seed=seed)
+        assert (decoded(body)[2] == expected).all()
+        assert memo_held_bytes() == gf2.nbytes(*kept_results()) <= budget
+        assert len(kept_codecs()) <= 1
+
+
+def test_memo_counts_a_table_cached_on_a_kept_codec(monkeypatch):
+    """The sc codec is kept before its first decode fetches the syndrome
+    table.  When the table's own entry is evicted, the codec that holds
+    it is counted with it."""
+    body, _ = noisy_body("sc")
+    other = gf2.nbytes(ff.search_construction(4, 1, 1))
+    ff.search_construction.cache_clear()
+    bch.syndrome_table.cache_clear()
+    codec = decoded(body)[0]
+    assert codec.code.bdd_table is bch.syndrome_table(0b100101, 2)
+    budget = gf2.nbytes(codec) + other - 1
+    monkeypatch.setattr(gf2, "MEMO_BYTES", budget)
+    assert decoded(body)[0] is codec  # the table is now least recent
+    ff.search_construction(4, 1, 1)  # evicts the table, then the codec
+    assert memo_held_bytes() == gf2.nbytes(*kept_results()) <= budget
+    assert kept_codecs() == []
 
 
 @pytest.mark.parametrize("family", CODECS)
