@@ -8,11 +8,15 @@ constant square matrix is instead packed once by :func:`operand`, its
 columns into uint64 words, and :func:`apply` multiplies by it with a gather
 and XOR of the packed columns each vector selects, so a product reads at
 most n*n/8 bytes (packed words as in M4RI; Albrecht, Bard & Hart, ACM
-TOMS 2010).  Inversion runs on bit-packed rows so that design-time
-matrices of a few thousand rows invert in seconds.  Read-only results of
-design-time searches, and the codecs that stream readers build, are kept by
-:func:`memoize`, keyed by the integer arguments of the call, while the
-arrays they keep alive (:func:`nbytes`) fit in ``MEMO_BYTES``.
+TOMS 2010).  Inversion eliminates on rows packed into uint64 words, eight
+columns per pass: each pass clears one byte of columns in every row with a
+single gathered XOR from a table of the 256 combinations of that byte's
+pivot rows (M4RI's "method of four Russians", same reference), so the
+design-time systems of the benchmark codes, 1152 and 1728 rows, invert in
+tens of milliseconds.  Read-only results of design-time searches, and the
+codecs that stream readers build, are kept by :func:`memoize`, keyed by the
+integer arguments of the call, while the arrays they keep alive
+(:func:`nbytes`) fit in ``MEMO_BYTES``.
 """
 
 from __future__ import annotations
@@ -50,8 +54,9 @@ __all__ = [
 # codecs sc(8,3,63), ff(8,3,63) and pff(8,3,15) L=2 of the benchmark 2.0,
 # 5.0 and 4.6 MiB, their constructions included.
 MEMO_BYTES = 256 << 20
-# (search, its integer arguments) -> (result, the buffers it holds: id of
-# each base array -> its bytes), least recently used first
+# (search, its integer arguments) -> (result, what it holds: {id of each
+# base array: its bytes} and the ids of every object it reaches), least
+# recently used first
 _memo = OrderedDict()
 
 
@@ -132,38 +137,81 @@ def mat_mul(a, b):
     return (prod.astype(np.int64) & 1).astype(np.uint8)
 
 
-def invert(a):
-    """Invert a square GF(2) matrix by Gauss-Jordan elimination.
+def _panel_pivots(col_bytes, r0, k):
+    """``k`` rows from ``r0`` on whose bytes in ``col_bytes``, columns ``r0``
+    to ``r0 + k - 1``, are independent.
 
-    Rows are bit-packed so elimination XORs whole machine words.  Raises
-    :class:`SingularMatrixError` when the rank is deficient; callers that
-    search over permutations treat that as "try the next candidate".
+    The bytes are inserted in row order into an XOR basis keyed by lowest
+    set bit; if the rows run out first, the first bit that is no key is the
+    first column whose leading columns are dependent.
+    """
+    basis, pivots = {}, []
+    rows = r0 + np.flatnonzero(col_bytes[r0:])
+    # about k rows usually suffice, so they are read a few at a time
+    for start in range(0, len(rows), 4 * k):
+        chunk = rows[start : start + 4 * k]
+        for row, value in zip(chunk.tolist(), col_bytes[chunk].tolist()):
+            while value and (value & -value) in basis:
+                value ^= basis[value & -value]
+            if value:
+                basis[value & -value] = value
+                pivots.append(row)
+                if len(pivots) == k:
+                    return pivots
+    col = r0 + next(j for j in range(k) if 1 << j not in basis)
+    raise SingularMatrixError(f"rank deficiency at column {col}")
+
+
+def invert(a):
+    """Invert a square GF(2) matrix by Gauss-Jordan elimination, eight
+    columns per pass.
+
+    ``[a | I]`` is packed by rows into uint64 words.  Each pass reduces one
+    byte of columns with a table of the 2**8 combinations of its pivot rows,
+    as in M4RI's "method of four Russians" (Albrecht, Bard & Hart, ACM TOMS
+    2010): the table is indexed by a row's byte in those columns, so one
+    gathered XOR clears the byte of every row that has a one there.  Raises
+    :class:`SingularMatrixError` when the rank is deficient, naming the
+    first column whose leading columns are dependent; callers that search
+    over permutations treat that as "try the next candidate".
     """
     a = _square(a)
     n = a.shape[0]
     if n == 0:
         return zeros(0, 0)
-    # [a | I] packed row by row, each half padded to whole bytes
-    half = -(-n // 8)
-    packed = np.zeros((n, 2 * half), dtype=np.uint8)
-    packed[:, :half] = np.packbits(a, axis=1)
+    # [a | I] packed row by row, each half padded to whole words; column c
+    # is bit c % 8 of byte c // 8 of its half
+    half = -(-n // 64)
+    packed = np.zeros((n, 2 * half), dtype=np.uint64)
+    by_byte = packed.view(np.uint8)
+    by_byte[:, : -(-n // 8)] = np.packbits(a, axis=1, bitorder="little")
     diag = np.arange(n)
-    packed[diag, half + diag // 8] = 0x80 >> (diag % 8)
-    for col in range(n):
-        byte, shift = divmod(col, 8)
-        bits = (packed[:, byte] >> (7 - shift)) & 1
-        pivots = np.nonzero(bits[col:])[0]
-        if pivots.size == 0:
-            raise SingularMatrixError(f"rank deficiency at column {col}")
-        pivot = col + pivots[0]
-        if pivot != col:
-            packed[[col, pivot]] = packed[[pivot, col]]
-            bits[[col, pivot]] = bits[[pivot, col]]
-        others = np.nonzero(bits)[0]
-        others = others[others != col]
-        if others.size:
-            packed[others] ^= packed[col]
-    return np.unpackbits(packed[:, half:], axis=1, count=n)
+    by_byte[diag, 8 * half + diag // 8] = 1 << (diag % 8)
+    for panel in range(-(-n // 8)):
+        r0 = 8 * panel
+        k = min(8, n - r0)
+        col_bytes = by_byte[:, panel]
+        pivots = _panel_pivots(col_bytes, r0, k)
+        # the words left of this panel are already zero in the pivot rows
+        word = r0 // 64
+        table = np.zeros((1 << k, 2 * half - word), dtype=np.uint64)
+        for j, row in enumerate(pivots):
+            np.bitwise_xor(table[: 1 << j], packed[row, word:],
+                           out=table[1 << j : 2 << j])
+        # the bytes of the combinations are a permutation of range(2**k);
+        # reordered by them, table[c] is the one that clears byte c
+        table = table[np.argsort(table.view(np.uint8)[:, panel % 8])]
+        reduced = table[1 << np.arange(k)]
+        hit = np.flatnonzero(col_bytes)
+        packed[hit, word:] ^= table[col_bytes[hit]]
+        # the pivot rows are zero now; the rows in their new places move
+        # into the places they leave
+        targets = range(r0, r0 + k)
+        packed[sorted(set(pivots) - set(targets))] = \
+            packed[sorted(set(targets) - set(pivots))]
+        packed[r0 : r0 + k, word:] = reduced
+    return np.unpackbits(by_byte[:, 8 * half :], axis=1, count=n,
+                         bitorder="little")
 
 
 def _is_identity(a):
@@ -225,7 +273,8 @@ def freeze(obj):
 
 
 def _buffers(objs):
-    """The base arrays that ``objs`` hold, as {id: bytes} (see nbytes)."""
+    """The base arrays that ``objs`` hold, as {id: bytes} (see nbytes),
+    and the ids of every object reached on the way, ``objs`` included."""
     buffers, seen, todo = {}, set(), list(objs)
     while todo:
         value = todo.pop()
@@ -243,7 +292,7 @@ def _buffers(objs):
         elif (hasattr(value, "__dict__") and not callable(value)
               and not isinstance(value, types.ModuleType)):
             todo.extend(vars(value).values())
-    return buffers
+    return buffers, seen
 
 
 def nbytes(*objs):
@@ -256,12 +305,12 @@ def nbytes(*objs):
     reached that way (a codec's plan, construction and component codes,
     a table cached on a code), so the count is what the objects keep alive.
     """
-    return sum(_buffers(objs).values())
+    return sum(_buffers(objs)[0].values())
 
 
 def _kept_bytes():
     kept = {}
-    for _, buffers in _memo.values():
+    for _, (buffers, _) in _memo.values():
         kept.update(buffers)
     return sum(kept.values())
 
@@ -278,13 +327,17 @@ def memoize(search):
     that a kept codec holds stays counted after its own entry is evicted,
     so eviction goes on until the memory the memo keeps alive fits.  A
     result larger than ``MEMO_BYTES`` on its own is returned but not kept,
-    and a call that raises keeps nothing.  ``cache_clear()`` forgets this
-    function's results.
+    and a call that raises keeps nothing.  A hit makes its result the most
+    recently used, and before it the kept results that it holds (the
+    construction of a kept codec), by object identity, so that a
+    construction is not evicted while a codec that holds it is in use.
+    ``cache_clear()`` forgets this function's results.
 
-    Each entry keeps the buffers its result held when it was kept, so an
-    insert walks only the new result; before evicting, every kept result
-    is walked again, since it may hold more by then (a syndrome table
-    that a component code fetched from this memo at its first decode).
+    Each entry keeps the buffers and objects its result held when it was
+    kept, so an insert walks only the new result and a hit walks nothing;
+    before evicting, every kept result is walked again, since it may hold
+    more by then (a syndrome table that a component code fetched from this
+    memo at its first decode).
     """
     signature = inspect.signature(search)
 
@@ -296,12 +349,16 @@ def memoize(search):
             bound.arguments[name] = operator.index(value)
         key = (search, *bound.arguments.values())
         if key in _memo:
+            result, (_, reached) = _memo[key]
+            for kept in [kept for kept, (value, _) in _memo.items()
+                         if id(value) in reached]:
+                _memo.move_to_end(kept)
             _memo.move_to_end(key)
-            return _memo[key][0]
+            return result
         result = search(*bound.args, **bound.kwargs)
-        buffers = _buffers([result])
-        if sum(buffers.values()) <= MEMO_BYTES:
-            _memo[key] = result, buffers
+        held = _buffers([result])
+        if sum(held[0].values()) <= MEMO_BYTES:
+            _memo[key] = result, held
             if _kept_bytes() > MEMO_BYTES:
                 for kept, (value, _) in _memo.items():
                     _memo[kept] = value, _buffers([value])

@@ -44,6 +44,36 @@ def rank(a):
     return r
 
 
+def invert(a):
+    """GF(2) inverse by bit-packed Gauss-Jordan elimination, one column per
+    pass: the oracle for ``gf2.invert``, raising the same error."""
+    a = np.asarray(a, dtype=np.uint8)
+    n = a.shape[0]
+    if n == 0:
+        return gf2.zeros(0, 0)
+    # [a | I] packed row by row, each half padded to whole bytes
+    half = -(-n // 8)
+    packed = np.zeros((n, 2 * half), dtype=np.uint8)
+    packed[:, :half] = np.packbits(a, axis=1)
+    diag = np.arange(n)
+    packed[diag, half + diag // 8] = 0x80 >> (diag % 8)
+    for col in range(n):
+        byte, shift = divmod(col, 8)
+        bits = (packed[:, byte] >> (7 - shift)) & 1
+        pivots = np.nonzero(bits[col:])[0]
+        if pivots.size == 0:
+            raise gf2.SingularMatrixError(f"rank deficiency at column {col}")
+        pivot = col + pivots[0]
+        if pivot != col:
+            packed[[col, pivot]] = packed[[pivot, col]]
+            bits[[col, pivot]] = bits[[pivot, col]]
+        others = np.nonzero(bits)[0]
+        others = others[others != col]
+        if others.size:
+            packed[others] ^= packed[col]
+    return np.unpackbits(packed[:, half:], axis=1, count=n)
+
+
 def elementary_perm(m, i):
     """E_m**i: identity with each row cyclically shifted right by i."""
     if m < 1:

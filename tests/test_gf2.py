@@ -113,6 +113,75 @@ def test_invert_singular_raises():
         gf2.invert(a)
 
 
+# straddling the byte (8 columns) and word (64 columns) boundaries of the
+# packed rows
+INVERT_SIZES = [1, 7, 8, 9, 63, 64, 65, 127, 130]
+
+
+def random_matrix(rng, n, density):
+    return (rng.random((n, n)) < density).astype(np.uint8)
+
+
+def dense_invertible(rng, n):
+    while True:
+        a = random_matrix(rng, n, 0.5)
+        if reference.rank(a) == n:
+            return a
+
+
+def sparse_invertible(rng, n):
+    """Rows and columns of a unit upper triangular matrix shuffled: about
+    1 + n/100 ones per row."""
+    upper = np.triu(rng.random((n, n)) < 0.02, 1) | np.eye(n, dtype=bool)
+    return upper[rng.permutation(n)][:, rng.permutation(n)].astype(np.uint8)
+
+
+def inverse_or_error(invert, a):
+    try:
+        return invert(a)
+    except gf2.SingularMatrixError as err:
+        return str(err)
+
+
+def assert_inverts_like_reference(a):
+    expected = inverse_or_error(reference.invert, a)
+    got = inverse_or_error(gf2.invert, a)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == np.uint8
+        assert got.shape == expected.shape and (got == expected).all()
+
+
+@pytest.mark.parametrize("n", INVERT_SIZES)
+def test_invert_matches_reference(n):
+    rng = np.random.default_rng(100 + n)
+    for a in (dense_invertible(rng, n), sparse_invertible(rng, n)):
+        assert reference.rank(a) == n
+        assert_inverts_like_reference(a)
+    # mostly singular, sparse ones nearly always
+    for density in (0.5, 0.5, 0.5, 0.01, 0.02, 0.03):
+        assert_inverts_like_reference(random_matrix(rng, n, density))
+
+
+@pytest.mark.parametrize("n", INVERT_SIZES)
+def test_invert_reports_the_reference_column(n):
+    """Column ``col`` made a sum of earlier columns of an invertible matrix
+    is the first dependent one, inside a panel of eight columns, at its
+    first column or in the last, partial panel."""
+    rng = np.random.default_rng(200 + n)
+    cols = sorted({0, 8 * (n // 16), min(n - 1, 8 * (n // 16) + 3),
+                   8 * ((n - 1) // 8), n - 1})
+    for base in (dense_invertible(rng, n), sparse_invertible(rng, n)):
+        for col in cols:
+            a = base.copy()
+            a[:, col] = a[:, :col].astype(int) @ rng.integers(0, 2, col) % 2
+            for invert in (reference.invert, gf2.invert):
+                with pytest.raises(gf2.SingularMatrixError) as err:
+                    invert(a)
+                assert str(err.value) == f"rank deficiency at column {col}"
+
+
 def test_rank():
     assert reference.rank(gf2.identity(5)) == 5
     assert reference.rank(gf2.zeros(3, 4)) == 0

@@ -391,6 +391,41 @@ def test_memo_keeps_no_more_alive_than_its_budget(monkeypatch):
         assert len(kept_codecs()) <= 1
 
 
+def test_codec_hit_keeps_its_construction_recent(monkeypatch):
+    """A hit on a kept codec refreshes the search entry of the construction
+    it holds, so an insert that must evict takes an entry used less
+    recently than the codec, not the search, and a direct search with the
+    codec's arguments still finds it."""
+    search = ff.search_construction
+    body, _ = noisy_body("ff")
+    small = gf2.nbytes(search(4, 1, 1, seed=0))
+    codec = decoded(body)[0]
+    budget = gf2.nbytes(codec) + small  # the codec holds its construction
+    search.cache_clear()
+    framing._stream_codec.cache_clear()
+    monkeypatch.setattr(gf2, "MEMO_BYTES", budget)
+    cons = search(6, 1, 1, seed=0)
+    codec = decoded(body)[0]
+    assert codec.cons is cons
+    search(4, 1, 1, seed=0)  # the small entry, more recent than the search
+    assert decoded(body)[0] is codec
+    assert gf2.nbytes(search(4, 1, 1, seed=1)) == small  # evicts one entry
+    kept = [key[1:5] for key in gf2._memo
+            if key[0] is search.__wrapped__]
+    assert kept == [(6, 1, 1, 0), (4, 1, 1, 1)]
+    assert kept_codecs() != []
+    built = []
+    build = ff.build_construction
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(ff, "build_construction", counting)
+    assert search(6, 1, 1, seed=0) is codec.cons
+    assert built == []
+
+
 def test_memo_counts_a_table_cached_on_a_kept_codec(monkeypatch):
     """The sc codec is kept before its first decode fetches the syndrome
     table.  When the table's own entry is evicted, the codec that holds
