@@ -8,14 +8,17 @@ x^(n-1-i); the s shortened positions are the leading information positions
 of the parent code and are never transmitted or flipped.
 
 Decoding is bounded-distance (BDD) and works from syndromes.  A word's odd
-syndromes S_1, S_3, ..., S_(2t-1), as field ints, come from one float32
-matmul against a bit table (``odd_syndromes``); the even ones follow from
-S_2j = S_j^2.  A unit error at position i has the odd syndromes
-``odd_columns[i]``, so a caller that keeps syndromes can update them per
-flip.  ``decode_batch`` screens, packs and decodes a matrix of received
-words; ``decode_syndromes`` decodes a batch of words known by their
-syndromes.  A word's result depends on that word alone, so a batch decodes
-exactly as its words would one by one.
+syndromes S_1, S_3, ..., S_(2t-1) come from one float32 matmul against a
+bit table, packed into its key (``syndrome_keys``): m bits per syndrome,
+S_1 lowest, floor(64/m) syndromes per uint64, so ``key_words`` =
+ceil(t / floor(64/m)) words, one for every code with t*m <= 64.  The even
+syndromes follow from S_2j = S_j^2.  Keys are linear: a unit error at
+position i has the key ``column_keys[i]``, and a caller that keeps keys
+updates them per flip by XOR.  ``decode_batch`` screens and decodes a
+matrix of received words; ``decode_syndromes`` decodes a batch of words
+known by their keys, unpacking the syndromes it needs (``key_fields``).  A
+word's result depends on that word alone, so a batch decodes exactly as its
+words would one by one.
 
 BDD is one lookup in a :class:`SyndromeTable`, which lists error patterns
 of weight <= t of the parent cyclic code of length N = 2^m - 1 by their
@@ -104,15 +107,30 @@ def table_bytes(m, t):
     return 2 * math.comb((1 << m) - 1, t - 1) * (8 + 2 * t)
 
 
-def _increasing(order, k, start=0):
-    """Every strictly increasing k-tuple of range(start, order), in blocks
-    of at most ``order`` rows that share all entries but the last."""
-    if k <= 1:
-        yield np.arange(start, order)[:, None] if k else np.zeros((1, 0), int)
+def _increasing(order, k, chunk=1 << 12):
+    """Every strictly increasing k-tuple of range(order), in blocks of at
+    most ``chunk`` rows, or of the tuples of one first entry where those
+    alone are more."""
+    if k == 0:
+        yield np.zeros((1, 0), dtype=np.intp)
         return
-    for first in range(start, order - k + 1):
-        for block in _increasing(order, k - 1, first + 1):
-            yield np.column_stack([np.full(len(block), first), block])
+    # the tuples starting at f number C(order - 1 - f, k - 1)
+    ends = np.cumsum([math.comb(order - 1 - f, k - 1)
+                      for f in range(order - k + 1)])
+    f0 = 0
+    while f0 < len(ends):
+        done = ends[f0 - 1] if f0 else 0
+        f1 = max(f0 + 1, int(np.searchsorted(ends, done + chunk, "right")))
+        tuples = np.arange(f0, f1)[:, None]
+        for _ in range(k - 1):
+            # each tuple goes on with every entry above its last
+            last = tuples[:, -1]
+            counts = order - 1 - last
+            row = np.repeat(np.arange(len(tuples)), counts)
+            step = np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
+            tuples = np.column_stack([tuples[row], last[row] + 1 + step])
+        yield tuples
+        f0 = f1
 
 
 class SyndromeTable:
@@ -120,7 +138,7 @@ class SyndromeTable:
 
     ``keys`` is sorted and ends with a sentinel above every key.  Entry i
     is the pattern whose locators are alpha^e for the exponents e in
-    ``locators[i]`` (padded with -1): the empty pattern, the patterns with
+    ``locators[i]`` (padded with -N): the empty pattern, the patterns with
     S_1 = 1, and those with S_1 = 0, each keyed by its odd syndromes
     S_1, S_3, ..., S_(2t-1) packed m bits apiece, S_1 lowest.
     """
@@ -138,23 +156,24 @@ def build_syndrome_table(field, t):
     the last locator is S_1 plus theirs, and the pattern is kept once, when
     that locator's exponent is the largest.  No two patterns of weight <= t
     share their syndromes, since the parent code has distance >= 2t + 1.
-    The choices go in blocks of at most N, so the build holds no large
-    temporary array besides the table.
+    The choices go in blocks of at most 4096 (:func:`_increasing`), so the
+    build holds no large temporary array besides the table.
     """
     order, m = field.order, field.m
     odd = np.arange(1, 2 * t, 2)[:, None, None]
     weights = np.left_shift(1, m * np.arange(t), dtype=np.int64)
-    dtype = np.min_scalar_type(-order)  # locators, with -1 for padding
-    keys, locators = [np.zeros(1, np.int64)], [np.full((1, t), -1, dtype)]
-    for s1 in (1, 0):
-        for w in range(1, t + 1):
-            for chosen in _increasing(order, w - 1):
-                last = s1 ^ np.bitwise_xor.reduce(field.exp[chosen], axis=1)
+    dtype = np.min_scalar_type(-order)  # locators, with -N for padding
+    keys, locators = [np.zeros(1, np.int64)], [np.full((1, t), -order, dtype)]
+    for w in range(1, t + 1):
+        for chosen in _increasing(order, w - 1):
+            rest = np.bitwise_xor.reduce(field.exp[chosen], axis=1)
+            for s1 in (1, 0):
+                last = s1 ^ rest
                 keep = last != 0
                 last = field.log[last]
                 if w > 1:
                     keep &= last > chosen[:, -1]
-                locs = np.full((np.count_nonzero(keep), t), -1)
+                locs = np.full((np.count_nonzero(keep), t), -order)
                 locs[:, : w - 1] = chosen[keep]
                 locs[:, w - 1] = last[keep]
                 synd = np.bitwise_xor.reduce(
@@ -162,7 +181,7 @@ def build_syndrome_table(field, t):
                 keys.append(weights @ synd)
                 locators.append(locs.astype(dtype))
     keys.append([np.iinfo(np.int64).max])
-    locators.append(np.full((1, t), -1, dtype))
+    locators.append(np.full((1, t), -order, dtype))
     keys = np.concatenate(keys)
     by_key = np.argsort(keys)
     keys = keys[by_key]
@@ -249,14 +268,28 @@ class ComponentCode:
         # whole decode chain runs on sign-flipped exponents for column codes.
         sign = -1 if self.reciprocal else 1
         # alpha^(sign*j*deg) for odd j < 2t: the odd syndromes of a unit
-        # error at each position, as field ints and as float32 bits (exact
-        # for n < 2**24); a binary word's even syndromes are S_2j = S_j^2.
+        # error at each position, as float32 bits (exact for n < 2**24); a
+        # binary word's even syndromes are S_2j = S_j^2.
         odd = f.exp[(sign * np.arange(1, 2 * t, 2)[:, None] * degs) % order]
-        self.odd_columns = np.ascontiguousarray(odd.T, dtype=np.uint16)
         bits = (odd[:, :, None] >> np.arange(m)) & 1
         self._check_bits = np.ascontiguousarray(
             bits.transpose(1, 0, 2).reshape(n, t * m), dtype=np.float32)
-        self._bit_weights = 1 << np.arange(m)
+        # A key packs S_1, S_3, ... m bits apiece, S_1 lowest, into
+        # key_words uint64 words of 64 // m fields each.  Bit b of field j
+        # is bit shift[j] + b of word word[j].
+        per_word = 64 // m
+        self.key_words = -(-t // per_word)
+        word = np.arange(t) // per_word
+        self._field_shift = np.arange(t) % per_word * m
+        self._field_mask = (1 << m) - 1
+        # a one-word key broadcasts against the shifts, with no gather
+        self._field_word = slice(0, 1) if self.key_words == 1 else word
+        key_bits = np.zeros((t * m, self.key_words), dtype=np.uint64)
+        key_bits[np.arange(t * m), word.repeat(m)] = [
+            1 << (int(self._field_shift[i // m]) + i % m)
+            for i in range(t * m)]
+        self._key_bits = key_bits.view(np.int64)  # wraps past 2**63
+        self.column_keys = self._keys(self._check_bits.astype(np.int64))
         # Log 0 is a sentinel ``big`` and exp reads 0 from ``big`` on, so a
         # zero factor needs no mask: sums of true logs stay below ``big``.
         big = 4 * order
@@ -276,27 +309,46 @@ class ComponentCode:
         squares = 1 << np.arange(self._syn_square.max() + 1)
         self._log_pow = squares[:, None] * self._log % order
         self._log_pow[:, 0] = big
+        # decided once: the lookup tables below exist only for table codes
+        self._by_table = table_bytes(m, t) <= TABLE_BYTES
+        if not self._by_table:
+            return
         # Table lookup: S_k * alpha^(-k*j) reads exp at log S_k + (N - k)*j
-        # mod N, and a key packs the scaled S_1, S_3, ... m bits apiece.
-        self._sign = sign
-        self._unshift = order - np.arange(1, 2 * t, 2)
+        # mod N, where S_1 = alpha^j; row S_1 of _unshift holds (N - k)*j
+        # mod N.  A key packs the scaled S_1, S_3, ... m bits apiece.
+        self._unshift = (
+            (order - np.arange(1, 2 * t, 2)) * f.log[:, None] % order)
         self._key_weights = np.left_shift(1, m * np.arange(t), dtype=np.int64)
+        # A locator e shifted back by j lies at degree sign*(e + j) mod N,
+        # which is position n - 1 - degree (negative past the shortened
+        # code); _position reads that at e + j, and n, no position, at a
+        # pad's -N + j, which indexes its last N entries.
+        self._position = np.full(3 * order, n)
+        self._position[: 2 * order - 1] = (
+            n - 1 - sign * np.arange(2 * order - 1) % order)
 
     def _syndrome_bits(self, words):
         prod = np.asarray(words, dtype=np.float32) @ self._check_bits
-        return prod.astype(np.int32) & 1
+        return prod.astype(np.int64) & 1
 
-    def _pack(self, bits):
-        """Odd-syndrome bits (rows, t*m) to field ints (rows, t)."""
-        return bits.reshape(len(bits), self.t, self.m) @ self._bit_weights
+    def _keys(self, bits):
+        """Odd-syndrome bits (rows, t*m) to keys (rows, key_words)."""
+        return (bits @ self._key_bits).view(np.uint64)
 
     def words_with_errors(self, words):
         """Boolean mask of rows whose syndrome is nonzero (batch test)."""
         return self._syndrome_bits(words).any(axis=1)
 
-    def odd_syndromes(self, words):
-        """S_1, S_3, ..., S_(2t-1) of every row of ``words``, as field ints."""
-        return self._pack(self._syndrome_bits(words))
+    def syndrome_keys(self, words):
+        """The key of every row of ``words``: its odd syndromes S_1, S_3,
+        ..., S_(2t-1), packed m bits apiece into ``key_words`` uint64s."""
+        return self._keys(self._syndrome_bits(words))
+
+    def key_fields(self, keys):
+        """S_1, S_3, ..., S_(2t-1) as field ints (int64) from keys whose
+        first ``key_words`` columns hold them."""
+        words = keys.view(np.int64)[:, self._field_word]
+        return (words >> self._field_shift) & self._field_mask
 
     @functools.cached_property
     def bdd_table(self):
@@ -308,15 +360,17 @@ class ComponentCode:
         first, and a table built then would sit under the search's
         temporary arrays and add to the process's peak memory.
         """
-        if table_bytes(self.m, self.t) > TABLE_BYTES:
+        if not self._by_table:
             return None
         return syndrome_table(self.field.poly, self.t)
 
-    def decode_syndromes(self, rows, synd):
-        """Bounded-distance decode of words known by their odd syndromes.
+    def decode_syndromes(self, rows, keys):
+        """Bounded-distance decode of words known by their syndrome keys.
 
-        ``synd[i]`` holds S_1, S_3, ..., S_(2t-1) of word ``rows[i]`` as
-        field ints.  Returns ``(ok, flip_rows, pos)``: ``ok[i]`` is False
+        ``keys[i]`` is the key of word ``rows[i]`` (:meth:`syndrome_keys`;
+        columns past ``key_words`` are ignored), from which its odd
+        syndromes S_1, S_3, ..., S_(2t-1) are unpacked as field ints.
+        Returns ``(ok, flip_rows, pos)``: ``ok[i]`` is False
         where word ``rows[i]`` has no codeword within distance t; accepted
         corrections flip position ``pos[j]`` of word ``flip_rows[j]``, in
         order of word, then position.
@@ -333,27 +387,28 @@ class ComponentCode:
         :func:`table_bytes` exceeds ``TABLE_BYTES``) runs
         :meth:`berlekamp_chien` instead.
         """
+        synd = self.key_fields(keys)
         table = self.bdd_table
         if table is None:
             return self.berlekamp_chien(rows, synd)
-        n, order = self.n, self.field.order
-        shift = self.field.log[synd[:, 0]]  # log 0 reads 0: no shift
-        scaled = self._unshift * shift[:, None]
-        scaled %= order
+        s1 = synd[:, 0]
+        shift = self.field.log[s1]  # log 0 reads 0: no shift
+        scaled = self._unshift.take(s1, axis=0)
         scaled += self._log[synd]
-        keys = self._exp[scaled] @ self._key_weights
-        entry = np.searchsorted(table.keys, keys)  # the sentinel bounds it
-        found = table.keys[entry] == keys
-        locs = table.locators[entry]
-        degree = self._sign * (locs + shift[:, None]) % order
-        pos = np.where(locs < 0, n, n - 1 - degree)  # a pad reads n
-        ok = found & (pos >= 0).all(axis=1)
-        pos = np.sort(pos[ok], axis=1)
-        flip, col = np.nonzero(pos < n)
+        lookup = self._exp[scaled] @ self._key_weights
+        entry = table.keys.searchsorted(lookup)  # the sentinel bounds it
+        found = table.keys[entry] == lookup
+        locs = table.locators.take(entry, axis=0)
+        pos = self._position[locs + shift[:, None]]
+        ok = found & (pos.min(axis=1) >= 0)
+        pos = pos[ok]
+        pos.sort(axis=1)
+        flip, col = (pos < self.n).nonzero()  # a pad reads n
         return ok, rows[ok][flip], pos[flip, col]
 
     def berlekamp_chien(self, rows, synd):
-        """:meth:`decode_syndromes` by Berlekamp-Massey and a Chien search.
+        """:meth:`decode_syndromes` by Berlekamp-Massey and a Chien search,
+        from the field ints ``synd`` (:meth:`key_fields`) of the keys.
 
         Binary Berlekamp-Massey takes t steps (its odd discrepancies
         vanish); a word is accepted when L <= t and the Chien search finds
@@ -411,13 +466,12 @@ class ComponentCode:
         ``ok[w]`` is False where row w has no codeword within distance t;
         accepted corrections flip position ``pos[i]`` of row ``rows[i]``.
         """
-        bits = self._syndrome_bits(words)
-        flagged = np.flatnonzero(bits.any(axis=1))
-        ok = np.ones(len(bits), dtype=bool)
+        keys = self.syndrome_keys(words)
+        flagged = np.flatnonzero(keys.any(axis=1))
+        ok = np.ones(len(keys), dtype=bool)
         if flagged.size == 0:
             return ok, flagged, flagged
-        ok[flagged], rows, pos = self.decode_syndromes(
-            flagged, self._pack(bits[flagged]))
+        ok[flagged], rows, pos = self.decode_syndromes(flagged, keys[flagged])
         return ok, rows, pos
 
     def decode(self, word):

@@ -88,14 +88,12 @@ def operand(a):
     """
     a = _square(a)
     n = len(a)
-    words = -(-n // 64)
-    # rows zero-padded to whole words; by8[b, k] is row 8b + k
-    by8 = zeros(64 * words, n)
-    by8[:n] = a
-    by8 = by8.reshape(8 * words, 8, n)
-    packed = by8[:, 0].copy()
-    for k in range(1, 8):
-        packed |= by8[:, k] << k
+    # byte b of column j holds rows 8b..8b+7, zero-padded to whole words;
+    # built a bit plane at a time, so no temporary exceeds n*n/8 bytes
+    packed = zeros(8 * -(-n // 64), n)
+    for k in range(8):
+        rows = a[k::8]
+        packed[: len(rows)] |= rows << k
     return np.ascontiguousarray(packed.T).view(np.uint64)
 
 
@@ -110,14 +108,19 @@ def apply(op, x):
     n = op.shape[0]
     if x.shape[-1:] != (n,):
         raise ValueError(f"dimension mismatch: {n}x{n} @ {x.shape}")
-    flat = x.reshape(-1, n)
-    acc = np.empty((len(flat), op.shape[1]), dtype=np.uint64)
-    for out, v in zip(acc, flat):
+    bits = np.unpackbits(_packed_products(op, x.reshape(-1, n)).view(np.uint8),
+                         axis=1, count=n, bitorder="little")
+    return bits.reshape(x.shape)
+
+
+def _packed_products(op, vectors):
+    """``a @ v`` for every row ``v`` of ``vectors``, packed as ``op`` packs
+    a column."""
+    acc = np.empty((len(vectors), op.shape[1]), dtype=np.uint64)
+    for out, v in zip(acc, vectors):
         np.bitwise_xor.reduce(np.take(op, np.flatnonzero(v), axis=0),
                               axis=0, out=out)
-    bits = np.unpackbits(acc.view(np.uint8), axis=1, count=n,
-                         bitorder="little")
-    return bits.reshape(x.shape)
+    return acc
 
 
 def mat_mul(a, b):
@@ -214,22 +217,31 @@ def invert(a):
                          bitorder="little")
 
 
-def _is_identity(a):
-    # without an n x n identity to compare against
-    return np.count_nonzero(a) == len(a) and a.diagonal().all()
+def _is_packed_identity(prod):
+    """Whether packed columns (:func:`operand`'s layout) are those of the
+    identity: column j is bit j alone, padding included.  Clears the
+    diagonal bits of ``prod`` on the way."""
+    by_byte = prod.view(np.uint8)
+    diag = np.arange(len(by_byte))
+    if not (by_byte[diag, diag // 8] == 1 << diag % 8).all():
+        return False
+    by_byte[diag, diag // 8] = 0
+    return not by_byte.any()
 
 
 def verify_inverse(a, a_inv):
     """``a_inv`` as bits once ``a_inv @ a`` is the identity; ValueError if not.
 
     For square matrices that is the same as ``a @ a_inv`` being the
-    identity.  The product is taken packed (:func:`apply`), one XOR of
-    columns of ``a_inv`` per column of ``a``, so it costs the ones of ``a``.
+    identity.  The product is taken and compared packed, one XOR of
+    columns of ``a_inv`` per column of ``a``, so it costs the ones of ``a``
+    and holds n*n/8 bytes, not the n*n of an unpacked product.
     """
     a = np.asarray(a)
     a_inv = np.asarray(a_inv, dtype=np.uint8)
-    if (a_inv.shape != a.shape or (a_inv > 1).any()
-            or not _is_identity(apply(operand(a_inv), a.T))):
+    if (a_inv.shape != a.shape or a_inv.max(initial=0) > 1
+            or not _is_packed_identity(
+                _packed_products(operand(a_inv), a.T))):
         raise ValueError(f"the stored {a_inv.shape} inverse of a {a.shape} "
                          "matrix fails verification")
     return a_inv

@@ -289,6 +289,47 @@ def bdd(code, word):
     return True, roots
 
 
+def _increasing(order, k, start=0):
+    """Every strictly increasing k-tuple of range(start, order), in blocks
+    of at most ``order`` rows that share all entries but the last."""
+    if k <= 1:
+        yield np.arange(start, order)[:, None] if k else np.zeros((1, 0), int)
+        return
+    for first in range(start, order - k + 1):
+        for block in _increasing(order, k - 1, first + 1):
+            yield np.column_stack([np.full(len(block), first), block])
+
+
+def syndrome_table(field, t):
+    """``bch.build_syndrome_table`` with the choices of w - 1 exponents
+    enumerated block by block in Python: (keys, locators)."""
+    order, m = field.order, field.m
+    odd = np.arange(1, 2 * t, 2)[:, None, None]
+    weights = np.left_shift(1, m * np.arange(t), dtype=np.int64)
+    dtype = np.min_scalar_type(-order)  # locators, with -N for padding
+    keys, locators = [np.zeros(1, np.int64)], [np.full((1, t), -order, dtype)]
+    for s1 in (1, 0):
+        for w in range(1, t + 1):
+            for chosen in _increasing(order, w - 1):
+                last = s1 ^ np.bitwise_xor.reduce(field.exp[chosen], axis=1)
+                keep = last != 0
+                last = field.log[last]
+                if w > 1:
+                    keep &= last > chosen[:, -1]
+                locs = np.full((np.count_nonzero(keep), t), -order)
+                locs[:, : w - 1] = chosen[keep]
+                locs[:, w - 1] = last[keep]
+                synd = np.bitwise_xor.reduce(
+                    field.exp[odd * locs[:, :w] % order], axis=2)
+                keys.append(weights @ synd)
+                locators.append(locs.astype(dtype))
+    keys.append([np.iinfo(np.int64).max])
+    locators.append(np.full((1, t), -order, dtype))
+    keys = np.concatenate(keys)
+    by_key = np.argsort(keys)
+    return keys[by_key], np.concatenate(locators)[by_key]
+
+
 def decode_one_at_a_time(buf, schedule, l_max):
     """The sliding-window loop with one scalar BDD per flagged word.
 

@@ -42,10 +42,11 @@ def batches(draw):
 
 def berlekamp_chien_batch(code, words):
     """``decode_batch`` with the flagged words decoded by Berlekamp-Massey."""
-    synd = code.odd_syndromes(words)
-    flagged = np.flatnonzero(synd.any(axis=1))
+    keys = code.syndrome_keys(words)
+    flagged = np.flatnonzero(keys.any(axis=1))
     ok = np.ones(len(words), dtype=bool)
-    ok[flagged], rows, pos = code.berlekamp_chien(flagged, synd[flagged])
+    ok[flagged], rows, pos = code.berlekamp_chien(
+        flagged, code.key_fields(keys[flagged]))
     return ok, rows, pos
 
 
@@ -87,12 +88,16 @@ def test_table_and_berlekamp_chien_agree_on_every_syndrome(m, t, s, reciprocal):
     assert code.bdd_table is not None
     q = 1 << m
     every = np.stack(np.meshgrid(*[np.arange(q)] * t, indexing="ij"), axis=-1)
-    every = every.reshape(-1, t)[1:].astype(np.uint16)  # nonzero syndromes
+    every = every.reshape(-1, t)[1:]  # nonzero syndromes
+    # one-word keys: S_1, S_3, ... m bits apiece, S_1 lowest
+    keys = (every @ (1 << m * np.arange(t))).astype(np.uint64)[:, None]
+    assert code.key_words == 1
+    assert (code.key_fields(keys) == every).all()
     accepted = 0
     for start in range(0, len(every), 8192):  # bounds the Chien search's terms
         synd = every[start : start + 8192]
         rows = start + np.arange(len(synd))
-        table = code.decode_syndromes(rows, synd)
+        table = code.decode_syndromes(rows, keys[start : start + 8192])
         chien = code.berlekamp_chien(rows, synd)
         for got, expect in zip(table, chien):
             assert got.shape == expect.shape and (got == expect).all()
@@ -132,9 +137,49 @@ def test_table_holds_every_pattern_once():
     # alpha^a + alpha^b = 1, each once: (N - 1) / 2 of them
     assert len(table.keys) == 1 + 1 + (field.order - 1) // 2 + 1  # sentinel
     for key, locs in zip(table.keys[:-1], table.locators[:-1]):
+        assert (locs[locs < 0] == -field.order).all()  # the pads
         locs = locs[locs >= 0]
         s1, s3 = 0, 0
         for e in locs.tolist():
             s1 ^= field.pow_alpha(e)
             s3 ^= field.pow_alpha(3 * e)
         assert s1 in (0, 1) and key == s1 | s3 << 5
+
+
+@pytest.mark.parametrize("m,t", [(5, 4), (6, 4), (7, 4), (5, 2), (8, 3)])
+def test_table_build_matches_block_by_block_enumeration(m, t):
+    field = bch.GaloisField(m)
+    table = bch.build_syndrome_table(field, t)
+    keys, locators = reference.syndrome_table(field, t)
+    assert table.keys.dtype == keys.dtype and (table.keys == keys).all()
+    assert table.locators.dtype == locators.dtype
+    assert (table.locators == locators).all()
+
+
+@pytest.mark.parametrize("m,t,s", [(10, 7, 823), (8, 3, 63), (8, 8, 100)])
+def test_keys_pack_the_odd_syndromes(m, t, s):
+    """Keys hold S_1, S_3, ... m bits apiece, 64 // m fields per uint64,
+    however many words that takes: (10, 7) two, (8, 8) all 64 bits of one."""
+    code = ComponentCode(m, t, s)
+    per_word = 64 // m
+    assert code.key_words == -(-t // per_word)
+    rng = np.random.default_rng(4)
+    words = rng.integers(0, 2, (6, code.n), dtype=np.uint8)
+    words[0] = 0
+    words[1] = code.systematic_encode(rng.integers(0, 2, code.k,
+                                                   dtype=np.uint8))
+    keys = code.syndrome_keys(words)
+    assert keys.dtype == np.uint64 and keys.shape == (6, code.key_words)
+    for word, key, fields in zip(words, keys, code.key_fields(keys)):
+        odd = reference.syndromes(code, word)[::2]
+        assert fields.tolist() == odd
+        expect = [0] * code.key_words
+        for j, value in enumerate(odd):
+            expect[j // per_word] |= value << (j % per_word * m)
+        assert key.tolist() == expect
+    assert not keys[:2].any()
+    # keys are linear: a unit error's key XORs into the word's
+    flipped = words[2].copy()
+    flipped[5] ^= 1
+    assert (code.syndrome_keys(flipped[None])[0]
+            == keys[2] ^ code.column_keys[5]).all()

@@ -36,30 +36,77 @@ def test_kept_syndromes_and_result_match_word_by_word_loop(case, p, seed):
                 for window in codec.plan.windows]
     expect_sweeps = reference.decode_one_at_a_time(expect, schedule,
                                                    codec.l_max)
-    sweeps, synd = engine.decode(frame.buf, codec.plan, codec.l_max)
+    sweeps, keys = engine.decode(frame.buf, codec.plan, codec.l_max)
     assert (frame.buf == expect).all()
     assert sweeps == expect_sweeps
-    # the kept syndromes equal a fresh computation; the last row is scratch
-    assert (synd[:-1] == codec.plan.syndromes(frame.buf)[:-1]).all()
+    # the kept keys equal a fresh computation; the last row is scratch
+    assert (keys[:-1] == codec.plan.syndromes(frame.buf)[:-1]).all()
 
 
-def test_flip_table_lists_every_holder_of_a_slot():
-    codec = build_codec(*CODECS[3][:4], **CODECS[3][4])
+@pytest.mark.parametrize("p", [0.02, 0.04])
+def test_two_word_keys_match_word_by_word_loop(p):
+    """sc(10,7,823): t*m = 70 bits, so a key takes two uint64 words and the
+    code decodes by Berlekamp-Massey."""
+    codec = build_codec("sc", 10, 7, 823, length=3, window=3, l_max=4)
+    assert codec.plan.width == codec.code.key_words == 2
+    assert codec.code.bdd_table is None
+    rng = np.random.default_rng(0)
+    frame = codec.encode_payload(
+        rng.integers(0, 2, codec.payload_bits, dtype=np.uint8))
+    bsc_corrupt(codec, frame, p, rng)
+
+    expect = frame.buf.copy()
+    schedule = [[(code, words) for code, words, _ in window]
+                for window in codec.plan.windows]
+    expect_sweeps = reference.decode_one_at_a_time(expect, schedule,
+                                                   codec.l_max)
+    sweeps, keys = engine.decode(frame.buf, codec.plan, codec.l_max)
+    assert (frame.buf == expect).all()
+    assert sweeps == expect_sweeps
+    assert (keys[:-1] == codec.plan.syndromes(frame.buf)[:-1]).all()
+    if p > 0.03:
+        # words left uncorrected, some with syndromes in the second word
+        assert keys[:-1, 1].any()
+
+
+def check_flip_table(codec):
+    """The flip table lists every slot's holders, (word, key of a unit error
+    at its position), as the word tables give them, and the zero slot's
+    entries are all scratch; returns the holders."""
     plan = codec.plan
     zero = codec.n_tx
+    width = plan.width
+    hkeys = plan.hkeys.reshape(-1)
     holders = {}
     for code, table, first in plan.stacks:
         for w, word in enumerate(table):
             for pos, slot in enumerate(word.tolist()):
                 if slot != zero:
                     holders.setdefault(slot, []).append(
-                        (first + w, tuple(code.odd_columns[pos].tolist())))
-    for slot, expect in holders.items():
-        got = [(int(w), tuple(plan.hcols[key, : codec.cons.code_row.t].tolist()))
-               for w, key in zip(plan.flip_words[:, slot],
-                                 plan.flip_keys[:, slot])
-               if w < plan.n_words]
-        assert sorted(got) == sorted(expect)
+                        (first + w, tuple(code.column_keys[pos].tolist())))
+    for slot in holders:
+        # each holder's cells, one per key word, in word order
+        cells = plan.flip_cells[:, slot].reshape(width, -1).T
+        keys = plan.flip_keys[:, slot].reshape(width, -1).T
+        listed = []
+        for cell, key in zip(cells, keys):
+            w = int(cell[0]) // width
+            assert (cell == w * width + np.arange(width)).all()
+            if w < plan.n_words:
+                listed.append((w, tuple(hkeys[key].tolist())))
+        assert sorted(listed) == sorted(holders[slot])
+    assert (plan.flip_cells[:, zero] // width == plan.n_words).all()
+    return holders
+
+
+def test_flip_table_lists_every_holder_of_a_slot():
+    codec = build_codec(*CODECS[3][:4], **CODECS[3][4])
+    holders = check_flip_table(codec)
     # S[i,i] of S's bottom 2r rows sits twice in row word i of S
     assert any(len({w for w, _ in v}) < len(v) for v in holders.values())
-    assert (plan.flip_words[:, zero] == plan.n_words).all()
+
+
+def test_two_word_flip_table_lists_every_holder_of_a_slot():
+    codec = build_codec("sc", 10, 7, 823, length=2, window=2, l_max=2)
+    assert codec.plan.width == 2
+    check_flip_table(codec)

@@ -134,8 +134,8 @@ def test_read_stream_codec_matches_and_is_read_only(family, m, t, s, kwargs):
     assert all((w1 == w2).all() for (_, w1), (_, w2)
                in zip(codec.groups, codec2.groups))
     for c in (codec, codec2):
-        tables = [c.info_idx, c.info_starts, c.plan.flip_words,
-                  c.plan.flip_keys, c.plan.hcols]
+        tables = [c.info_idx, c.info_starts, c.plan.flip_cells,
+                  c.plan.flip_keys, c.plan.hkeys]
         tables += [words for _, words in c.groups]
         if family != "sc":
             tables += [c.cons.a_inv, c.cons.g_i, c.cons.code_row.g_p]
@@ -209,7 +209,7 @@ def _same_codec(cons, loaded, make_codec):
                                                 dtype=np.uint8)
     assert (codec.encode_payload(payload).buf
             == codec2.encode_payload(payload).buf).all()
-    for name in ("flip_words", "flip_keys", "hcols"):
+    for name in ("flip_cells", "flip_keys", "hkeys"):
         assert (getattr(codec.plan, name) == getattr(codec2.plan, name)).all()
     assert all((w1 == w2).all() for (_, w1), (_, w2)
                in zip(codec.groups, codec2.groups))

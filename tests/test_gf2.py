@@ -93,6 +93,16 @@ def test_verify_inverse_rejects_wrong_inverses():
     for bad in (inv ^ gf2.identity(70), inv[:-1], not_bits):
         with pytest.raises(ValueError):
             gf2.verify_inverse(a, bad)
+    # every product bit is checked: one flipped bit fails, in every row and
+    # column at a byte or 64-bit word edge of the packed columns
+    edges = [0, 1, 7, 8, 62, 63, 64, 65, 69]
+    flips = {(i, j) for i in edges for j in range(70)}
+    flips |= {(i, j) for i in range(70) for j in edges}
+    for i, j in sorted(flips):
+        bad = inv.copy()
+        bad[i, j] ^= 1
+        with pytest.raises(ValueError):
+            gf2.verify_inverse(a, bad)
 
 
 def test_construction_operands_are_packed_and_read_only():

@@ -335,7 +335,7 @@ def test_codec_bytes_count_what_it_keeps_alive_once(family):
     slots = {id(table.base) for _, table, _ in plan.stacks}
     assert len(slots) == 1
     own = (codec.info_idx.nbytes + codec.info_starts.nbytes
-           + plan.hcols.nbytes + plan.flip_words.nbytes
+           + plan.hkeys.nbytes + plan.flip_cells.nbytes
            + plan.flip_keys.nbytes
            + sum(table.nbytes for _, table, _ in plan.stacks))
     # the construction (ff/pff) or component code (sc) the codec shares
