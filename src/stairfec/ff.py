@@ -17,7 +17,10 @@ construction.
 The shifted-block-diagonal permutation family keeps the mirror images of
 any codeword spread over distinct words, which is what pushes the error
 floor down; when 2r >= M that family cannot exist and the search falls
-back to random permutations.
+back to random permutations.  A shifted pair makes A block-circulant, so
+when M is even the search decides each candidate on A reduced modulo
+z^M' - 1 (:func:`fold_a_matrix`), an rM' x rM' system for the odd part M'
+of M, and inverts only the A that passes.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
     "shifted_block_indices",
     "low_ef_indices",
     "build_a_matrix",
+    "fold_a_matrix",
     "FFConstruction",
     "build_construction",
     "search_construction",
@@ -76,8 +80,9 @@ def build_a_matrix(m_side, r, g_r, f_r, pi1, pi2):
 
     Implements A = I_M (x) F_r^T + T pi_2 T (I_M (x) G_r^T) T pi_1^{-1} T
     where T alternates between the two vec-transposition permutations; the
-    permutation legs are composed as index arrays so only the kron blocks
-    are materialized.
+    permutation legs are composed as index arrays, and A is the only
+    Mr x Mr array built: the G_r term is scattered straight into it and
+    F_r^T XORed into its diagonal blocks in place.
     """
     t_rm = transpose_indices(r, m_side)   # vec(Y) -> vec(Y^T), Y r x M
     t_mr = transpose_indices(m_side, r)   # vec(X) -> vec(X^T), X M x r
@@ -86,10 +91,49 @@ def build_a_matrix(m_side, r, g_r, f_r, pi1, pi2):
     idx_pre = t_rm[inv1][t_mr]
     # G_r^T acts column-wise on X^T (r x M): vec result -> pi_2 -> transpose.
     idx_post = t_rm[pi2][t_mr]
-    k_g = gf2.kron(gf2.identity(m_side), g_r.T)
-    term2 = np.empty_like(k_g)
-    term2[:, idx_pre] = k_g[idx_post, :]
-    return gf2.kron(gf2.identity(m_side), f_r.T) ^ term2
+    n = m_side * r
+    a = gf2.zeros(n, n)
+    # row p of the G_r term is row idx_post[p] of I_M (x) G_r^T, which holds
+    # row idx_post[p] % r of G_r^T in block idx_post[p] // r, with its
+    # columns moved to idx_pre
+    block, row = np.divmod(idx_post, r)
+    a[np.arange(n)[:, None], idx_pre[block[:, None] * r + np.arange(r)]] = \
+        g_r.T[row]
+    diag = np.arange(m_side)
+    a.reshape(m_side, r, m_side, r)[diag, :, diag] ^= f_r.T
+    return a
+
+
+def fold_a_matrix(a, m_side, r):
+    """The rM' x rM' system that is singular exactly when A is, where
+    M = 2^e M' with M' odd; None when A is not block-circulant or M is odd.
+
+    A block-circulant A, block (i, j) = C_((j - i) mod M), is the r x r
+    matrix A(z) = sum_c C_c z^c over GF(2)[z]/(z^M - 1) (the module view of
+    quasi-cyclic codes; Ling & Sole, IEEE Trans. Inf. Theory 2001).  It is
+    invertible exactly when det A(z) is prime to z^M - 1.  Over GF(2),
+    z^M - 1 = (z^M' - 1)^(2^e) has the irreducible factors of z^M' - 1, so
+    that holds exactly when A(z) mod (z^M' - 1) is invertible: the block
+    circulant whose first block row is A's with block c XORed into block
+    c mod M'.  Every shift-based candidate gives a block-circulant A; the
+    check is exact, so any other A goes to the dense decision.
+    """
+    odd = m_side // (m_side & -m_side)
+    if odd == m_side:
+        return None
+    blocks = a.reshape(m_side, r, m_side, r)
+    first = blocks[0]
+    # block row i is the first one rotated right by i blocks: the window of
+    # the doubled row that starts at block M - i; compared a block row at a
+    # time, so a random A fails at its second one
+    double = np.concatenate([first, first], axis=1)
+    if not all(np.array_equal(blocks[i], double[:, m_side - i : 2 * m_side - i])
+               for i in range(1, m_side)):
+        return None
+    folded = np.bitwise_xor.reduce(first.reshape(r, -1, odd, r), axis=1)
+    i = np.arange(odd)
+    return (folded[:, (i[None, :] - i[:, None]) % odd]
+            .transpose(1, 0, 2, 3).reshape(odd * r, odd * r))
 
 
 @dataclass
@@ -120,8 +164,18 @@ class FFConstruction:
         self.g_i, self.g_r = row.g_p[: 2 * m_side], row.g_p[2 * m_side :]
         self.f_i, self.f_r = col.g_p[: 2 * m_side], col.g_p[2 * m_side :]
         a = build_a_matrix(m_side, r, self.g_r, self.f_r, self.pi1, self.pi2)
-        self.a_inv = (gf2.invert(a) if self.a_inv is None
-                      else gf2.verify_inverse(a, self.a_inv))
+        if self.a_inv is None:
+            folded = fold_a_matrix(a, m_side, r)
+            if folded is not None:  # a candidate is rejected on the fold
+                try:
+                    gf2.invert(folded)
+                except gf2.SingularMatrixError as err:
+                    raise gf2.SingularMatrixError(
+                        f"A(z) mod (z^{len(folded) // r} - 1) is singular: "
+                        f"{err}") from None
+            self.a_inv = gf2.invert(a)
+        else:
+            self.a_inv = gf2.verify_inverse(a, self.a_inv)
         del a  # before the operand's padded copy of A^-1, as large as A
         t_rm = transpose_indices(r, m_side)
         t_mr = transpose_indices(m_side, r)

@@ -58,6 +58,8 @@ MEMO_BYTES = 256 << 20
 # base array: its bytes} and the ids of every object it reaches), least
 # recently used first
 _memo = OrderedDict()
+# bytes of packed columns that one numpy call of _packed_products gathers
+_GATHER_BYTES = 1 << 20
 
 
 class SingularMatrixError(ValueError):
@@ -108,19 +110,32 @@ def apply(op, x):
     n = op.shape[0]
     if x.shape[-1:] != (n,):
         raise ValueError(f"dimension mismatch: {n}x{n} @ {x.shape}")
-    bits = np.unpackbits(_packed_products(op, x.reshape(-1, n)).view(np.uint8),
-                         axis=1, count=n, bitorder="little")
+    vectors = x.reshape(-1, n)
+    prod = _packed_products(op, *np.divmod(np.flatnonzero(vectors), n),
+                            len(vectors))
+    bits = np.unpackbits(prod.view(np.uint8), axis=1, count=n,
+                         bitorder="little")
     return bits.reshape(x.shape)
 
 
-def _packed_products(op, vectors):
-    """``a @ v`` for every row ``v`` of ``vectors``, packed as ``op`` packs
-    a column."""
-    acc = np.empty((len(vectors), op.shape[1]), dtype=np.uint64)
-    for out, v in zip(acc, vectors):
-        np.bitwise_xor.reduce(np.take(op, np.flatnonzero(v), axis=0),
-                              axis=0, out=out)
-    return acc
+def _packed_products(op, vec, col, count):
+    """``a @ v`` for ``count`` vectors ``v``, packed as ``op`` packs a
+    column, where vector i has its ones at the entries of ``col`` at which
+    ``vec`` (sorted) is i.
+
+    Product i is the XOR of the packed columns that those ones select.  The
+    selected columns are gathered for many vectors at once, up to
+    ``_GATHER_BYTES``, and XORed per vector by one ``reduceat``.
+    """
+    prod = np.zeros((count, op.shape[1]), dtype=np.uint64)
+    step = max(1, _GATHER_BYTES // max(1, op[:1].nbytes))
+    for lo in range(0, len(vec), step):
+        v, c = vec[lo : lo + step], col[lo : lo + step]
+        starts = np.concatenate(([0], np.flatnonzero(v[1:] != v[:-1]) + 1))
+        # a vector split between two gathers gets its XOR in two parts
+        prod[v[starts]] ^= np.bitwise_xor.reduceat(
+            np.take(op, c, axis=0), starts, axis=0)
+    return prod
 
 
 def mat_mul(a, b):
@@ -234,14 +249,18 @@ def verify_inverse(a, a_inv):
 
     For square matrices that is the same as ``a @ a_inv`` being the
     identity.  The product is taken and compared packed, one XOR of
-    columns of ``a_inv`` per column of ``a``, so it costs the ones of ``a``
-    and holds n*n/8 bytes, not the n*n of an unpacked product.
+    columns of ``a_inv`` per column of ``a`` (:func:`_packed_products`),
+    so it costs the ones of ``a`` and holds n*n/8 bytes, not the n*n of an
+    unpacked product.
     """
     a = np.asarray(a)
     a_inv = np.asarray(a_inv, dtype=np.uint8)
+    # the ones of a, column by column
+    rows, cols = np.nonzero(a)
+    order = np.argsort(cols, kind="stable")
     if (a_inv.shape != a.shape or a_inv.max(initial=0) > 1
-            or not _is_packed_identity(
-                _packed_products(operand(a_inv), a.T))):
+            or not _is_packed_identity(_packed_products(
+                operand(a_inv), cols[order], rows[order], len(a)))):
         raise ValueError(f"the stored {a_inv.shape} inverse of a {a.shape} "
                          "matrix fails verification")
     return a_inv
@@ -327,6 +346,16 @@ def _kept_bytes():
     return sum(kept.values())
 
 
+def _least_recent_unheld():
+    """The least recently used key of ``_memo`` whose result no more
+    recently used result reaches; evicting a held one frees nothing."""
+    entries = list(_memo.items())
+    # the most recent result qualifies, so one is always found
+    return next(key for i, (key, (value, _)) in enumerate(entries)
+                if not any(id(value) in reached
+                           for _, (_, (_, reached)) in entries[i + 1 :]))
+
+
 def memoize(search):
     """Keep the results of ``search``, a function of integer arguments.
 
@@ -349,7 +378,9 @@ def memoize(search):
     kept, so an insert walks only the new result and a hit walks nothing;
     before evicting, every kept result is walked again, since it may hold
     more by then (a syndrome table that a component code fetched from this
-    memo at its first decode).
+    memo at its first decode).  Eviction skips a result that a more
+    recently used kept result reaches, since evicting it frees nothing and
+    a later call would build a second copy beside the one still held.
     """
     signature = inspect.signature(search)
 
@@ -375,7 +406,7 @@ def memoize(search):
                 for kept, (value, _) in _memo.items():
                     _memo[kept] = value, _buffers([value])
                 while _kept_bytes() > MEMO_BYTES:
-                    _memo.popitem(last=False)
+                    del _memo[_least_recent_unheld()]
         return result
 
     def cache_clear():

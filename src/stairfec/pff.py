@@ -18,12 +18,13 @@ M - 2r columns; stage 2 (a 2r^2 x 2r^2 system B) fixes Y2 against the
 right 2r columns, where a 2r x 2r permutation Pi scrambles how row words
 read those columns.  All mirror permutations are trivial transposes:
 X1 = Y1^T, Pr1~ = Pc1~^T and likewise for stage 2, so the punctured row
-extensions are read straight out of S's columns.
+extensions are read straight out of S's columns.  The search decides each
+Pi on an r^2 x r^2 system that is singular exactly when B is
+(:func:`reduced_b_matrix`) and inverts only the B that passes.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ from .bch import ComponentCode, code_pair
 
 __all__ = [
     "build_b_matrix",
+    "reduced_b_matrix",
     "PFFConstruction",
     "build_pff_construction",
     "search_pff_construction",
@@ -59,6 +61,31 @@ def build_b_matrix(r, a_small, g_b_t, f_r):
     first = np.vstack([np.roll(sa, j, axis=1) for j in range(2 * r)])
     second = gf2.kron(np.vstack([gf2.identity(r), f_r.T]), g_b_t.T)
     return first ^ second
+
+
+def reduced_b_matrix(a_small, g_b_t, f_r):
+    """The r^2 x r^2 system that is singular exactly when B is, given an
+    invertible stage-1 matrix A_s = ``a_small``.
+
+    B maps Y2 (r x 2r) to (A_s Y2)^T + [I; F_r^T] Y2 G_B~.  Split Y2 = [U V]
+    into r x r halves and G_B~ = [G1; G2] into r x r halves; B(Y2) = 0 reads
+
+        U^T A_s^T + U G1 + V G2 = 0                         (top r rows)
+        V^T A_s^T + F_r^T (U G1 + V G2) = 0                 (bottom r rows)
+
+    The bottom rows plus F_r^T times the top rows give
+    (V^T + F_r^T U^T) A_s^T = 0, so V = U F_r since A_s is invertible, and
+    the top rows then read U H + U^T A_s^T = 0 with H = G1 + F_r G2.
+    Conversely every U solving that gives the kernel vector [U  U F_r].  So
+    B is singular exactly when U -> U H + U^T A_s^T, returned here on the
+    row-wise vec of U, is.
+    """
+    r = len(a_small)
+    h = g_b_t[:r] ^ gf2.mat_mul(f_r, g_b_t[r:])
+    # vec(U^T) = vec(U)[swap], so U^T A_s^T is (I (x) A_s) on columns swap
+    swap = np.arange(r * r).reshape(r, r).T.reshape(-1)
+    return (gf2.kron(gf2.identity(r), h.T)
+            ^ gf2.kron(gf2.identity(r), a_small)[:, swap])
 
 
 @dataclass
@@ -96,6 +123,12 @@ class PFFConstruction:
                       else gf2.verify_inverse(self.a_small, self.a_inv))
         m2 = m_side - 2 * r
         self.g_b_t = self.g_i[m2:m_side][self.pi]
+        if self.b_inv is None:  # a candidate is rejected on the r^2 system
+            try:
+                gf2.invert(reduced_b_matrix(self.a_small, self.g_b_t, self.f_r))
+            except gf2.SingularMatrixError as err:
+                raise gf2.SingularMatrixError(
+                    f"U -> U H + U^T A_s^T is singular: {err}") from None
         b = build_b_matrix(r, self.a_small, self.g_b_t, self.f_r)
         self.b_inv = (gf2.invert(b) if self.b_inv is None
                       else gf2.verify_inverse(b, self.b_inv))
@@ -110,6 +143,13 @@ def build_pff_construction(code_row, code_col, pi, mode="custom"):
     return PFFConstruction(code_row, code_col, pi, mode)
 
 
+def _candidates(r, rng, max_tries):
+    """Row permutations Pi of G_B, identity first, drawn from ``rng`` lazily."""
+    yield "identity", np.arange(2 * r)
+    for _ in range(max_tries):
+        yield "random", rng.permutation(2 * r)
+
+
 @gf2.memoize
 def search_pff_construction(m, t, s, *, seed=0, max_tries=200):
     """Find a Pi making both staged systems invertible; identity first.
@@ -118,13 +158,9 @@ def search_pff_construction(m, t, s, *, seed=0, max_tries=200):
     and ``(m, t, s, seed, max_tries)``, within :func:`gf2.memoize`'s budget.
     """
     code_row, code_col = code_pair(m, t, s)
-    r = code_row.r
-    rng = np.random.default_rng(seed)
-    candidates = itertools.chain(
-        [("identity", np.arange(2 * r))],
-        (("random", rng.permutation(2 * r)) for _ in range(max_tries)))
     last_err = None
-    for mode, pi in candidates:
+    for mode, pi in _candidates(code_row.r, np.random.default_rng(seed),
+                                max_tries):
         try:
             return build_pff_construction(code_row, code_col, pi, mode=mode)
         except gf2.SingularMatrixError as err:

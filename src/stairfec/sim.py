@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -180,6 +179,9 @@ def run_monte_carlo(codec_factory, p, *, master_seed=0, min_bit_errors=100,
             ))
             next_index += count
     else:
+        # imported here: multiprocessing costs every process ~20 ms to import
+        from concurrent.futures import ProcessPoolExecutor
+
         factory = partial(build_codec, **codec.identity(),
                           window=codec.window, l_max=codec.l_max)
         with ProcessPoolExecutor(

@@ -69,6 +69,24 @@ def test_apply_matches_mat_mul(n):
         assert (gf2.apply(op, x) == expected).all()
 
 
+def test_products_split_between_gathers(monkeypatch):
+    # gathers of one and of seven packed columns split vectors between them
+    rng = np.random.default_rng(3)
+    a = rng.integers(0, 2, (130, 130), dtype=np.uint8)
+    op = gf2.operand(a)
+    x = rng.integers(0, 2, (5, 130), dtype=np.uint8)
+    x[2] = 0
+    expected = gf2.mat_mul(x, a.T)
+    unit = gf2.identity(130) ^ np.triu(a, 1)
+    inv = gf2.invert(unit)
+    for gather in (1, 7 * op[:1].nbytes):
+        monkeypatch.setattr(gf2, "_GATHER_BYTES", gather)
+        assert (gf2.apply(op, x) == expected).all()
+        assert (gf2.verify_inverse(unit, inv) == inv).all()
+        with pytest.raises(ValueError):
+            gf2.verify_inverse(unit, inv ^ gf2.identity(130))
+
+
 def test_apply_dimension_check():
     with pytest.raises(ValueError):
         gf2.apply(gf2.operand(gf2.identity(3)), gf2.zeros(2, 4))

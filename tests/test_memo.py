@@ -426,10 +426,35 @@ def test_codec_hit_keeps_its_construction_recent(monkeypatch):
     assert built == []
 
 
+def test_eviction_skips_a_table_that_a_kept_codec_holds(monkeypatch):
+    """The codec fetches its syndrome table after it is kept, so a hit on
+    the codec does not refresh the table's entry.  Evicting that entry
+    would free nothing while the codec holds the table, so the insert
+    evicts another entry, and the table is found again, not rebuilt."""
+    search = ff.search_construction
+    body, _ = noisy_body("ff")
+    small = gf2.nbytes(search(4, 1, 1, seed=0))
+    codec = decoded(body)[0]
+    budget = gf2.nbytes(codec) + small
+    search.cache_clear()
+    framing._stream_codec.cache_clear()
+    bch.syndrome_table.cache_clear()
+    monkeypatch.setattr(gf2, "MEMO_BYTES", budget)
+    search(6, 1, 1, seed=0)
+    codec = decoded(body)[0]  # kept, then fetches its table
+    search(4, 1, 1, seed=0)
+    assert decoded(body)[0] is codec  # the table is now least recent
+    search(4, 1, 1, seed=1)  # evicts the small entry, not the table
+    assert memo_held_bytes() <= budget
+    table = codec.code.bdd_table
+    monkeypatch.setattr(bch, "build_syndrome_table", refuse)
+    assert bch.syndrome_table(codec.code.field.poly, codec.code.t) is table
+
+
 def test_memo_counts_a_table_cached_on_a_kept_codec(monkeypatch):
     """The sc codec is kept before its first decode fetches the syndrome
-    table.  When the table's own entry is evicted, the codec that holds
-    it is counted with it."""
+    table.  The memo counts the table the codec holds with the codec, so
+    an insert that needs the codec's bytes evicts the codec."""
     body, _ = noisy_body("sc")
     other = gf2.nbytes(ff.search_construction(4, 1, 1))
     ff.search_construction.cache_clear()
@@ -439,7 +464,7 @@ def test_memo_counts_a_table_cached_on_a_kept_codec(monkeypatch):
     budget = gf2.nbytes(codec) + other - 1
     monkeypatch.setattr(gf2, "MEMO_BYTES", budget)
     assert decoded(body)[0] is codec  # the table is now least recent
-    ff.search_construction(4, 1, 1)  # evicts the table, then the codec
+    ff.search_construction(4, 1, 1)  # evicts the codec, which holds the table
     assert memo_held_bytes() == gf2.nbytes(*kept_results()) <= budget
     assert kept_codecs() == []
 

@@ -1,0 +1,137 @@
+"""The construction searches decide each candidate on a small exact system
+before any dense inversion: ff on A reduced modulo z^M' - 1
+(``ff.fold_a_matrix``), pff on the r^2 x r^2 system of the stage-2 map
+(``pff.reduced_b_matrix``).  Each decision must be the dense one, so the
+searches pick the constructions they picked by inverting every candidate.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from stairfec import ff, gf2, pff
+from stairfec.bch import code_pair
+
+
+def invertible(a):
+    try:
+        gf2.invert(a)
+    except gf2.SingularMatrixError:
+        return False
+    return True
+
+
+def ff_systems(m, t, s, seed, tries, count=None):
+    """(mode, A, M, r) of the first ``count`` candidates of ff's search."""
+    row, col = code_pair(m, t, s)
+    m_side, r = (row.k - row.r) // 2, row.r
+    g_r, f_r = row.g_p[2 * m_side :], col.g_p[2 * m_side :]
+    candidates = ff._candidates(m_side, r, np.random.default_rng(seed), tries)
+    for mode, (pi1, pi2) in itertools.islice(candidates, count):
+        yield mode, ff.build_a_matrix(m_side, r, g_r, f_r, pi1, pi2), m_side, r
+
+
+def pff_systems(m, t, s, seed, tries, count=None):
+    """(A_s, G_B~, F_r) of the first ``count`` candidates of pff's search."""
+    row, col = code_pair(m, t, s)
+    m_side, r = (row.k - row.r) // 2, row.r
+    g_i, g_r = row.g_p[: 2 * m_side], row.g_p[2 * m_side :]
+    f_r = col.g_p[2 * m_side :]
+    a_small = g_r.T ^ f_r.T
+    assert invertible(a_small)
+    candidates = pff._candidates(r, np.random.default_rng(seed), tries)
+    for _, pi in itertools.islice(candidates, count):
+        yield a_small, g_i[m_side - 2 * r : m_side][pi], f_r
+
+
+# (m, t, s), seeds, tries per mode, candidates taken: M = 16, 36 and 72
+FF_CODES = [((6, 2, 7), (0, 1), 4, None), ((7, 2, 27), (0, 1, 2), 4, None),
+            ((8, 3, 63), (0,), 4, 4)]
+
+
+@pytest.mark.parametrize("code, seeds, tries, count", FF_CODES)
+def test_fold_decides_like_the_dense_inversion(code, seeds, tries, count):
+    decided = []
+    for seed in seeds:
+        for mode, a, m_side, r in ff_systems(*code, seed, tries, count):
+            folded = ff.fold_a_matrix(a, m_side, r)
+            # every shift-based A is block-circulant; these random ones are not
+            assert (folded is None) == (mode == "random")
+            if folded is not None:
+                odd = m_side // (m_side & -m_side)
+                assert folded.shape == (odd * r, odd * r)
+                decided.append(invertible(folded))
+                assert decided[-1] == invertible(a), (code, seed, mode)
+    # singular ones included, bar ff(6,2,7), where M' = 1 and the draws
+    # give none
+    assert True in decided and (False in decided or code == (6, 2, 7))
+
+
+def test_fold_leaves_odd_m_to_the_dense_inversion():
+    # ff(6,1,1): M = 25
+    for _, a, m_side, r in ff_systems(6, 1, 1, 0, 2):
+        assert ff.fold_a_matrix(a, m_side, r) is None
+
+
+@pytest.mark.parametrize("code, seed, tries, count",
+                         [((6, 1, 1), 0, 12, None), ((7, 2, 41), 0, 30, None),
+                          ((8, 3, 15), 0, 8, 8)])
+def test_reduced_system_decides_like_the_dense_inversion(code, seed, tries,
+                                                         count):
+    decided = []
+    for a_small, g_b_t, f_r in pff_systems(*code, seed, tries, count):
+        r = len(a_small)
+        reduced = pff.reduced_b_matrix(a_small, g_b_t, f_r)
+        assert reduced.shape == (r * r, r * r)
+        decided.append(invertible(reduced))
+        b = pff.build_b_matrix(r, a_small, g_b_t, f_r)
+        assert decided[-1] == invertible(b)
+    assert True in decided and False in decided
+
+
+SEARCHES = {
+    "ff": (ff.search_construction, (8, 3, 63), ff, "fold_a_matrix",
+           lambda *args: None, ("mode", "pi1", "pi2", "a_inv")),
+    "pff": (pff.search_pff_construction, (8, 3, 15), pff, "reduced_b_matrix",
+            lambda *args: gf2.identity(1), ("mode", "pi", "a_inv", "b_inv")),
+}
+
+
+@pytest.mark.parametrize("family", SEARCHES)
+def test_search_without_the_small_decision_finds_the_same(monkeypatch,
+                                                          family):
+    """With the small system standing in as always invertible, every
+    candidate goes to the dense inversion, and the search finds the same
+    construction."""
+    search, code, module, name, maybe, fields = SEARCHES[family]
+    search.cache_clear()
+    decided = search(*code)
+    search.cache_clear()
+    monkeypatch.setattr(module, name, maybe)
+    dense = search(*code)
+    search.cache_clear()
+    for field in fields:
+        assert np.array_equal(getattr(decided, field), getattr(dense, field))
+
+
+# the sizes of the systems inverted, in order: ff(8,3,63) rejects its
+# low_ef candidate on the fold and takes the next; pff(8,3,15) inverts A_s
+# and the r^2 system for each Pi, four of which are rejected
+@pytest.mark.parametrize("family, sizes",
+                         [("ff", [216, 216, 1728]),
+                          ("pff", [24, 576] * 5 + [1152])])
+def test_search_inverts_one_full_size_system(monkeypatch, family, sizes):
+    search, code, *_ = SEARCHES[family]
+    inverted = []
+    invert = gf2.invert
+
+    def counting(a):
+        inverted.append(len(a))
+        return invert(a)
+
+    search.cache_clear()
+    monkeypatch.setattr(gf2, "invert", counting)
+    search(*code)
+    search.cache_clear()
+    assert inverted == sizes

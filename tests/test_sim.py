@@ -1,9 +1,13 @@
 import multiprocessing
+import os
+import subprocess
+import sys
 from functools import partial
 
 import numpy as np
 import pytest
 
+import stairfec
 from stairfec import ff
 from stairfec.sim import build_codec, bsc_corrupt, run_frames, run_monte_carlo
 
@@ -22,6 +26,24 @@ def test_build_codec_families():
     for m, t, s in [(6, 2, 1), (6, 2, 3), (7, 3, 1), (5, 1, 1), (6, 2, 5)]:
         with pytest.raises(ValueError):
             build_codec("ff", m, t, s, length=2)
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    """Only a run with workers > 1 imports the process pool.  (numpy 2's
+    own testing module imports concurrent.futures, but not its process
+    module or multiprocessing.)  What stairfec.cli imports beside sim
+    decides this too: it was checked at numpy 2.4 and scipy 1.17, not at
+    the numpy 1.24 / scipy 1.10 floor of CI.  If numpy.testing or
+    scipy.special there imports multiprocessing, this fails for a reason
+    outside stairfec, and the check to keep is that importing sim adds
+    neither module to an interpreter that lacked them."""
+    src = os.path.dirname(os.path.dirname(stairfec.__file__))
+    code = ("import sys, stairfec.cli; print(sorted(sys.modules.keys() & "
+            "{'concurrent.futures.process', 'multiprocessing'}))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
 
 
 def test_bsc_corrupt_rates():
