@@ -493,7 +493,7 @@ class ComponentCode:
         return self.k / self.n
 
     def descriptor(self):
-        """JSON-serializable descriptor used for cache validation."""
+        """JSON-serializable descriptor, a codec's ``describe()["code"]``."""
         return {
             "m": self.m,
             "t": self.t,

@@ -2,8 +2,9 @@
 Command-line front end.
 
 Verbs: params, construct, encode, decode, inject, simulate, floor, ncg.
-Exit codes: 0 success, 2 usage errors (argparse), 3 construction failure,
-4 stream/payload format errors, unreadable inputs and unwritable outputs.
+Exit codes: 0 success, 2 usage errors (argparse, out-of-range values
+included), 3 invalid code parameters or construction failure, 4 stream or
+payload format errors, unreadable inputs and unwritable outputs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .floors import certify_stall, ff_floor, gen_stall, ncg_gap, pff_floor, sc_floor
-from .framing import StreamFormatError, read_stream, save_construction, write_stream
+from .framing import StreamFormatError, read_stream, write_stream
 from .parameters import FAMILIES, family_params
 from .sim import build_codec, run_monte_carlo
 
@@ -31,15 +32,31 @@ def _add_code_args(p, family_required=True):
     p.add_argument("--s", type=int, required=True)
 
 
+def _within(parse, low, high):
+    """Argument type: ``parse(text)`` once it lies strictly between ``low``
+    and ``high`` as a float (NaN never does, and a fraction that rounds to a
+    bound is refused, so float arithmetic on it stays inside)."""
+    def check(text):
+        try:
+            value = parse(text)
+            if low < float(value) < high:
+                return value
+        except (ArithmeticError, ValueError):  # 1/0, or too large a float
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not in ({low}, {high})")
+    return check
+
+
+def _list_of(parse):
+    """Argument type: comma-separated values, each read by ``parse``."""
+    def comma_list(text):
+        return [parse(x) for x in text.split(",") if x]
+    return comma_list
+
+
 def _unsigned(width):
     """Argument type for a value stored in a u``width`` stream header field."""
-    def parse(text):
-        value = int(text)
-        if not 0 <= value < 1 << width:
-            raise argparse.ArgumentTypeError(
-                f"{value} is outside [0, 2**{width})")
-        return value
-    return parse
+    return _within(int, -1, 1 << width)
 
 
 def _add_codec_args(p):
@@ -91,13 +108,8 @@ def cmd_construct(args):
     except ValueError as err:  # includes gf2.SingularMatrixError
         print(f"construction failed: {err}", file=sys.stderr)
         return EXIT_CONSTRUCTION
-    try:
-        save_construction(cons, args.out)
-    except OSError as err:
-        print(f"cannot write cache: {err}", file=sys.stderr)
-        return EXIT_FORMAT
     print(json.dumps({"family": args.family, "mode": cons.mode,
-                      "M": cons.m_side, "r": cons.r, "out": args.out}))
+                      "M": cons.m_side, "r": cons.r}))
     return 0
 
 
@@ -210,15 +222,10 @@ def cmd_floor(args):
 
 
 def cmd_ncg(args):
-    rate = Fraction(args.rate)
-    gap = ncg_gap(rate, args.p15)
-    print(json.dumps({"rate": str(rate), "p15": args.p15,
+    gap = ncg_gap(args.rate, args.p15)
+    print(json.dumps({"rate": str(args.rate), "p15": args.p15,
                       "gap_db": round(gap, 4)}))
     return 0
-
-
-def _float_list(text):
-    return [float(x) for x in text.split(",") if x]
 
 
 def build_parser():
@@ -232,10 +239,9 @@ def build_parser():
     _add_code_args(p)
     p.set_defaults(func=cmd_params)
 
-    p = sub.add_parser("construct", help="search and cache a construction")
+    p = sub.add_parser("construct", help="search a construction and report it")
     _add_code_args(p)
     p.add_argument("--seed", type=_unsigned(32), default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("encode", help="encode a payload file to a stream")
@@ -259,7 +265,7 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="Monte Carlo BSC simulation")
     _add_codec_args(p)
-    p.add_argument("--p", type=_float_list, required=True,
+    p.add_argument("--p", type=_list_of(float), required=True,
                    help="comma-separated crossover probabilities")
     p.add_argument("--master-seed", type=int, default=0)
     p.add_argument("--min-bit-errors", type=int, default=100)
@@ -271,13 +277,16 @@ def build_parser():
 
     p = sub.add_parser("floor", help="analytic error-floor estimate")
     _add_code_args(p)
-    p.add_argument("--p", type=_float_list, required=True)
+    p.add_argument("--p", type=_list_of(_within(float, 0, 1)),
+                   required=True,
+                   help="comma-separated crossover probabilities in (0, 1)")
     p.set_defaults(func=cmd_floor)
 
     p = sub.add_parser("ncg", help="coding-gain gap to capacity")
-    p.add_argument("--rate", required=True, help="code rate as a fraction")
-    p.add_argument("--p15", type=float, required=True,
-                   help="crossover giving output BER 1e-15")
+    p.add_argument("--rate", type=_within(Fraction, 0, 1), required=True,
+                   help="code rate as a fraction in (0, 1)")
+    p.add_argument("--p15", type=_within(float, 0, 0.5), required=True,
+                   help="crossover in (0, 0.5) giving output BER 1e-15")
     p.set_defaults(func=cmd_ncg)
 
     return parser

@@ -140,10 +140,10 @@ def fold_a_matrix(a, m_side, r):
 class FFConstruction:
     """Everything fixed at design time for one FF code.
 
-    Takes the component codes, the permutation pair, the mode and, from a
-    cache, the stored A^-1, which is verified (A A^-1 = I) instead of
-    recomputed.  Derives M, r, the parity splits G_p = [G_i; G_r] and
-    F_p = [F_i; F_r], A^-1, the mirror maps and the encoder's operand.
+    Takes the component codes, the permutation pair and the mode.  Derives
+    M, r, the parity splits G_p = [G_i; G_r] and F_p = [F_i; F_r], A^-1,
+    the mirror maps and the encoder's operand; SingularMatrixError if A is
+    not invertible.
     """
 
     code_row: ComponentCode
@@ -151,7 +151,6 @@ class FFConstruction:
     pi1: np.ndarray
     pi2: np.ndarray
     mode: str = "custom"
-    a_inv: np.ndarray | None = None
 
     def __post_init__(self):
         row, col = self.code_row, self.code_col
@@ -164,18 +163,15 @@ class FFConstruction:
         self.g_i, self.g_r = row.g_p[: 2 * m_side], row.g_p[2 * m_side :]
         self.f_i, self.f_r = col.g_p[: 2 * m_side], col.g_p[2 * m_side :]
         a = build_a_matrix(m_side, r, self.g_r, self.f_r, self.pi1, self.pi2)
-        if self.a_inv is None:
-            folded = fold_a_matrix(a, m_side, r)
-            if folded is not None:  # a candidate is rejected on the fold
-                try:
-                    gf2.invert(folded)
-                except gf2.SingularMatrixError as err:
-                    raise gf2.SingularMatrixError(
-                        f"A(z) mod (z^{len(folded) // r} - 1) is singular: "
-                        f"{err}") from None
-            self.a_inv = gf2.invert(a)
-        else:
-            self.a_inv = gf2.verify_inverse(a, self.a_inv)
+        folded = fold_a_matrix(a, m_side, r)
+        if folded is not None:  # a candidate is rejected on the fold
+            try:
+                gf2.invert(folded)
+            except gf2.SingularMatrixError as err:
+                raise gf2.SingularMatrixError(
+                    f"A(z) mod (z^{len(folded) // r} - 1) is singular: "
+                    f"{err}") from None
+        self.a_inv = gf2.invert(a)
         del a  # before the operand's padded copy of A^-1, as large as A
         t_rm = transpose_indices(r, m_side)
         t_mr = transpose_indices(m_side, r)
@@ -264,7 +260,7 @@ class FFCode(engine.FrameCodec):
         groups = []
         for j, pair in enumerate(slots.pairs):
             b0, b1, b2 = slots.blocks[2 * j : 2 * j + 3]
-            # gf2.vec/unvec would cast the slots to bits
+            # column-wise vecs of the slot tables, kept as intp
             x = pair.y.ravel("F")[c.idx_y_to_x].reshape((m_side, r), order="F")
             pr = pair.pc.ravel("F")[c.idx_pc_to_pr].reshape((m_side, r),
                                                              order="F")

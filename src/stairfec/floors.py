@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import erfcinv
 
 __all__ = [
     "binary_entropy",
@@ -61,7 +61,8 @@ def entropy_inv(y):
 
 
 def _gain_db(p):
-    return 20 * math.log10(float(erfcinv(2 * p)))
+    # erfcinv(2p) = -Phi^-1(p) / sqrt(2), Phi the standard normal CDF
+    return 20 * math.log10(-NormalDist().inv_cdf(p) / math.sqrt(2))
 
 
 def ncg_gap(rate, p15):

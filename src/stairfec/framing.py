@@ -1,5 +1,5 @@
 """
-On-disk formats: framed bit streams and construction caches.
+On-disk format: framed bit streams.
 
 A stream is a 20-byte little-endian header followed by the frame's
 transmitted bits in buffer order (blocks, then per-pair FF redundancy),
@@ -19,26 +19,16 @@ The reader keeps each codec it builds, read-only, by the header's
 identity and the decoder settings (``gf2.memoize``, within its byte
 budget), so later streams of the same code reuse it and its compiled
 decoding plan.
-
-A construction cache is an .npz holding a JSON descriptor plus the
-permutations and inverted system matrices, bit-packed by rows; the loader
-hands them to the construction, which rebuilds each system matrix from the
-permutations and re-verifies the stored inverse before trusting it.
 """
 
 from __future__ import annotations
 
-import json
 import struct
-import zipfile
 
 import numpy as np
 
 from . import gf2
-from .bch import code_pair
-from .ff import FFConstruction
 from .parameters import family_params
-from .pff import PFFConstruction
 
 __all__ = [
     "StreamFormatError",
@@ -46,8 +36,6 @@ __all__ = [
     "MAX_SYSTEM_ROWS",
     "write_stream",
     "read_stream",
-    "save_construction",
-    "load_construction",
 ]
 
 MAGIC = b"SFC1"
@@ -57,13 +45,13 @@ FAMILY_CODES = {"sc": 0, "ff": 1, "pff": 2}
 FAMILY_NAMES = {v: k for k, v in FAMILY_CODES.items()}
 # Rows of the largest GF(2) system whose inversion a stream header may ask
 # for: M*r for ff (its A), 2r^2 for pff (its B).  ff(10,3,183), the rate-13/14
-# code, has 11,700 and takes about 17 s and 1 GB to construct; ff(11,3,1)
-# would have 32,670 and need some 8 GB.
+# code, has 11,700 and takes 4-8 s and about 400 MB to construct on a 2-vCPU
+# Xeon VM; ff(11,3,1) would have 32,670, and memory grows with rows squared.
 MAX_SYSTEM_ROWS = 12_000
 
 
 class StreamFormatError(ValueError):
-    """Malformed or inconsistent stream/cache contents."""
+    """Malformed or inconsistent stream contents."""
 
 
 def _header_fields(codec):
@@ -176,54 +164,3 @@ def read_stream(data, *, window=7, l_max=8):
         raise StreamFormatError("header disagrees with the codec it names")
     return codec, codec.frame_from_bits(np.unpackbits(body, count=n_tx))
 
-
-# -- construction caches ------------------------------------------------------
-
-
-def save_construction(cons, path):
-    """Write an FF or PFF construction cache to exactly ``path``."""
-    if isinstance(cons, FFConstruction):
-        kind, arrays = "ff", {"pi1": cons.pi1, "pi2": cons.pi2}
-    elif isinstance(cons, PFFConstruction):
-        kind, arrays = "pff", {"pi": cons.pi,
-                               "b_inv": np.packbits(cons.b_inv, axis=1)}
-    else:
-        raise TypeError("only FF/PFF constructions are cached")
-    meta = {"kind": kind, "mode": cons.mode, "code": cons.code_row.descriptor()}
-    # through a file object: given a name, numpy would append ".npz"
-    with open(path, "wb") as fh:
-        np.savez_compressed(fh, meta=json.dumps(meta),
-                            a_inv=np.packbits(cons.a_inv, axis=1), **arrays)
-
-
-def _unpack_square(packed):
-    return np.unpackbits(packed, axis=1, count=len(packed))
-
-
-def load_construction(path):
-    """Load a cache; the construction re-verifies the stored inverses.
-
-    The component codes are rebuilt with the default field polynomial.
-    Every malformed cache, and one whose stored code descriptor is not
-    that of the rebuilt row code, raises :class:`StreamFormatError`.
-    """
-    try:
-        with np.load(path) as data:
-            meta = json.loads(str(data["meta"]))
-            code = meta["code"]
-            pair = code_pair(code["m"], code["t"], code["s"])
-            if pair[0].descriptor() != code:
-                raise ValueError(f"cache code {code} is not the default "
-                                 f"code {pair[0].descriptor()}")
-            if meta["kind"] == "ff":
-                return FFConstruction(*pair, data["pi1"], data["pi2"],
-                                      meta["mode"],
-                                      a_inv=_unpack_square(data["a_inv"]))
-            if meta["kind"] == "pff":
-                return PFFConstruction(*pair, data["pi"], meta["mode"],
-                                       a_inv=_unpack_square(data["a_inv"]),
-                                       b_inv=_unpack_square(data["b_inv"]))
-    except (KeyError, TypeError, ValueError, EOFError,
-            zipfile.BadZipFile) as err:  # ValueError covers bad JSON
-        raise StreamFormatError(f"malformed construction cache: {err}") from err
-    raise StreamFormatError(f"unknown cache kind {meta['kind']!r}")

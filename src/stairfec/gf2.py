@@ -38,8 +38,6 @@ __all__ = [
     "apply",
     "invert",
     "verify_inverse",
-    "vec",
-    "unvec",
     "kron",
     "invert_indices",
     "check_permutation",
@@ -248,10 +246,11 @@ def verify_inverse(a, a_inv):
     """``a_inv`` as bits once ``a_inv @ a`` is the identity; ValueError if not.
 
     For square matrices that is the same as ``a @ a_inv`` being the
-    identity.  The product is taken and compared packed, one XOR of
-    columns of ``a_inv`` per column of ``a`` (:func:`_packed_products`),
-    so it costs the ones of ``a`` and holds n*n/8 bytes, not the n*n of an
-    unpacked product.
+    identity.  It checks an inverse found by another route, such as a
+    construction search's, without inverting again.  The product is taken
+    and compared packed, one XOR of columns of ``a_inv`` per column of
+    ``a`` (:func:`_packed_products`), so it costs the ones of ``a`` and
+    holds n*n/8 bytes, not the n*n of an unpacked product.
     """
     a = np.asarray(a)
     a_inv = np.asarray(a_inv, dtype=np.uint8)
@@ -261,35 +260,9 @@ def verify_inverse(a, a_inv):
     if (a_inv.shape != a.shape or a_inv.max(initial=0) > 1
             or not _is_packed_identity(_packed_products(
                 operand(a_inv), cols[order], rows[order], len(a)))):
-        raise ValueError(f"the stored {a_inv.shape} inverse of a {a.shape} "
+        raise ValueError(f"the {a_inv.shape} inverse of a {a.shape} "
                          "matrix fails verification")
     return a_inv
-
-
-def vec(q, order="col"):
-    """Vectorize a matrix.
-
-    ``order="col"`` uses the column-wise mapping v(i,j) = j*rows + i,
-    ``order="row"`` the row-wise mapping v(i,j) = i*cols + j.
-    """
-    q = np.asarray(q, dtype=np.uint8)
-    if order == "col":
-        return q.reshape(-1, order="F")
-    if order == "row":
-        return q.reshape(-1, order="C")
-    raise ValueError(f"unknown order {order!r}")
-
-
-def unvec(v, rows, cols, order="col"):
-    """Inverse of :func:`vec`."""
-    v = np.asarray(v, dtype=np.uint8).reshape(-1)
-    if v.size != rows * cols:
-        raise ValueError(f"cannot reshape {v.size} bits to {rows}x{cols}")
-    if order == "col":
-        return v.reshape((rows, cols), order="F")
-    if order == "row":
-        return v.reshape((rows, cols), order="C")
-    raise ValueError(f"unknown order {order!r}")
 
 
 def kron(a, b):

@@ -93,18 +93,16 @@ class PFFConstruction:
     """Design-time data for one PFF code.
 
     Takes the component codes, the 2r row-permutation indices ``pi``
-    (G_B~ = G_B[pi]), the mode and, from a cache, the stored inverses of
-    the stage-1 system ``a_small`` and the stage-2 system B, which are
-    verified instead of recomputed.  ``gp_std`` is the row code's G_p
-    without its leading 2r pad rows.
+    (G_B~ = G_B[pi]) and the mode.  Derives the inverses of the stage-1
+    system ``a_small`` and the stage-2 system B; SingularMatrixError if
+    either is singular.  ``gp_std`` is the row code's G_p without its
+    leading 2r pad rows.
     """
 
     code_row: ComponentCode
     code_col: ComponentCode
     pi: np.ndarray
     mode: str = "custom"
-    a_inv: np.ndarray | None = None
-    b_inv: np.ndarray | None = None
 
     def __post_init__(self):
         row, col = self.code_row, self.code_col
@@ -119,19 +117,16 @@ class PFFConstruction:
         self.f_i, self.f_r = col.g_p[: 2 * m_side], col.g_p[2 * m_side :]
         self.gp_std = row.g_p[2 * r :]
         self.a_small = self.g_r.T ^ self.f_r.T
-        self.a_inv = (gf2.invert(self.a_small) if self.a_inv is None
-                      else gf2.verify_inverse(self.a_small, self.a_inv))
+        self.a_inv = gf2.invert(self.a_small)
         m2 = m_side - 2 * r
         self.g_b_t = self.g_i[m2:m_side][self.pi]
-        if self.b_inv is None:  # a candidate is rejected on the r^2 system
-            try:
-                gf2.invert(reduced_b_matrix(self.a_small, self.g_b_t, self.f_r))
-            except gf2.SingularMatrixError as err:
-                raise gf2.SingularMatrixError(
-                    f"U -> U H + U^T A_s^T is singular: {err}") from None
-        b = build_b_matrix(r, self.a_small, self.g_b_t, self.f_r)
-        self.b_inv = (gf2.invert(b) if self.b_inv is None
-                      else gf2.verify_inverse(b, self.b_inv))
+        try:  # a candidate is rejected on the r^2 system
+            gf2.invert(reduced_b_matrix(self.a_small, self.g_b_t, self.f_r))
+        except gf2.SingularMatrixError as err:
+            raise gf2.SingularMatrixError(
+                f"U -> U H + U^T A_s^T is singular: {err}") from None
+        self.b_inv = gf2.invert(
+            build_b_matrix(r, self.a_small, self.g_b_t, self.f_r))
         self.colidx = gf2.invert_indices(self.pi)
         self.g_i_mod = np.vstack([self.g_i[:m2], self.g_b_t, self.g_i[m_side:]])
         self.op_b_inv = gf2.operand(self.b_inv)  # packed once for the encoder

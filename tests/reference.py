@@ -17,6 +17,32 @@ from stairfec import gf2
 # -- GF(2) matrices ------------------------------------------------------------
 
 
+def vec(q, order="col"):
+    """Vectorize a matrix.
+
+    ``order="col"`` uses the column-wise mapping v(i,j) = j*rows + i,
+    ``order="row"`` the row-wise mapping v(i,j) = i*cols + j.
+    """
+    q = np.asarray(q, dtype=np.uint8)
+    if order == "col":
+        return q.reshape(-1, order="F")
+    if order == "row":
+        return q.reshape(-1, order="C")
+    raise ValueError(f"unknown order {order!r}")
+
+
+def unvec(v, rows, cols, order="col"):
+    """Inverse of :func:`vec`."""
+    v = np.asarray(v, dtype=np.uint8).reshape(-1)
+    if v.size != rows * cols:
+        raise ValueError(f"cannot reshape {v.size} bits to {rows}x{cols}")
+    if order == "col":
+        return v.reshape((rows, cols), order="F")
+    if order == "row":
+        return v.reshape((rows, cols), order="C")
+    raise ValueError(f"unknown order {order!r}")
+
+
 def rank(a):
     """GF(2) rank via bit-packed forward elimination."""
     a = np.asarray(a, dtype=np.uint8)
@@ -185,22 +211,22 @@ def valid_column_set(row, m_side, r):
 
 def x_from_y(cons, y):
     """The punctured row extension X (M x r) mirrored by Y (r x M)."""
-    return gf2.unvec(gf2.vec(y)[cons.idx_y_to_x], cons.m_side, cons.r)
+    return unvec(vec(y)[cons.idx_y_to_x], cons.m_side, cons.r)
 
 
 def y_from_x(cons, x):
     idx = gf2.invert_indices(cons.idx_y_to_x)
-    return gf2.unvec(gf2.vec(x)[idx], cons.r, cons.m_side)
+    return unvec(vec(x)[idx], cons.r, cons.m_side)
 
 
 def pr_from_pc(cons, pc):
     """The punctured row parity Pr~ (M x r) mirrored by Pc~ (r x M)."""
-    return gf2.unvec(gf2.vec(pc)[cons.idx_pc_to_pr], cons.m_side, cons.r)
+    return unvec(vec(pc)[cons.idx_pc_to_pr], cons.m_side, cons.r)
 
 
 def pc_from_pr(cons, pr):
     idx = gf2.invert_indices(cons.idx_pc_to_pr)
-    return gf2.unvec(gf2.vec(pr)[idx], cons.r, cons.m_side)
+    return unvec(vec(pr)[idx], cons.r, cons.m_side)
 
 
 # -- pff -----------------------------------------------------------------------

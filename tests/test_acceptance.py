@@ -13,7 +13,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from reference import perm_matrix, pr_from_pc, transpose_perm, x_from_y
+from reference import (perm_matrix, pr_from_pc, transpose_perm, unvec, vec,
+                       x_from_y)
 from stairfec import gf2
 from stairfec.bch import ComponentCode
 from stairfec.ff import FFCode, low_ef_indices, search_construction, transpose_indices
@@ -215,11 +216,11 @@ def _ff_oracle(cons):
     t_y = transpose_perm(r, m_side)
 
     def mirrors(u):
-        y = gf2.unvec(u[: m_side * r], r, m_side)
-        pc = gf2.unvec(u[m_side * r :], r, m_side)
-        x = gf2.unvec(gf2.mat_mul(p1_inv, gf2.mat_mul(t_y, gf2.vec(y))),
+        y = unvec(u[: m_side * r], r, m_side)
+        pc = unvec(u[m_side * r :], r, m_side)
+        x = unvec(gf2.mat_mul(p1_inv, gf2.mat_mul(t_y, vec(y))),
                       m_side, r)
-        pr = gf2.unvec(gf2.mat_mul(p2_inv, gf2.mat_mul(t_y, gf2.vec(pc))),
+        pr = unvec(gf2.mat_mul(p2_inv, gf2.mat_mul(t_y, vec(pc))),
                        m_side, r)
         return y, pc, x, pr
 
@@ -229,7 +230,7 @@ def _ff_oracle(cons):
             ^ gf2.mat_mul(x, cons.g_r)
         res_col = pc ^ gf2.mat_mul(cons.f_i.T, np.vstack([b1, b2])) \
             ^ gf2.mat_mul(cons.f_r.T, y)
-        return np.concatenate([gf2.vec(res_row), gf2.vec(res_col)])
+        return np.concatenate([vec(res_row), vec(res_col)])
 
     zeros = [np.zeros((m_side, m_side), dtype=np.uint8)] * 3
     lmat = gf2.zeros(n_unknown, n_unknown)
@@ -265,10 +266,10 @@ def _pff_oracle(codec):
         for sz in sizes:
             parts.append(u[off : off + sz])
             off += sz
-        y_full = np.hstack([gf2.unvec(parts[0], r, m2),
-                            gf2.unvec(parts[2], r, 2 * r)])
-        pc_full = np.hstack([gf2.unvec(parts[1], r, m2),
-                             gf2.unvec(parts[3], r, 2 * r)])
+        y_full = np.hstack([unvec(parts[0], r, m2),
+                            unvec(parts[2], r, 2 * r)])
+        pc_full = np.hstack([unvec(parts[1], r, m2),
+                             unvec(parts[3], r, 2 * r)])
         return y_full, pc_full
 
     def residual(u, m0, s_top, d_block):
@@ -279,7 +280,7 @@ def _pff_oracle(codec):
         row_msg = np.hstack([s_blk[:, :m2], s_blk[:, m2 + colidx],
                              d_block, y_full.T])
         res_row = pc_full.T ^ gf2.mat_mul(row_msg, g_p)
-        return np.concatenate([gf2.vec(res_col), gf2.vec(res_row)])
+        return np.concatenate([vec(res_col), vec(res_row)])
 
     zeros = [np.zeros((m_side, m_side), dtype=np.uint8),
              np.zeros((m2, m_side), dtype=np.uint8),

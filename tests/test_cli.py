@@ -1,12 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from stairfec import sim
 from stairfec.cli import main
-from stairfec.framing import (FAMILY_CODES, HEADER, MAGIC, load_construction,
-                              write_stream)
+from stairfec.framing import FAMILY_CODES, HEADER, MAGIC, write_stream
 from stairfec.sim import build_codec
 
 
@@ -175,32 +175,27 @@ def test_encode_header_field_out_of_range_exits_2(tmp_path, option, value):
     assert exc.value.code == 2
 
 
-def test_construct_writes_cache(tmp_path, capsys):
-    out = tmp_path / "cons.npz"
-    code, text = run_cli(capsys, [
-        "construct", "--family", "ff", "--m", "6", "--t", "1", "--s", "1",
-        "--out", str(out),
-    ])
+def test_construct_writes_cache(tmp_path, monkeypatch, capsys):
+    """construct no longer writes a cache: it only prints the construction."""
+    monkeypatch.chdir(tmp_path)
+    code, text = run_cli(capsys, ["construct", "--family", "ff", "--m", "6",
+                                  "--t", "1", "--s", "1"])
     assert code == 0
-    assert out.exists()
-    assert json.loads(text)["M"] == 25
+    assert json.loads(text) == {"family": "ff", "mode": "low_ef", "M": 25,
+                                "r": 6}
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_construct_writes_exactly_the_reported_path(tmp_path, capsys):
-    code, text = run_cli(capsys, [
-        "construct", "--family", "pff", "--m", "7", "--t", "2", "--s", "41",
-        "--out", str(tmp_path / "cons.bin"),
-    ])
+def test_construct_writes_exactly_the_reported_path(tmp_path, monkeypatch,
+                                                    capsys):
+    """construct reports no path and leaves the working directory empty."""
+    monkeypatch.chdir(tmp_path)
+    code, text = run_cli(capsys, ["construct", "--family", "pff", "--m", "7",
+                                  "--t", "2", "--s", "41"])
     assert code == 0
-    out = json.loads(text)["out"]
-    assert [p.name for p in tmp_path.iterdir()] == ["cons.bin"]
-    assert load_construction(out).m_side == 29
-
-
-def test_construct_into_missing_directory_exits_4(tmp_path):
-    code = main(["construct", "--family", "ff", "--m", "6", "--t", "1",
-                 "--s", "1", "--out", str(tmp_path / "missing" / "c.npz")])
-    assert code == 4
+    assert json.loads(text) == {"family": "pff", "mode": "identity", "M": 29,
+                                "r": 14}
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_searches_once_for_every_p(monkeypatch, capsys):
@@ -223,9 +218,9 @@ def test_simulate_searches_once_for_every_p(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_construct_sc_rejected(tmp_path):
+def test_construct_sc_rejected():
     code = main(["construct", "--family", "sc", "--m", "4", "--t", "1",
-                 "--s", "1", "--out", str(tmp_path / "n.npz")])
+                 "--s", "1"])
     assert code == 3
 
 
@@ -267,3 +262,50 @@ def test_floor_and_ncg(capsys):
     code, out = run_cli(capsys, ["ncg", "--rate", "3/4", "--p15", "1.82e-2"])
     assert code == 0
     assert json.loads(out)["gap_db"] == pytest.approx(1.64, abs=0.02)
+
+
+def _finite_json(text):
+    """``text`` as JSON, refusing the NaN and Infinity that json.dumps
+    writes for non-finite floats."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+FLOOR = ["floor", "--family", "ff", "--m", "8", "--t", "3", "--s", "63"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ncg", "--rate", "abc", "--p15", "1.82e-2"],
+    ["ncg", "--rate", "1", "--p15", "1.82e-2"],
+    ["ncg", "--rate", "0", "--p15", "1.82e-2"],
+    ["ncg", "--rate", "5/4", "--p15", "1.82e-2"],
+    ["ncg", "--rate", "1/0", "--p15", "1.82e-2"],
+    ["ncg", "--rate", "3/4", "--p15", "0.6"],
+    ["ncg", "--rate", "3/4", "--p15", "0.5"],
+    ["ncg", "--rate", "3/4", "--p15", "0"],
+    ["ncg", "--rate", "3/4", "--p15", "-1"],
+    ["ncg", "--rate", "3/4", "--p15", "nan"],
+    FLOOR + ["--p", "2"],
+    FLOOR + ["--p", "1"],
+    FLOOR + ["--p", "1e-3,0"],
+    FLOOR + ["--p", "-1e-3"],
+    FLOOR + ["--p", "nan"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-4:]))
+def test_out_of_range_ncg_and_floor_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_ncg_and_floor_print_finite_json(capsys):
+    for rate, p15 in [("3/4", "1.82e-2"), ("0.75", "1e-300"),
+                      ("1/1000", "0.49"), ("999/1000", "1e-3")]:
+        code, out = run_cli(capsys, ["ncg", "--rate", rate, "--p15", p15])
+        assert code == 0
+        assert math.isfinite(_finite_json(out)["gap_db"])
+    for family in ("sc", "ff", "pff"):
+        code, out = run_cli(capsys, FLOOR[:2] + [family] + FLOOR[3:]
+                            + ["--p", "1e-300,1e-3,0.999"])
+        assert code == 0
+        assert [row["p"] for row in _finite_json(out)] == [1e-300, 1e-3, 0.999]

@@ -11,18 +11,23 @@ from reference import (
     perm_matrix,
     pr_from_pc,
     transpose_perm,
+    unvec,
+    vec,
     x_from_y,
     y_from_x,
 )
 from stairfec import gf2
+from stairfec.bch import code_pair
 from stairfec.ff import (
     FFCode,
+    FFConstruction,
     build_a_matrix,
     low_ef_indices,
     search_construction,
     shifted_block_indices,
     transpose_indices,
 )
+from stairfec.pff import PFFConstruction
 
 
 @pytest.fixture(scope="module")
@@ -46,12 +51,12 @@ def matrix_mirrors(cons):
     t_y = transpose_perm(r, m_side)
 
     def x_of(y):
-        v = gf2.mat_mul(gf2.invert(p1), gf2.mat_mul(t_y, gf2.vec(y)))
-        return gf2.unvec(v, m_side, r)
+        v = gf2.mat_mul(gf2.invert(p1), gf2.mat_mul(t_y, vec(y)))
+        return unvec(v, m_side, r)
 
     def pr_of(pc):
-        v = gf2.mat_mul(gf2.invert(p2), gf2.mat_mul(t_y, gf2.vec(pc)))
-        return gf2.unvec(v, m_side, r)
+        v = gf2.mat_mul(gf2.invert(p2), gf2.mat_mul(t_y, vec(pc)))
+        return unvec(v, m_side, r)
 
     return x_of, pr_of
 
@@ -61,7 +66,7 @@ def test_transpose_indices_match_matrix():
     for rows, cols in [(2, 5), (4, 3), (6, 6)]:
         y = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
         idx = transpose_indices(rows, cols)
-        assert (gf2.vec(y)[idx] == gf2.vec(y.T)).all()
+        assert (vec(y)[idx] == vec(y.T)).all()
 
 
 def test_shifted_block_indices_match_matrix():
@@ -118,9 +123,9 @@ def test_a_matrix_functional_identity(cons_low_ef):
     for _ in range(5):
         y = rng.integers(0, 2, (r, m_side), dtype=np.uint8)
         xg = gf2.mat_mul(x_of(y), cons.g_r)
-        mirrored = gf2.unvec(gf2.mat_mul(p2, gf2.vec(xg)), m_side, r).T
+        mirrored = unvec(gf2.mat_mul(p2, vec(xg)), m_side, r).T
         rhs = gf2.mat_mul(cons.f_r.T, y) ^ mirrored
-        lhs = gf2.unvec(gf2.mat_mul(a, gf2.vec(y)), r, m_side)
+        lhs = unvec(gf2.mat_mul(a, vec(y)), r, m_side)
         assert (lhs == rhs).all()
 
 
@@ -131,15 +136,15 @@ def brute_force_pair(cons, b0, b1, b2):
     x_of, pr_of = matrix_mirrors(cons)
 
     def residual(u):
-        y = gf2.unvec(u[: m_side * r], r, m_side)
-        pc = gf2.unvec(u[m_side * r :], r, m_side)
+        y = unvec(u[: m_side * r], r, m_side)
+        pc = unvec(u[m_side * r :], r, m_side)
         x = x_of(y)
         pr = pr_of(pc)
         res_row = pr ^ gf2.mat_mul(np.hstack([b0, b1]), cons.g_i) \
             ^ gf2.mat_mul(x, cons.g_r)
         res_col = pc ^ gf2.mat_mul(cons.f_i.T, np.vstack([b1, b2])) \
             ^ gf2.mat_mul(cons.f_r.T, y)
-        return np.concatenate([gf2.vec(res_row), gf2.vec(res_col)])
+        return np.concatenate([vec(res_row), vec(res_col)])
 
     base = residual(np.zeros(n_unknown, dtype=np.uint8))
     lmat = gf2.zeros(n_unknown, n_unknown)
@@ -148,8 +153,8 @@ def brute_force_pair(cons, b0, b1, b2):
         e[j] = 1
         lmat[:, j] = residual(e) ^ base
     u = gf2.mat_mul(gf2.invert(lmat), base)
-    y = gf2.unvec(u[: m_side * r], r, m_side)
-    pc = gf2.unvec(u[m_side * r :], r, m_side)
+    y = unvec(u[: m_side * r], r, m_side)
+    pc = unvec(u[m_side * r :], r, m_side)
     assert not residual(u).any()
     return y, pc
 
@@ -240,3 +245,27 @@ def test_describe(cons_small):
     d = ff.describe()
     assert d["family"] == "ff"
     assert d["code"]["m"] == 4
+
+
+def _repeat_first(pi):
+    pi = pi.copy()
+    pi[1] = pi[0]
+    return pi
+
+
+@pytest.mark.parametrize("spoil", [
+    pytest.param(lambda pi: pi[:-1], id="short"),
+    pytest.param(lambda pi: pi + 1, id="out-of-range"),
+    pytest.param(_repeat_first, id="repeated"),
+    pytest.param(lambda pi: pi.astype(float), id="not-integer"),
+])
+def test_constructions_reject_bad_permutations(spoil):
+    """Both constructions take caller-supplied permutations and refuse one
+    that does not reorder range(n), before building any system."""
+    ff_codes, pff_codes = code_pair(6, 1, 1), code_pair(7, 2, 41)
+    pi1, pi2 = low_ef_indices(25, 6)
+    for make in [lambda: FFConstruction(*ff_codes, spoil(pi1), pi2),
+                 lambda: FFConstruction(*ff_codes, pi1, spoil(pi2)),
+                 lambda: PFFConstruction(*pff_codes, spoil(np.arange(28)))]:
+        with pytest.raises(ValueError, match="not a permutation"):
+            make()

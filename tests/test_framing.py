@@ -1,11 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
 from stairfec import sim
-from stairfec.bch import ComponentCode
-from stairfec.ff import FFCode, FFConstruction, low_ef_indices, search_construction
+from stairfec.ff import FFCode, search_construction
 from stairfec.framing import (
     FAMILY_CODES,
     HEADER,
@@ -13,14 +10,10 @@ from stairfec.framing import (
     MAX_SYSTEM_ROWS,
     StreamFormatError,
     _frame_geometry,
-    load_construction,
     parse_header,
     read_stream,
-    save_construction,
     write_stream,
 )
-from stairfec.galois import GaloisField
-from stairfec.pff import PFFCode, search_pff_construction
 from stairfec.sim import build_codec
 
 
@@ -200,127 +193,3 @@ def test_consistent_header_of_unusable_code_rejected():
     head = HEADER.pack(MAGIC, FAMILY_CODES["pff"], 7, 2, 0, 41, 1, 0, 435)
     with pytest.raises(StreamFormatError, match="no usable code"):
         read_stream(head + bytes(106))
-
-
-def _same_codec(cons, loaded, make_codec):
-    """Codecs on both constructions encode alike and compile equal plans."""
-    codec, codec2 = make_codec(cons), make_codec(loaded)
-    payload = np.random.default_rng(5).integers(0, 2, codec.payload_bits,
-                                                dtype=np.uint8)
-    assert (codec.encode_payload(payload).buf
-            == codec2.encode_payload(payload).buf).all()
-    for name in ("flip_cells", "flip_keys", "hkeys"):
-        assert (getattr(codec.plan, name) == getattr(codec2.plan, name)).all()
-    assert all((w1 == w2).all() for (_, w1), (_, w2)
-               in zip(codec.groups, codec2.groups))
-
-
-def test_ff_cache_round_trip(tmp_path):
-    cons = search_construction(6, 1, 1, seed=0)
-    path = tmp_path / "ff.npz"
-    save_construction(cons, path)
-    loaded = load_construction(path)
-    assert (loaded.a_inv == cons.a_inv).all()
-    assert (loaded.pi1 == cons.pi1).all()
-    assert (loaded.pi2 == cons.pi2).all()
-    assert loaded.mode == cons.mode
-    _same_codec(cons, loaded, lambda c: FFCode(c, 4, window=4, l_max=4))
-
-
-def test_pff_cache_round_trip(tmp_path):
-    cons = search_pff_construction(7, 2, 41, seed=0)
-    path = tmp_path / "pff.npz"
-    save_construction(cons, path)
-    loaded = load_construction(path)
-    assert (loaded.a_inv == cons.a_inv).all()
-    assert (loaded.b_inv == cons.b_inv).all()
-    assert (loaded.pi == cons.pi).all()
-    _same_codec(cons, loaded, lambda c: PFFCode(c, 2, 2, window=4, l_max=4))
-
-
-def _edit(key, fn):
-    return lambda arrays: {**arrays, key: fn(arrays[key])}
-
-
-def _drop(key):
-    return lambda arrays: {k: v for k, v in arrays.items() if k != key}
-
-
-def _edit_meta(fn):
-    return _edit("meta", lambda meta: json.dumps(fn(json.loads(str(meta)))))
-
-
-def _flip_first_byte(a):
-    a = a.copy()
-    a[0, 0] ^= 0xFF
-    return a
-
-
-def _repeat_first(pi):
-    pi = pi.copy()
-    pi[1] = pi[0]
-    return pi
-
-
-@pytest.fixture(scope="module")
-def cache_arrays(tmp_path_factory):
-    """The arrays of an ff(6,1,1) and a pff(7,2,41) cache, by family."""
-    out = {}
-    # a valid ff(6,1,1) construction over another field polynomial
-    field = GaloisField(6, 0x61)
-    codes = (ComponentCode(6, 1, 1, field=field),
-             ComponentCode(6, 1, 1, role="col", reciprocal=True, field=field))
-    for family, cons in [("ff", search_construction(6, 1, 1, seed=0)),
-                         ("pff", search_pff_construction(7, 2, 41, seed=0)),
-                         ("ff-0x61", FFConstruction(*codes,
-                                                    *low_ef_indices(25, 6)))]:
-        path = tmp_path_factory.mktemp("cache") / f"{family}.npz"
-        save_construction(cons, path)
-        with np.load(path) as data:
-            out[family] = {k: data[k] for k in data.files}
-    return out
-
-
-@pytest.mark.parametrize("family,tamper", [
-    pytest.param("ff", _edit("a_inv", _flip_first_byte), id="ff-inverse"),
-    pytest.param("pff", _edit("a_inv", _flip_first_byte), id="pff-stage1"),
-    pytest.param("pff", _edit("b_inv", _flip_first_byte), id="pff-stage2"),
-    pytest.param("ff", _drop("a_inv"), id="missing-array"),
-    pytest.param("ff", _drop("meta"), id="missing-meta"),
-    pytest.param("ff", _edit("pi1", lambda pi: pi[:-1]), id="short-pi1"),
-    pytest.param("ff", _edit("pi1", lambda pi: pi + 1), id="pi1-out-of-range"),
-    pytest.param("ff", _edit("pi1", _repeat_first), id="pi1-repeated"),
-    pytest.param("pff", _edit("pi", _repeat_first), id="pi-repeated"),
-    pytest.param("ff", _edit("pi1", lambda pi: pi.astype(float)),
-                 id="pi1-not-integer"),
-    pytest.param("ff", _edit("a_inv", lambda a: a[:-1]), id="short-a_inv"),
-    pytest.param("pff", _edit("b_inv", lambda a: a[:-1]), id="short-b_inv"),
-    pytest.param("ff", _edit("meta", lambda meta: str(meta)[:-1]),
-                 id="bad-json"),
-    pytest.param("ff", _edit_meta(lambda meta: {**meta, "code": {
-        **meta["code"], "m": 20}}), id="m-20"),
-    pytest.param("ff", _edit_meta(lambda meta: {**meta, "kind": "sc"}),
-                 id="unknown-kind"),
-    pytest.param("ff", _edit_meta(lambda meta: [meta]), id="meta-not-object"),
-    pytest.param("ff", lambda arrays: b"not a cache", id="not-a-zip"),
-    pytest.param("ff", lambda arrays: b"PK\x03\x04" + bytes(40),
-                 id="truncated-zip"),
-    pytest.param("ff", lambda arrays: b"", id="empty-file"),
-    pytest.param("ff-0x61", lambda arrays: arrays, id="other-polynomial"),
-    pytest.param("ff", _edit_meta(lambda meta: {**meta, "code": {
-        **meta["code"], "generator": "0x61"}}), id="other-generator"),
-])
-def test_tampered_cache_rejected(tmp_path, cache_arrays, family, tamper):
-    edited = tamper(dict(cache_arrays[family]))
-    path = tmp_path / "cache.npz"
-    if isinstance(edited, bytes):
-        path.write_bytes(edited)
-    else:
-        np.savez_compressed(path, **edited)
-    with pytest.raises(StreamFormatError):
-        load_construction(path)
-
-
-def test_sc_has_no_cache():
-    with pytest.raises(TypeError):
-        save_construction(ComponentCode(4, 1, 1), "/tmp/never.npz")

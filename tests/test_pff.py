@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reference import perm_matrix, unknown_map
+from reference import perm_matrix, unknown_map, unvec, vec
 from stairfec import gf2
 from stairfec.pff import PFFCode, build_b_matrix, search_pff_construction
 from test_acceptance import check_frame
@@ -44,7 +44,7 @@ def test_b_matrix_matches_unknown_map(cons):
     rng = np.random.default_rng(0)
     for _ in range(5):
         y2 = rng.integers(0, 2, (r, 2 * r), dtype=np.uint8)
-        lhs = gf2.unvec(gf2.mat_mul(b, gf2.vec(y2, order="row")),
+        lhs = unvec(gf2.mat_mul(b, vec(y2, order="row")),
                         2 * r, r, order="row")
         assert (lhs == unknown_map(cons, y2)).all()
 
@@ -58,10 +58,10 @@ def _split_unknowns(cons, u):
     for sz in sizes:
         parts.append(u[off : off + sz])
         off += sz
-    y1 = gf2.unvec(parts[0], r, m2)
-    pc1 = gf2.unvec(parts[1], r, m2)
-    y2 = gf2.unvec(parts[2], r, 2 * r)
-    pc2 = gf2.unvec(parts[3], r, 2 * r)
+    y1 = unvec(parts[0], r, m2)
+    pc1 = unvec(parts[1], r, m2)
+    y2 = unvec(parts[2], r, 2 * r)
+    pc2 = unvec(parts[3], r, 2 * r)
     return y1, pc1, y2, pc2
 
 
@@ -91,7 +91,7 @@ def brute_force_sp(codec, m0, s_top, d_block):
             y_full.T,
         ])
         res_row = pc_full.T ^ gf2.mat_mul(row_msg, g_p)
-        return np.concatenate([gf2.vec(res_col), gf2.vec(res_row)])
+        return np.concatenate([vec(res_col), vec(res_row)])
 
     base0 = residual(np.zeros(n_unknown, dtype=np.uint8))
     lmat = gf2.zeros(n_unknown, n_unknown)

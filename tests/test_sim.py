@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import os
 import subprocess
@@ -29,14 +30,12 @@ def test_build_codec_families():
 
 
 def test_cli_import_leaves_the_process_pool_out():
-    """Only a run with workers > 1 imports the process pool.  (numpy 2's
-    own testing module imports concurrent.futures, but not its process
-    module or multiprocessing.)  What stairfec.cli imports beside sim
-    decides this too: it was checked at numpy 2.4 and scipy 1.17, not at
-    the numpy 1.24 / scipy 1.10 floor of CI.  If numpy.testing or
-    scipy.special there imports multiprocessing, this fails for a reason
-    outside stairfec, and the check to keep is that importing sim adds
-    neither module to an interpreter that lacked them."""
+    """Only a run with workers > 1 imports the process pool.  What
+    stairfec.cli imports beside sim decides this too, numpy and the
+    standard library only: it was checked at numpy 2.4, not at the numpy
+    1.24 floor of CI.  If numpy there imports multiprocessing, this fails
+    for a reason outside stairfec, and the check to keep is that importing
+    sim adds neither module to an interpreter that lacked them."""
     src = os.path.dirname(os.path.dirname(stairfec.__file__))
     code = ("import sys, stairfec.cli; print(sorted(sys.modules.keys() & "
             "{'concurrent.futures.process', 'multiprocessing'}))")
@@ -45,6 +44,26 @@ def test_cli_import_leaves_the_process_pool_out():
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "[]"
 
+
+
+def test_cli_runs_without_scipy():
+    """scipy is no run-time dependency: importing stairfec.cli leaves it
+    out, and ncg, the one verb whose function once needed it, runs where
+    importing scipy fails."""
+    src = os.path.dirname(os.path.dirname(stairfec.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, stairfec.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env).stdout
+    assert out.strip() == "False"
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.modules['scipy'] = None; from stairfec.cli import "
+         "main; sys.exit(main(['ncg', '--rate', '3/4', '--p15', '1.82e-2']))"],
+        capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["gap_db"] == pytest.approx(1.64, abs=0.02)
 
 def test_bsc_corrupt_rates():
     codec = toy_factory()
