@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -45,6 +46,22 @@ def _within(parse, low, high):
             pass
         raise argparse.ArgumentTypeError(f"{text!r} is not in ({low}, {high})")
     return check
+
+
+# 10**400 and 10**-400 lie beyond every float (1.8e308 down to 4.9e-324)
+_MAX_EXPONENT = 400
+_EXPONENT = re.compile(r"[eE][+-]?(\d[\d_]*)")
+
+
+def _fraction(text):
+    """``Fraction(text)``, refusing first a decimal exponent beyond
+    ``_MAX_EXPONENT``: Fraction builds 10**exponent exactly, which takes
+    seconds for an exponent in the millions."""
+    for digits in _EXPONENT.findall(text):
+        digits = digits.replace("_", "").lstrip("0")
+        if len(digits) > 3 or int(digits or 0) > _MAX_EXPONENT:
+            raise ValueError(f"exponent of {text!r} is out of float range")
+    return Fraction(text)
 
 
 def _list_of(parse):
@@ -283,7 +300,7 @@ def build_parser():
     p.set_defaults(func=cmd_floor)
 
     p = sub.add_parser("ncg", help="coding-gain gap to capacity")
-    p.add_argument("--rate", type=_within(Fraction, 0, 1), required=True,
+    p.add_argument("--rate", type=_within(_fraction, 0, 1), required=True,
                    help="code rate as a fraction in (0, 1)")
     p.add_argument("--p15", type=_within(float, 0, 0.5), required=True,
                    help="crossover in (0, 0.5) giving output BER 1e-15")

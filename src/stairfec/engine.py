@@ -29,7 +29,10 @@ ceil(t / floor(64/m)) of them).  Keys are linear, so XORing the key of a
 unit error into a word's key is the same as XORing syndromes:
 
 - per frame, every word's key comes from one gather and one float32 matmul
-  per component code;
+  per component code (:meth:`Plan.syndromes`), or, for a buffer known by
+  its few ones, from their unit-error keys alone (:meth:`Plan.error_keys`,
+  the flip scatter below): Monte Carlo decodes a frame's error pattern,
+  whose keys are those of the received frame, since a codeword's are zero;
 - per group visit, only the words whose key is nonzero and has changed
   since their last decode go to ``code.decode_syndromes``: there is no
   gather and no screen, and a word that failed or was vetoed is not
@@ -194,22 +197,44 @@ class Plan:
                 code.syndrome_keys(buf.take(table, mode="clip")))
         return keys
 
+    def error_keys(self, slots):
+        """The keys of a buffer that is zero bar a one at each of ``slots``
+        (the zero slot excluded), plus a scratch row: :meth:`syndromes` of
+        that buffer, from the unit-error keys of its ones alone."""
+        keys = np.zeros((self.n_words + 1, self.width), dtype=np.uint64)
+        self.flip(keys.reshape(-1), slots)
+        return keys
+
+    def flip(self, cells, slots):
+        """XOR the key of a unit error at each of ``slots`` into every word
+        that holds it, in the flat key state ``cells``; unbuffered, so a
+        slot listed twice flips back.  Returns the cells touched."""
+        touched = self.flip_cells.take(slots, axis=1).reshape(-1)
+        np.bitwise_xor.at(cells, touched, self.hkeys.reshape(-1)[
+            self.flip_keys.take(slots, axis=1).reshape(-1)])
+        return touched
+
 
 _ONE = np.uint8(1)  # a scalar of the buffer's dtype: no cast per flip
 
 
-def decode(buf, plan, l_max):
+def decode(buf, plan, l_max, keys=None):
     """Sliding-window bounded-distance decode of a frame buffer, in place.
 
     At each window position, sweep the position's groups up to ``l_max``
     times, stopping after a sweep in which no word was corrected.  A word's
     correction is vetoed when any of its flips lands on the zero slot.
-    Returns ``(sweeps, keys)``: the number of sweeps made and the kept
-    keys, whose word rows equal those of ``plan.syndromes(buf)`` for the
-    decoded buffer (the last row is scratch).
+    ``keys``, when given, must be the keys of ``buf``: word rows equal to
+    those of ``plan.syndromes(buf)``, as ``plan.error_keys`` gives them for
+    a buffer known by its ones; the decode updates them in place and reads
+    the bits of ``buf`` only through them.  Returns ``(sweeps, keys)``: the
+    number of sweeps made and the kept keys, whose word rows equal those of
+    ``plan.syndromes(buf)`` for the decoded buffer (the last row is
+    scratch).
     """
-    keys = plan.syndromes(buf)
-    cells, hkeys = keys.reshape(-1), plan.hkeys.reshape(-1)
+    if keys is None:
+        keys = plan.syndromes(buf)
+    cells = keys.reshape(-1)
     width = plan.width
     # a word is live when its key is nonzero and has changed since its last
     # decode; a decode that changed nothing would change nothing again
@@ -239,10 +264,7 @@ def decode(buf, plan, l_max):
                         continue
                 # unbuffered: a slot listed twice flips back
                 np.bitwise_xor.at(buf, slots, _ONE)
-                touched = plan.flip_cells.take(slots, axis=1).reshape(-1)
-                np.bitwise_xor.at(
-                    cells, touched,
-                    hkeys[plan.flip_keys.take(slots, axis=1).reshape(-1)])
+                touched = plan.flip(cells, slots)
                 if width == 1:
                     live[touched] = cells[touched] != 0
                 else:

@@ -43,21 +43,27 @@ __all__ = [
 def binary_entropy(p):
     if not 0 < p < 1:
         raise ValueError("entropy argument must be in (0, 1)")
-    return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+    # log1p keeps the second term, about p / ln 2, where 1 - p rounds to 1
+    return -p * math.log2(p) - (1 - p) * math.log1p(-p) / math.log(2)
 
 
 def entropy_inv(y):
-    """The p in (0, 1/2] with h(p) = y, by bisection."""
+    """The p in (0, 1/2] with h(p) = y, by bisection on the geometric
+    midpoint from the smallest positive float, so the root keeps its
+    relative precision at every scale; the smallest positive float when
+    y is below its entropy."""
     if not 0 < y <= 1:
         raise ValueError("entropy value must be in (0, 1]")
-    lo, hi = 1e-15, 0.5
-    for _ in range(200):
-        mid = (lo + hi) / 2
+    lo, hi = math.ulp(0.0), 0.5
+    while True:
+        # the product of the roots: lo * hi can underflow
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        if not lo < mid < hi:
+            return hi if binary_entropy(lo) < y else lo
         if binary_entropy(mid) < y:
             lo = mid
         else:
             hi = mid
-    return (lo + hi) / 2
 
 
 def _gain_db(p):
@@ -80,11 +86,19 @@ def ncg_gap(rate, p15):
 
 @dataclass(frozen=True)
 class FloorEstimate:
+    """Union-bound floor estimates, each capped at 1: beyond the small-p
+    regime the sum over stall patterns exceeds 1, and 1 still bounds a
+    probability."""
+
     family: str
     p: float
     bker: float
     ber: float
     weight: int
+
+
+def _estimate(family, p, bker, ber, weight):
+    return FloorEstimate(family, p, min(bker, 1.0), min(ber, 1.0), weight)
 
 
 def ff_floor(m_side, r, t, p):
@@ -93,7 +107,7 @@ def ff_floor(m_side, r, t, p):
     t_r = t + 1 - t_i
     bker = math.comb(m_side, t_r) * math.comb(2 * r, t_r) * p ** (t_r * (t + 1))
     ber = bker * t_i * t_r / m_side**2
-    return FloorEstimate("ff", p, bker, ber, t_r * (t + 1))
+    return _estimate("ff", p, bker, ber, t_r * (t + 1))
 
 
 def _square_floor(family, m_side, t, p):
@@ -102,7 +116,7 @@ def _square_floor(family, m_side, t, p):
     )
     bker = math.comb(m_side, t + 1) * total * p ** ((t + 1) ** 2)
     ber = bker * (t + 1) ** 2 / m_side**2
-    return FloorEstimate(family, p, bker, ber, (t + 1) ** 2)
+    return _estimate(family, p, bker, ber, (t + 1) ** 2)
 
 
 def sc_floor(m_side, t, p):

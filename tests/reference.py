@@ -382,3 +382,27 @@ def decode_one_at_a_time(buf, schedule, l_max):
             if not changed:
                 break
     return sweeps
+
+
+# -- Monte Carlo -----------------------------------------------------------------
+
+
+def run_frames(codec, p, master_seed, indices):
+    """``sim.run_frames`` by the transmitted frame: encode each frame's
+    payload, pass the frame through the BSC, decode it and compare the
+    payload, drawing payload and noise from the same per-frame generator."""
+    bits = bit_errors = blocks = block_errors = 0
+    for i in indices:
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=master_seed, spawn_key=(int(i),)))
+        payload = rng.integers(0, 2, codec.payload_bits, dtype=np.uint8)
+        frame = codec.encode_payload(payload)
+        frame.buf[:-1] ^= rng.random(codec.n_tx) < p
+        codec.decode_frame(frame)
+        wrong = codec.extract_payload(frame) != payload
+        per_block = np.add.reduceat(wrong, codec.info_starts, dtype=np.int64)
+        bits += wrong.size
+        bit_errors += int(per_block.sum())
+        blocks += per_block.size
+        block_errors += int(np.count_nonzero(per_block))
+    return len(indices), bits, bit_errors, blocks, block_errors

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -296,6 +297,34 @@ def test_out_of_range_ncg_and_floor_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("rate", ["1e3000000", "1e-3000000", "3e+0_000_401",
+                                  "1e401", "1e-401"])
+def test_rate_with_an_exponent_beyond_floats_exits_2_quickly(rate):
+    """Fraction would build 10**exponent exactly before the range check."""
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["ncg", "--rate", rate, "--p15", "1e-3"])
+    assert exc.value.code == 2
+    assert time.perf_counter() - start < 0.5
+
+
+def test_rate_keeps_decimal_and_fraction_forms(capsys):
+    for rate in ("3/4", "0.75", "7.5e-1", "75E-2", "7500e-4", "0.0075e+2"):
+        code, out = run_cli(capsys, ["ncg", "--rate", rate, "--p15", "1e-3"])
+        assert code == 0
+        assert json.loads(out)["rate"] == "3/4"
+
+
+def test_floor_caps_estimates_at_one(capsys):
+    for family in ("sc", "ff", "pff"):
+        code, out = run_cli(capsys, FLOOR[:2] + [family] + FLOOR[3:]
+                            + ["--p", "0.5,1e-3"])
+        assert code == 0
+        high, low = _finite_json(out)
+        assert high["bker"] == high["ber"] == 1.0
+        assert 0 < low["ber"] < low["bker"] < 1
 
 
 def test_ncg_and_floor_print_finite_json(capsys):

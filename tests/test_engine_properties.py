@@ -1,11 +1,12 @@
-"""The syndrome-domain decoder against the word-by-word loop in ``reference``."""
+"""The syndrome-domain decoder against the word-by-word loop in ``reference``,
+and decoding a received frame against decoding its error pattern alone."""
 
 import numpy as np
 import pytest
 
 import reference
 from stairfec import engine
-from stairfec.sim import bsc_corrupt, build_codec
+from stairfec.sim import bsc_corrupt, build_codec, run_frames
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -110,3 +111,73 @@ def test_two_word_flip_table_lists_every_holder_of_a_slot():
     codec = build_codec("sc", 10, 7, 823, length=2, window=2, l_max=2)
     assert codec.plan.width == 2
     check_flip_table(codec)
+
+
+@pytest.mark.parametrize("case", CODECS + [
+    ("sc", 10, 7, 823, dict(length=2, window=2, l_max=2))])
+def test_error_keys_match_dense_syndromes(case):
+    family, m, t, s, kwargs = case
+    codec = build_codec(family, m, t, s, **kwargs)
+    plan = codec.plan
+    # the slots that one word lists at two of its positions
+    twice = sorted(slot for slot, held in check_flip_table(codec).items()
+                   if len({w for w, _ in held}) < len(held))
+    # pff's S[i,i] sits twice in row word i of S; sc and ff list no slot twice
+    assert bool(twice) == (family == "pff")
+    rng = np.random.default_rng(1)
+    for weight in (0, 1, 2, 7, 60):
+        for _ in range(4):
+            slots = rng.choice(codec.n_tx, size=weight, replace=False)
+            if twice:
+                slots = np.union1d(slots, rng.choice(twice, size=2,
+                                                     replace=False))
+            buf = np.zeros(codec.n_tx + 1, dtype=np.uint8)
+            buf[slots] = 1
+            keys = plan.error_keys(slots)
+            assert keys.shape == (plan.n_words + 1, plan.width)
+            assert (keys[:-1] == plan.syndromes(buf)[:-1]).all()
+
+
+@hypothesis.settings(deadline=None, max_examples=25)
+@hypothesis.given(case=st.sampled_from(CODECS),
+                  p=st.sampled_from([0.005, 0.02, 0.05, 0.1]),
+                  seed=st.integers(0, 2**32 - 1))
+def test_received_frame_decodes_as_its_error_pattern(case, p, seed):
+    """Decoding c + e from its dense keys flips what decoding e alone from
+    its scatter keys flips: the decoder reads a buffer only through its
+    keys, and a codeword's keys are zero."""
+    family, m, t, s, kwargs = case
+    codec = build_codec(family, m, t, s, **kwargs)
+    rng = np.random.default_rng(seed)
+    frame = codec.encode_payload(
+        rng.integers(0, 2, codec.payload_bits, dtype=np.uint8))
+    sent = frame.buf.copy()
+    bsc_corrupt(codec, frame, p, rng)
+    error = frame.buf ^ sent
+
+    sweeps, keys = engine.decode(frame.buf, codec.plan, codec.l_max)
+    e_sweeps, e_keys = engine.decode(
+        error, codec.plan, codec.l_max,
+        keys=codec.plan.error_keys(error.nonzero()[0]))
+    assert (frame.buf == sent ^ error).all()
+    assert sweeps == e_sweeps
+    assert (keys[:-1] == e_keys[:-1]).all()
+
+
+TABLE = {
+    "sc": ("sc", 8, 3, 63, dict(length=8)),
+    "ff": ("ff", 8, 3, 63, dict(length=8)),
+    "pff": ("pff", 8, 3, 15, dict(L=2, length=3)),
+}
+
+
+@pytest.mark.parametrize("p", [0.016, 0.001])
+@pytest.mark.parametrize("name", sorted(TABLE))
+def test_run_frames_matches_encode_corrupt_decode_loop(name, p):
+    family, m, t, s, kwargs = TABLE[name]
+    codec = build_codec(family, m, t, s, **kwargs)
+    frames = range(4)
+    counters = run_frames(codec, p, 9, frames)
+    assert counters == reference.run_frames(codec, p, 9, frames)
+    if p > 0.01:
+        assert counters[2] > 0  # the channel beat the decoder somewhere

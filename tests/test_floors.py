@@ -38,6 +38,29 @@ def test_entropy_round_trip():
         entropy_inv(0)
 
 
+@pytest.mark.parametrize("y", [1e-14, 1e-100, 1e-300])
+def test_entropy_inv_keeps_relative_precision_at_tiny_values(y):
+    p = entropy_inv(y)
+    assert 0 < p < y
+    assert binary_entropy(p) == pytest.approx(y, rel=1e-12)
+
+
+def test_binary_entropy_keeps_its_linear_term_at_tiny_p():
+    # h(p) = p log2(1/p) + p / ln 2 + O(p^2): 1 - p rounds to 1 here
+    p = 1e-300
+    expect = p * math.log2(1 / p) + p / math.log(2)
+    assert binary_entropy(p) == pytest.approx(expect, rel=1e-12)
+
+
+def test_floor_estimates_are_capped_at_one():
+    for est in (sc_floor(72, 3, 0.5), pff_floor(96, 3, 0.5),
+                ff_floor(72, 24, 3, 0.5)):
+        assert est.bker == 1.0 and est.ber == 1.0
+    # below the cap the union bound is untouched
+    est = sc_floor(72, 3, 0.01)
+    assert 0 < est.ber < est.bker < 1e-17
+
+
 @pytest.mark.parametrize("rate,p15,expect", NCG_TABLE)
 def test_ncg_gap_table(rate, p15, expect):
     assert ncg_gap(rate, p15) == pytest.approx(expect, abs=0.02)
