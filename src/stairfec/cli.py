@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -33,18 +34,19 @@ def _add_code_args(p, family_required=True):
     p.add_argument("--s", type=int, required=True)
 
 
-def _within(parse, low, high):
-    """Argument type: ``parse(text)`` once it lies strictly between ``low``
-    and ``high`` as a float (NaN never does, and a fraction that rounds to a
-    bound is refused, so float arithmetic on it stays inside)."""
+def _within(parse, low, high, closed=False):
+    """Argument type: ``parse(text)`` once it lies between ``low`` and ``high``
+    as a float, strictly unless ``closed`` (NaN never does, and a fraction that
+    rounds to an open bound is refused, so float arithmetic stays inside)."""
     def check(text):
         try:
             value = parse(text)
-            if low < float(value) < high:
+            if low < float(value) < high or closed and float(value) in (low, high):
                 return value
         except (ArithmeticError, ValueError):  # 1/0, or too large a float
             pass
-        raise argparse.ArgumentTypeError(f"{text!r} is not in ({low}, {high})")
+        interval = f"[{low}, {high}]" if closed else f"({low}, {high})"
+        raise argparse.ArgumentTypeError(f"{text!r} is not in {interval}")
     return check
 
 
@@ -67,7 +69,10 @@ def _fraction(text):
 def _list_of(parse):
     """Argument type: comma-separated values, each read by ``parse``."""
     def comma_list(text):
-        return [parse(x) for x in text.split(",") if x]
+        values = [parse(x) for x in text.split(",") if x]
+        if not values:
+            raise argparse.ArgumentTypeError(f"{text!r} lists no value")
+        return values
     return comma_list
 
 
@@ -82,10 +87,15 @@ def _add_codec_args(p):
                    help="period length parameter (pff only)")
     p.add_argument("--length", type=_unsigned(16), default=8,
                    help="blocks per frame (sc/ff) or periods (pff)")
-    p.add_argument("--window", type=int, default=7)
-    p.add_argument("--l-max", type=int, default=8)
+    _add_decoder_args(p)
     p.add_argument("--seed", type=_unsigned(32), default=0,
                    help="construction search seed")
+
+
+def _add_decoder_args(p):
+    # an sc window of one block spans no pair of blocks, so decodes no word
+    p.add_argument("--window", type=_within(int, 1, math.inf), default=7)
+    p.add_argument("--l-max", type=_within(int, 0, math.inf), default=8)
 
 
 def _make_codec(args):
@@ -270,25 +280,24 @@ def build_parser():
     p = sub.add_parser("decode", help="decode a stream file to a payload")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, default=7)
-    p.add_argument("--l-max", type=int, default=8)
+    _add_decoder_args(p)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("inject", help="generate and certify a stall pattern "
                                       "(entries are stream-bit offsets)")
     _add_codec_args(p)
-    p.add_argument("--pattern-seed", type=int, default=0)
+    p.add_argument("--pattern-seed", type=_within(int, -1, math.inf), default=0)
     p.set_defaults(func=cmd_inject)
 
     p = sub.add_parser("simulate", help="Monte Carlo BSC simulation")
     _add_codec_args(p)
-    p.add_argument("--p", type=_list_of(float), required=True,
-                   help="comma-separated crossover probabilities")
-    p.add_argument("--master-seed", type=int, default=0)
+    p.add_argument("--p", type=_list_of(_within(float, 0, 1, closed=True)),
+                   required=True, help="comma-separated probabilities in [0, 1]")
+    p.add_argument("--master-seed", type=_within(int, -1, math.inf), default=0)
     p.add_argument("--min-bit-errors", type=int, default=100)
-    p.add_argument("--max-frames", type=int, default=10000)
-    p.add_argument("--batch-frames", type=int, default=16)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--max-frames", type=_within(int, 0, math.inf), default=10000)
+    p.add_argument("--batch-frames", type=_within(int, 0, math.inf), default=16)
+    p.add_argument("--workers", type=_within(int, 0, math.inf), default=1)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_simulate)
 

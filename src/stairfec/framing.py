@@ -44,7 +44,8 @@ FIELDS = ("family", "m", "t", "L", "s", "length", "seed", "payload_bits")
 FAMILY_CODES = {"sc": 0, "ff": 1, "pff": 2}
 FAMILY_NAMES = {v: k for k, v in FAMILY_CODES.items()}
 # Rows of the largest GF(2) system whose inversion a stream header may ask
-# for: M*r for ff (its A), 2r^2 for pff (its B).  ff(10,3,183), the rate-13/14
+# for: M*r for ff (its A), 2r^2 for pff (the stage-2 unknowns that it solves
+# for through an r^2 x r^2 system).  ff(10,3,183), the rate-13/14
 # code, has 11,700 and takes 4-8 s and about 400 MB to construct on a 2-vCPU
 # Xeon VM; ff(11,3,1) would have 32,670, and memory grows with rows squared.
 MAX_SYSTEM_ROWS = 12_000

@@ -18,9 +18,9 @@ M - 2r columns; stage 2 (a 2r^2 x 2r^2 system B) fixes Y2 against the
 right 2r columns, where a 2r x 2r permutation Pi scrambles how row words
 read those columns.  All mirror permutations are trivial transposes:
 X1 = Y1^T, Pr1~ = Pc1~^T and likewise for stage 2, so the punctured row
-extensions are read straight out of S's columns.  The search decides each
-Pi on an r^2 x r^2 system that is singular exactly when B is
-(:func:`reduced_b_matrix`) and inverts only the B that passes.
+extensions are read straight out of S's columns.  B is never built: the
+search decides each Pi on an r^2 x r^2 system R (:func:`reduced_b_matrix`),
+and the encoder solves B through the inverses of A and R.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from . import engine, gf2
 from .bch import ComponentCode, code_pair
 
 __all__ = [
-    "build_b_matrix",
     "reduced_b_matrix",
     "PFFConstruction",
     "build_pff_construction",
@@ -42,43 +41,23 @@ __all__ = [
 ]
 
 
-def scatter_columns(a, spacing):
-    """S(A): column i of a lands in column spacing*i, zeros elsewhere."""
-    rows, cols = a.shape
-    out = gf2.zeros(rows, spacing * cols)
-    out[:, spacing * np.arange(cols)] = a
-    return out
-
-
-def build_b_matrix(r, a_small, g_b_t, f_r):
-    """The 2r^2 x 2r^2 stage-2 system matrix.
-
-    Stacks cyclic right-shifts of the scattered stage-1 matrix (the
-    Y2^T A^T contribution) on top of kron blocks carrying G_B~ (the
-    [I; F_r^T] Y2 G_B~ contribution); acts on the row-wise vec of Y2.
-    """
-    sa = scatter_columns(a_small, 2 * r)
-    first = np.vstack([np.roll(sa, j, axis=1) for j in range(2 * r)])
-    second = gf2.kron(np.vstack([gf2.identity(r), f_r.T]), g_b_t.T)
-    return first ^ second
-
-
 def reduced_b_matrix(a_small, g_b_t, f_r):
-    """The r^2 x r^2 system that is singular exactly when B is, given an
-    invertible stage-1 matrix A_s = ``a_small``.
+    """The r^2 x r^2 system R through which the stage-2 system B is
+    solved, given an invertible stage-1 matrix A_s = ``a_small``.
 
-    B maps Y2 (r x 2r) to (A_s Y2)^T + [I; F_r^T] Y2 G_B~.  Split Y2 = [U V]
-    into r x r halves and G_B~ = [G1; G2] into r x r halves; B(Y2) = 0 reads
+    B maps Y2 (r x 2r) to K = (A_s Y2)^T + [I; F_r^T] Y2 G_B~.  Split
+    Y2 = [U V], G_B~ = [G1; G2] and K = [K_t; K_b] into r x r halves;
+    B(Y2) = K reads
 
-        U^T A_s^T + U G1 + V G2 = 0                         (top r rows)
-        V^T A_s^T + F_r^T (U G1 + V G2) = 0                 (bottom r rows)
+        U^T A_s^T + U G1 + V G2 = K_t                        (top r rows)
+        V^T A_s^T + F_r^T (U G1 + V G2) = K_b                (bottom r rows)
 
     The bottom rows plus F_r^T times the top rows give
-    (V^T + F_r^T U^T) A_s^T = 0, so V = U F_r since A_s is invertible, and
-    the top rows then read U H + U^T A_s^T = 0 with H = G1 + F_r G2.
-    Conversely every U solving that gives the kernel vector [U  U F_r].  So
-    B is singular exactly when U -> U H + U^T A_s^T, returned here on the
-    row-wise vec of U, is.
+    (V^T + F_r^T U^T) A_s^T = K_b + F_r^T K_t, so W = V + U F_r is
+    A_s^-1 (K_b + F_r^T K_t)^T, and the top rows then read
+    R(U) = U H + U^T A_s^T = K_t + W G2 with H = G1 + F_r G2.  So B is
+    invertible exactly when R, returned here on the row-wise vec of U, is,
+    and then Y2 = [U  U F_r + W].
     """
     r = len(a_small)
     h = g_b_t[:r] ^ gf2.mat_mul(f_r, g_b_t[r:])
@@ -94,9 +73,9 @@ class PFFConstruction:
 
     Takes the component codes, the 2r row-permutation indices ``pi``
     (G_B~ = G_B[pi]) and the mode.  Derives the inverses of the stage-1
-    system ``a_small`` and the stage-2 system B; SingularMatrixError if
-    either is singular.  ``gp_std`` is the row code's G_p without its
-    leading 2r pad rows.
+    system ``a_small`` and of R (``u_inv``, :func:`reduced_b_matrix`);
+    SingularMatrixError if either is singular.  ``gp_std`` is the row
+    code's G_p without its leading 2r pad rows.
     """
 
     code_row: ComponentCode
@@ -121,16 +100,25 @@ class PFFConstruction:
         m2 = m_side - 2 * r
         self.g_b_t = self.g_i[m2:m_side][self.pi]
         try:  # a candidate is rejected on the r^2 system
-            gf2.invert(reduced_b_matrix(self.a_small, self.g_b_t, self.f_r))
+            self.u_inv = gf2.invert(reduced_b_matrix(self.a_small, self.g_b_t, self.f_r))
         except gf2.SingularMatrixError as err:
             raise gf2.SingularMatrixError(
                 f"U -> U H + U^T A_s^T is singular: {err}") from None
-        self.b_inv = gf2.invert(
-            build_b_matrix(r, self.a_small, self.g_b_t, self.f_r))
         self.colidx = gf2.invert_indices(self.pi)
         self.g_i_mod = np.vstack([self.g_i[:m2], self.g_b_t, self.g_i[m_side:]])
-        self.op_b_inv = gf2.operand(self.b_inv)  # packed once for the encoder
+        self.op_u_inv = gf2.operand(self.u_inv)  # packed once for the encoder
         gf2.freeze(self)
+
+    def solve_stage2(self, known):
+        """Y2 with B(Y2) = ``known`` (or stacks of them along leading axes),
+        solved through A_s and R as :func:`reduced_b_matrix` derives."""
+        r = self.r
+        k_t, k_b = known[..., :r, :], known[..., r:, :]
+        f_k_t = gf2.mat_mul(k_t.swapaxes(-1, -2), self.f_r).swapaxes(-1, -2)
+        w = gf2.mat_mul(k_b ^ f_k_t, self.a_inv.T).swapaxes(-1, -2)
+        rhs = k_t ^ gf2.mat_mul(w, self.g_b_t[r:])
+        u = gf2.apply(self.op_u_inv, rhs.reshape(*w.shape[:-2], -1)).reshape(w.shape)
+        return np.concatenate([u, gf2.mat_mul(u, self.f_r) ^ w], axis=-1)
 
 
 def build_pff_construction(code_row, code_col, pi, mode="custom"):
@@ -262,9 +250,7 @@ class PFFCode(engine.FrameCodec):
             np.concatenate([zeros(2 * r, 2 * r), tr(m02), tr(m12)], axis=-1),
             c.f_i,
         )
-        # y2 = unvec(B^-1 vec(known)), row-wise vecs, one row per period
-        flat = known.reshape(lead + (-1,))
-        y2 = gf2.apply(c.op_b_inv, flat).reshape(lead + (r, 2 * r))
+        y2 = c.solve_stage2(known)
         pc2 = p_c2 ^ tr(gf2.mat_mul(tr(y2), c.f_r))
         bottom = np.concatenate(
             [w1, np.concatenate([y2, pc2], axis=-2)], axis=-1)

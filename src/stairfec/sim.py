@@ -184,8 +184,10 @@ def run_monte_carlo(codec_factory, p, *, master_seed=0, min_bit_errors=100,
     one.  With workers > 1 each worker rebuilds the codec through
     :func:`build_codec` from its identity, so it must be one that
     build_codec made.  The counters after any round are identical for
-    every worker count.
+    every worker count.  ValueError if ``batch_frames`` < 1.
     """
+    if batch_frames < 1:
+        raise ValueError(f"batch_frames must be at least 1, got {batch_frames}")
     start = time.monotonic()
     codec = codec_factory() if callable(codec_factory) else codec_factory
     totals = [0, 0, 0, 0, 0]

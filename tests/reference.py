@@ -239,6 +239,21 @@ def unknown_map(cons, y2):
             ^ gf2.mat_mul(stacked, cons.g_b_t))
 
 
+def build_b_matrix(r, a_small, g_b_t, f_r):
+    """The 2r^2 x 2r^2 stage-2 system B, the map :func:`unknown_map` on the
+    row-wise vecs of Y2 and of its image.
+
+    Stacks cyclic right-shifts of the scattered stage-1 matrix (the
+    Y2^T A^T contribution; column i of A lands in column 2r*i) on top of
+    kron blocks carrying G_B~ (the [I; F_r^T] Y2 G_B~ contribution).
+    """
+    scattered = gf2.zeros(r, 2 * r * r)
+    scattered[:, 2 * r * np.arange(r)] = a_small
+    first = np.vstack([np.roll(scattered, j, axis=1) for j in range(2 * r)])
+    second = gf2.kron(np.vstack([gf2.identity(r), f_r.T]), g_b_t.T)
+    return first ^ second
+
+
 # -- BCH bounded-distance decoding -------------------------------------------------
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stairfec import sim
-from stairfec.cli import main
+from stairfec.cli import build_parser, main
 from stairfec.framing import FAMILY_CODES, HEADER, MAGIC, write_stream
 from stairfec.sim import build_codec
 
@@ -338,3 +338,47 @@ def test_ncg_and_floor_print_finite_json(capsys):
                             + ["--p", "1e-300,1e-3,0.999"])
         assert code == 0
         assert [row["p"] for row in _finite_json(out)] == [1e-300, 1e-3, 0.999]
+
+
+SIMULATE = ["simulate", "--family", "sc", "--m", "6", "--t", "1", "--s", "1",
+            "--length", "2", "--max-frames", "4"]
+INJECT = ["inject", "--family", "sc", "--m", "6", "--t", "1", "--s", "1"]
+DECODE = ["decode", "--in", "x.sfc", "--out", "x.bin"]
+
+
+@pytest.mark.parametrize("argv", [
+    SIMULATE + ["--p", "0.01", "--batch-frames", "0"],
+    SIMULATE + ["--p", "0.01", "--batch-frames", "-1"],
+    SIMULATE + ["--p", "0.01", "--master-seed", "-1"],
+    INJECT + ["--pattern-seed", "-1"],
+    SIMULATE + ["--p", "2"],
+    SIMULATE + ["--p", "nan"],
+    SIMULATE + ["--p", "-0.01"],
+    SIMULATE + ["--p", ","],
+    SIMULATE + ["--p", ",", "--csv"],
+    SIMULATE + ["--p", "0.005", "--window", "1"],
+    SIMULATE + ["--p", "0.005", "--l-max", "0"],
+    SIMULATE + ["--p", "0.005", "--l-max", "-1"],
+    SIMULATE + ["--p", "0.01", "--workers", "-2"],
+    SIMULATE + ["--p", "0.01", "--workers", "0"],
+    SIMULATE + ["--p", "0.01", "--max-frames", "0"],
+    DECODE + ["--window", "1"],
+    DECODE + ["--l-max", "0"],
+    FLOOR + ["--p", ","],
+], ids=lambda argv: " ".join(argv[:1] + argv[-4:]))
+def test_out_of_range_options_exit_2(argv):
+    """Checked by the parser alone, so none of these can run, let alone
+    hang, whatever the program would do with the value."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+
+
+def test_in_range_options_parse():
+    args = build_parser().parse_args(
+        SIMULATE + ["--p", "0.0,1,0.5,", "--window", "2", "--l-max", "1",
+                    "--batch-frames", "1", "--workers", "1",
+                    "--master-seed", "0", "--max-frames", "1"])
+    assert args.p == [0.0, 1.0, 0.5]
+    assert (args.window, args.l_max, args.batch_frames, args.workers,
+            args.master_seed, args.max_frames) == (2, 1, 1, 1, 0, 1)

@@ -127,7 +127,7 @@ def test_construction_operands_are_packed_and_read_only():
     ff_cons = ff.search_construction(8, 3, 63)
     pff_cons = pff.search_pff_construction(8, 3, 15)
     for op, inv in ((ff_cons.op_a_inv, ff_cons.a_inv),
-                    (pff_cons.op_b_inv, pff_cons.b_inv)):
+                    (pff_cons.op_u_inv, pff_cons.u_inv)):
         assert type(op) is np.ndarray and not op.flags.writeable
         assert (op == gf2.operand(inv)).all()
         with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from reference import perm_matrix, unknown_map, unvec, vec
-from stairfec import gf2
-from stairfec.pff import PFFCode, build_b_matrix, search_pff_construction
+from reference import build_b_matrix, perm_matrix, unknown_map, unvec, vec
+from stairfec import gf2, pff
+from stairfec.bch import code_pair
+from stairfec.pff import PFFCode, search_pff_construction
 from test_acceptance import check_frame
 
 
@@ -34,8 +37,8 @@ def test_colidx_matches_matrix(cons):
 def test_stage_systems_invert(cons):
     r = cons.r
     assert (gf2.mat_mul(cons.a_small, cons.a_inv) == gf2.identity(r)).all()
-    b = build_b_matrix(r, cons.a_small, cons.g_b_t, cons.f_r)
-    assert (gf2.mat_mul(b, cons.b_inv) == gf2.identity(2 * r * r)).all()
+    reduced = pff.reduced_b_matrix(cons.a_small, cons.g_b_t, cons.f_r)
+    assert (gf2.mat_mul(reduced, cons.u_inv) == gf2.identity(r * r)).all()
 
 
 def test_b_matrix_matches_unknown_map(cons):
@@ -47,6 +50,43 @@ def test_b_matrix_matches_unknown_map(cons):
         lhs = unvec(gf2.mat_mul(b, vec(y2, order="row")),
                         2 * r, r, order="row")
         assert (lhs == unknown_map(cons, y2)).all()
+
+
+# (m, t, s) and the candidates of the seed-0 search taken, identity first;
+# 3, 4, 2 and 5 of them pass (pff(8,3,15) the 5th, 9th, 10th, 11th and 14th)
+STAGE2_CODES = [((6, 1, 1), 12), ((7, 1, 1), 12), ((7, 2, 41), 12),
+                ((8, 3, 15), 16)]
+
+
+@pytest.mark.parametrize("code, count", STAGE2_CODES)
+def test_stage2_solve_matches_b_inverse(code, count):
+    """On every candidate that the search would accept, the solve through
+    A_s and R is B^-1 on random right-hand sides, stacked along leading
+    axes and one at a time."""
+    row, col = code_pair(*code)
+    rng = np.random.default_rng(11)
+    candidates = pff._candidates(row.r, np.random.default_rng(0), count)
+    solved = 0
+    for mode, pi in itertools.islice(candidates, count):
+        try:
+            cons = pff.build_pff_construction(row, col, pi, mode)
+        except gf2.SingularMatrixError:
+            continue
+        r = cons.r
+        reduced = pff.reduced_b_matrix(cons.a_small, cons.g_b_t, cons.f_r)
+        assert (gf2.mat_mul(cons.u_inv, reduced) == gf2.identity(r * r)).all()
+        b = build_b_matrix(r, cons.a_small, cons.g_b_t, cons.f_r)
+        known = rng.integers(0, 2, (4, 16, 2 * r, r), dtype=np.uint8)
+        flat = known.reshape(-1, 2 * r * r)
+        y2 = cons.solve_stage2(known)
+        assert y2.shape == (4, 16, r, 2 * r)
+        assert (y2.reshape(-1, 2 * r * r)
+                == gf2.mat_mul(flat, gf2.invert(b).T)).all()
+        assert (gf2.mat_mul(y2.reshape(-1, 2 * r * r), b.T) == flat).all()
+        for k, y in zip(known[0], y2[0]):
+            assert (cons.solve_stage2(k) == y).all()
+        solved += 1
+    assert solved
 
 
 def _split_unknowns(cons, u):

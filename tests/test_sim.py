@@ -137,6 +137,19 @@ def test_stop_rules():
     assert report.frames < 1000
 
 
+def test_batch_frames_below_one_is_refused_before_building():
+    built = []
+
+    def factory():
+        built.append(1)
+        return toy_factory()
+
+    for batch in (0, -1):
+        with pytest.raises(ValueError):
+            run_monte_carlo(factory, 0.01, batch_frames=batch, max_frames=0)
+    assert not built
+
+
 def test_report_statistics():
     report = run_monte_carlo(toy_factory, 0.2, master_seed=1,
                              min_bit_errors=10, max_frames=100)
