@@ -35,13 +35,15 @@ def _add_code_args(p, family_required=True):
 
 
 def _within(parse, low, high, closed=False):
-    """Argument type: ``parse(text)`` once it lies between ``low`` and ``high``
-    as a float, strictly unless ``closed`` (NaN never does, and a fraction that
-    rounds to an open bound is refused, so float arithmetic stays inside)."""
+    """Argument type: ``parse(text)`` once it lies between ``low`` and ``high``,
+    strictly unless ``closed``.  An integer is compared exactly, any other
+    value as a float (NaN never lies between, and a fraction that rounds to
+    an open bound is refused, so float arithmetic stays inside)."""
     def check(text):
         try:
             value = parse(text)
-            if low < float(value) < high or closed and float(value) in (low, high):
+            number = value if isinstance(value, int) else float(value)
+            if low < number < high or closed and number in (low, high):
                 return value
         except (ArithmeticError, ValueError):  # 1/0, or too large a float
             pass
@@ -294,7 +296,8 @@ def build_parser():
     p.add_argument("--p", type=_list_of(_within(float, 0, 1, closed=True)),
                    required=True, help="comma-separated probabilities in [0, 1]")
     p.add_argument("--master-seed", type=_within(int, -1, math.inf), default=0)
-    p.add_argument("--min-bit-errors", type=int, default=100)
+    p.add_argument("--min-bit-errors", type=_within(int, 0, math.inf),
+                   default=100)
     p.add_argument("--max-frames", type=_within(int, 0, math.inf), default=10000)
     p.add_argument("--batch-frames", type=_within(int, 0, math.inf), default=16)
     p.add_argument("--workers", type=_within(int, 0, math.inf), default=1)

@@ -11,16 +11,19 @@ closed into a self-consistent loop by the constraints
 where X (M x r) extends the row codewords and Y (r x M) the column
 codewords.  Only Y and Pc~ are transmitted; X and Pr~ are their mirror
 images under the permutations.  Solving the loop reduces to one Mr x Mr
-linear system whose matrix A is built here and inverted once per
-construction.
+linear system whose matrix A is built here; each construction finds A^-1
+once.
 
 The shifted-block-diagonal permutation family keeps the mirror images of
 any codeword spread over distinct words, which is what pushes the error
 floor down; when 2r >= M that family cannot exist and the search falls
-back to random permutations.  A shifted pair makes A block-circulant, so
-when M is even the search decides each candidate on A reduced modulo
-z^M' - 1 (:func:`fold_a_matrix`), an rM' x rM' system for the odd part M'
-of M, and inverts only the A that passes.
+back to random permutations.  A shifted pair makes A block-circulant, the
+r x r matrix A(z) over GF(2)[z]/(z^M - 1).  The search then decides each
+candidate on A(z) reduced modulo z^M' - 1 (:func:`fold_a_matrix`), an
+rM' x rM' system for the odd part M' of M = 2^e M', and lifts the inverse
+of the one that passes to A(z)^-1 in e Newton steps (:func:`lift_inverse`),
+so no Mr x Mr system is inverted; only the A of random pairs is inverted
+densely.
 """
 
 from __future__ import annotations
@@ -37,7 +40,11 @@ __all__ = [
     "shifted_block_indices",
     "low_ef_indices",
     "build_a_matrix",
+    "ring_form",
+    "expand_ring",
+    "ring_product",
     "fold_a_matrix",
+    "lift_inverse",
     "FFConstruction",
     "build_construction",
     "search_construction",
@@ -104,9 +111,43 @@ def build_a_matrix(m_side, r, g_r, f_r, pi1, pi2):
     return a
 
 
+def ring_form(a, m_side, r):
+    """The first block row of an Mr x Mr matrix as an M x r x r array,
+    coefficient c being block (0, c): A(z) = sum_c C_c z^c when A is
+    block-circulant.  A copy, so it does not keep ``a`` alive."""
+    return a[:r].reshape(r, m_side, r).swapaxes(0, 1).copy()
+
+
+def expand_ring(x):
+    """The Mr x Mr block circulant of the M x r x r array ``x``: block
+    (i, j) is x[(j - i) mod M], so :func:`ring_form` of it is ``x``."""
+    m_side, r = x.shape[:2]
+    # block row i is the first one rotated right by i blocks: the window of
+    # the doubled row that starts at block M - i
+    double = np.concatenate([x, x]).swapaxes(0, 1)
+    out = gf2.zeros(m_side * r, m_side * r)
+    for i in range(m_side):
+        out[i * r : (i + 1) * r] = \
+            double[:, m_side - i : 2 * m_side - i].reshape(r, -1)
+    return out
+
+
+def ring_product(x, y):
+    """X(z) Y(z) mod z^M - 1 over GF(2), for M x r x r coefficient arrays:
+    the first block row of the product of their block circulants.
+
+    The integer product is a cyclic convolution along z, one real FFT of
+    each factor; its coefficients are sums of at most rM products of bits,
+    so rounding gives them exactly before they are reduced mod 2.
+    """
+    prod = np.fft.irfft(np.fft.rfft(x, axis=0) @ np.fft.rfft(y, axis=0),
+                        n=len(x), axis=0)
+    return (np.rint(prod).astype(np.int64) & 1).astype(np.uint8)
+
+
 def fold_a_matrix(a, m_side, r):
     """The rM' x rM' system that is singular exactly when A is, where
-    M = 2^e M' with M' odd; None when A is not block-circulant or M is odd.
+    M = 2^e M' with M' odd; None when A is not block-circulant.
 
     A block-circulant A, block (i, j) = C_((j - i) mod M), is the r x r
     matrix A(z) = sum_c C_c z^c over GF(2)[z]/(z^M - 1) (the module view of
@@ -115,25 +156,43 @@ def fold_a_matrix(a, m_side, r):
     z^M - 1 = (z^M' - 1)^(2^e) has the irreducible factors of z^M' - 1, so
     that holds exactly when A(z) mod (z^M' - 1) is invertible: the block
     circulant whose first block row is A's with block c XORed into block
-    c mod M'.  Every shift-based candidate gives a block-circulant A; the
-    check is exact, so any other A goes to the dense decision.
+    c mod M'.  For odd M that is A itself.  Every shift-based candidate
+    gives a block-circulant A; the check is exact, so any other A goes to
+    the dense inversion.
     """
-    odd = m_side // (m_side & -m_side)
-    if odd == m_side:
-        return None
     blocks = a.reshape(m_side, r, m_side, r)
     first = blocks[0]
-    # block row i is the first one rotated right by i blocks: the window of
-    # the doubled row that starts at block M - i; compared a block row at a
-    # time, so a random A fails at its second one
+    # block row i is the first rotated right by i blocks (see expand_ring);
+    # compared a block row at a time, so a random A fails at its second one
     double = np.concatenate([first, first], axis=1)
     if not all(np.array_equal(blocks[i], double[:, m_side - i : 2 * m_side - i])
                for i in range(1, m_side)):
         return None
-    folded = np.bitwise_xor.reduce(first.reshape(r, -1, odd, r), axis=1)
-    i = np.arange(odd)
-    return (folded[:, (i[None, :] - i[:, None]) % odd]
-            .transpose(1, 0, 2, 3).reshape(odd * r, odd * r))
+    odd = m_side // (m_side & -m_side)
+    ring = ring_form(a, m_side, r)
+    return expand_ring(np.bitwise_xor.reduce(ring.reshape(-1, odd, r, r)))
+
+
+def lift_inverse(a, x):
+    """A(z)^-1 mod z^M - 1 from X(z) = A(z)^-1 mod z^M' - 1, M = 2^e M'.
+
+    ``a`` and ``x`` are M x r x r and M' x r x r coefficient arrays
+    (:func:`ring_form`).  If A X = I + E with E = 0 mod (z^M' - 1)^k, the
+    step X <- X A X gives A X A X = (I + E)^2 = I + E^2 over GF(2), zero
+    mod (z^M' - 1)^(2k); so e steps reach (z^M' - 1)^(2^e) = z^M - 1
+    (Newton, or Hensel, lifting).  One more product checks A(z) X(z) = I;
+    ValueError if it is not.
+    """
+    m_side, odd, r = len(a), len(x), a.shape[1]
+    x = np.concatenate([x, np.zeros((m_side - odd, r, r), dtype=np.uint8)])
+    for _ in range((m_side // odd).bit_length() - 1):
+        x = ring_product(ring_product(x, a), x)
+    check = ring_product(a, x)
+    check[0] ^= gf2.identity(r)
+    if check.any():
+        raise ValueError(f"the inverse lifted from z^{odd} - 1 to z^{m_side} "
+                         "- 1 fails A(z) X(z) = I")
+    return x
 
 
 @dataclass
@@ -141,9 +200,11 @@ class FFConstruction:
     """Everything fixed at design time for one FF code.
 
     Takes the component codes, the permutation pair and the mode.  Derives
-    M, r, the parity splits G_p = [G_i; G_r] and F_p = [F_i; F_r], A^-1,
-    the mirror maps and the encoder's operand; SingularMatrixError if A is
-    not invertible.
+    M, r, the parity splits G_p = [G_i; G_r] and F_p = [F_i; F_r], the
+    mirror maps, A^-1 as the encoder's packed operand ``op_a_inv``, and
+    ``a_inv_ring``, the M x r x r ring form of A^-1 when A is
+    block-circulant (None for random pairs; :func:`expand_ring` gives the
+    dense A^-1); SingularMatrixError if A is not invertible.
     """
 
     code_row: ComponentCode
@@ -164,14 +225,19 @@ class FFConstruction:
         self.f_i, self.f_r = col.g_p[: 2 * m_side], col.g_p[2 * m_side :]
         a = build_a_matrix(m_side, r, self.g_r, self.f_r, self.pi1, self.pi2)
         folded = fold_a_matrix(a, m_side, r)
-        if folded is not None:  # a candidate is rejected on the fold
+        if folded is None:  # random pairs: A^-1 has no ring form
+            self.a_inv_ring, a_inv = None, gf2.invert(a)
+        else:  # a candidate is rejected on the fold
+            odd = len(folded) // r
             try:
-                gf2.invert(folded)
+                x0 = ring_form(gf2.invert(folded), odd, r)
             except gf2.SingularMatrixError as err:
                 raise gf2.SingularMatrixError(
-                    f"A(z) mod (z^{len(folded) // r} - 1) is singular: "
-                    f"{err}") from None
-        self.a_inv = gf2.invert(a)
+                    f"A(z) mod (z^{odd} - 1) is singular: {err}") from None
+            del folded
+            a = ring_form(a, m_side, r)  # A(z) is all that the lift reads
+            self.a_inv_ring = lift_inverse(a, x0)
+            a_inv = expand_ring(self.a_inv_ring)
         del a  # before the operand's padded copy of A^-1, as large as A
         t_rm = transpose_indices(r, m_side)
         t_mr = transpose_indices(m_side, r)
@@ -180,7 +246,7 @@ class FFConstruction:
         self.idx_pc_to_pr = t_rm[gf2.invert_indices(self.pi2)]
         # vec(P_r) -> vec((pi_2(P_r))^T), used on the encoder side
         self.idx_pr_enc = self.pi2[t_mr]
-        self.op_a_inv = gf2.operand(self.a_inv)  # packed once for the encoder
+        self.op_a_inv = gf2.operand(a_inv)  # packed once for the encoder
         gf2.freeze(self)
 
 

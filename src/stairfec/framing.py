@@ -14,7 +14,7 @@ sc/ff and periods for pff, and ``seed`` is the codec's build seed, which
 fixes the permutations.  The reader builds the codec through that call
 and rejects a header which the built codec would not write, and, before
 building anything, one whose body length does not match or whose FF/PFF
-construction would invert a system of more than ``MAX_SYSTEM_ROWS`` rows.
+construction would solve a system of more than ``MAX_SYSTEM_ROWS`` rows.
 The reader keeps each codec it builds, read-only, by the header's
 identity and the decoder settings (``gf2.memoize``, within its byte
 budget), so later streams of the same code reuse it and its compiled
@@ -92,7 +92,7 @@ def _frame_geometry(head):
     """``(n_tx, payload_bits)`` of the frame a parsed header describes.
 
     Arithmetic on the header fields, so that a stream's sizes, and the
-    size of the system its construction search inverts, are checked before
+    size of the system its construction search solves, are checked before
     any code is constructed.
     """
     family, length = head["family"], head["length"]
@@ -106,7 +106,7 @@ def _frame_geometry(head):
     rows = {"sc": 0, "ff": side * r, "pff": 2 * r * r}[family]
     if rows > MAX_SYSTEM_ROWS:
         raise StreamFormatError(
-            f"header describes a {family} code whose construction inverts a "
+            f"header describes a {family} code whose construction solves a "
             f"{rows}-row system; streams are limited to {MAX_SYSTEM_ROWS} rows")
     if family == "sc":
         return length * side * side, length * side * (side - r)

@@ -12,11 +12,11 @@ TOMS 2010).  Inversion eliminates on rows packed into uint64 words, eight
 columns per pass: each pass clears one byte of columns in every row with a
 single gathered XOR from a table of the 256 combinations of that byte's
 pivot rows (M4RI's "method of four Russians", same reference), so the
-design-time systems of the benchmark codes, 1152 and 1728 rows, invert in
-tens of milliseconds.  Read-only results of design-time searches, and the
-codecs that stream readers build, are kept by :func:`memoize`, keyed by the
-integer arguments of the call, while the arrays they keep alive
-(:func:`nbytes`) fit in ``MEMO_BYTES``.
+small systems on which the construction searches of the benchmark codes
+decide, 216 and 576 rows, invert in a few milliseconds.  Read-only results
+of design-time searches, and the codecs that stream readers build, are kept
+by :func:`memoize`, keyed by the integer arguments of the call, while the
+arrays they keep alive (:func:`nbytes`) fit in ``MEMO_BYTES``.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ __all__ = [
 ]
 
 # Bytes of arrays that memoized results may hold together in one process;
-# ff(8,3,63) holds 3.4 MiB, ff(10,3,183) about 150 MiB, and the stream
-# codecs sc(8,3,63), ff(8,3,63) and pff(8,3,15) L=2 of the benchmark 2.0,
-# 5.0 and 4.6 MiB, their constructions included.
+# ff(8,3,63) holds 0.6 MiB, pff(8,3,15) 0.5 MiB, ff(10,3,183) about 18 MiB,
+# and the stream codecs sc(8,3,63), ff(8,3,63) and pff(8,3,15) L=2 of the
+# benchmark 2.0, 2.2 and 3.5 MiB, their constructions included.
 MEMO_BYTES = 256 << 20
 # (search, its integer arguments) -> (result, what it holds: {id of each
 # base array: its bytes} and the ids of every object it reaches), least

@@ -184,10 +184,14 @@ def run_monte_carlo(codec_factory, p, *, master_seed=0, min_bit_errors=100,
     one.  With workers > 1 each worker rebuilds the codec through
     :func:`build_codec` from its identity, so it must be one that
     build_codec made.  The counters after any round are identical for
-    every worker count.  ValueError if ``batch_frames`` < 1.
+    every worker count.  ValueError if ``batch_frames`` or
+    ``min_bit_errors`` is below 1, since no frame would run.
     """
     if batch_frames < 1:
         raise ValueError(f"batch_frames must be at least 1, got {batch_frames}")
+    if min_bit_errors < 1:
+        raise ValueError(
+            f"min_bit_errors must be at least 1, got {min_bit_errors}")
     start = time.monotonic()
     codec = codec_factory() if callable(codec_factory) else codec_factory
     totals = [0, 0, 0, 0, 0]

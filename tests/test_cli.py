@@ -176,6 +176,14 @@ def test_encode_header_field_out_of_range_exits_2(tmp_path, option, value):
     assert exc.value.code == 2
 
 
+def test_header_fields_parse_up_to_their_widths():
+    args = build_parser().parse_args(
+        ["encode", "--family", "pff", "--m", "7", "--t", "2", "--s", "41",
+         "--L", "255", "--length", "65535", "--seed", str((1 << 32) - 1),
+         "--in", "x.bin", "--out", "x.sfc"])
+    assert (args.L, args.length, args.seed) == (255, 65535, (1 << 32) - 1)
+
+
 def test_construct_writes_cache(tmp_path, monkeypatch, capsys):
     """construct no longer writes a cache: it only prints the construction."""
     monkeypatch.chdir(tmp_path)
@@ -362,6 +370,8 @@ DECODE = ["decode", "--in", "x.sfc", "--out", "x.bin"]
     SIMULATE + ["--p", "0.01", "--workers", "-2"],
     SIMULATE + ["--p", "0.01", "--workers", "0"],
     SIMULATE + ["--p", "0.01", "--max-frames", "0"],
+    SIMULATE + ["--p", "0.01", "--min-bit-errors", "0"],
+    SIMULATE + ["--p", "0.01", "--min-bit-errors", "-1"],
     DECODE + ["--window", "1"],
     DECODE + ["--l-max", "0"],
     FLOOR + ["--p", ","],
@@ -382,3 +392,12 @@ def test_in_range_options_parse():
     assert args.p == [0.0, 1.0, 0.5]
     assert (args.window, args.l_max, args.batch_frames, args.workers,
             args.master_seed, args.max_frames) == (2, 1, 1, 1, 0, 1)
+
+
+def test_integer_options_are_compared_exactly():
+    # beyond every float: compared as a float it read as out of (-1, inf)
+    seed = "9" * 400
+    args = build_parser().parse_args(SIMULATE + ["--p", "0.01",
+                                                 "--master-seed", seed,
+                                                 "--min-bit-errors", seed])
+    assert args.master_seed == args.min_bit_errors == int(seed)

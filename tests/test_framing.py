@@ -130,8 +130,12 @@ def test_read_stream_codec_matches_and_is_read_only(family, m, t, s, kwargs):
         tables = [c.info_idx, c.info_starts, c.plan.flip_cells,
                   c.plan.flip_keys, c.plan.hkeys]
         tables += [words for _, words in c.groups]
+        if family == "ff":
+            tables += [c.cons.a_inv_ring, c.cons.op_a_inv]
+        if family == "pff":
+            tables += [c.cons.a_inv, c.cons.op_u_inv]
         if family != "sc":
-            tables += [c.cons.a_inv, c.cons.g_i, c.cons.code_row.g_p]
+            tables += [c.cons.g_i, c.cons.code_row.g_p]
         assert not any(table.flags.writeable for table in tables)
     with pytest.raises(ValueError, match="read-only"):
         codec.groups[0][1][0, 0] = 0

@@ -126,13 +126,15 @@ def test_verify_inverse_rejects_wrong_inverses():
 def test_construction_operands_are_packed_and_read_only():
     ff_cons = ff.search_construction(8, 3, 63)
     pff_cons = pff.search_pff_construction(8, 3, 15)
-    for op, inv in ((ff_cons.op_a_inv, ff_cons.a_inv),
+    for op, inv in ((ff_cons.op_a_inv, ff.expand_ring(ff_cons.a_inv_ring)),
                     (pff_cons.op_u_inv, pff_cons.u_inv)):
         assert type(op) is np.ndarray and not op.flags.writeable
         assert (op == gf2.operand(inv)).all()
         with pytest.raises(ValueError):
             op[0, 0] = 0
-    assert gf2.nbytes(ff_cons) < 4 << 20
+    # A^-1 is kept as its ring form and the operand, not as 3 MB of bits
+    assert not ff_cons.a_inv_ring.flags.writeable
+    assert gf2.nbytes(ff_cons) < 1 << 20
 
 
 def test_invert_singular_raises():

@@ -1,9 +1,11 @@
 """The construction searches decide each candidate on a small exact system:
-ff on A reduced modulo z^M' - 1 (``ff.fold_a_matrix``) before inverting A,
-pff on the r^2 x r^2 system through which it solves the stage-2 system B
+ff on A reduced modulo z^M' - 1 (``ff.fold_a_matrix``), whose inverse it
+lifts to A^-1 (``ff.lift_inverse``), so ff inverts no Mr x Mr system; pff
+on the r^2 x r^2 system through which it solves the stage-2 system B
 (``pff.reduced_b_matrix``), so pff builds no B at all.  Each decision must
-be the one that inverting the full system gives, so the searches pick the
-constructions they picked by inverting every candidate.
+be the one that inverting the full system gives, and each lifted inverse
+the dense one, so the searches pick the constructions they picked by
+inverting every candidate.
 """
 
 import itertools
@@ -70,10 +72,72 @@ def test_fold_decides_like_the_dense_inversion(code, seeds, tries, count):
     assert True in decided and (False in decided or code == (6, 2, 7))
 
 
-def test_fold_leaves_odd_m_to_the_dense_inversion():
-    # ff(6,1,1): M = 25
-    for _, a, m_side, r in ff_systems(6, 1, 1, 0, 2):
-        assert ff.fold_a_matrix(a, m_side, r) is None
+def test_fold_of_odd_m_is_a_itself():
+    # ff(6,1,1): M = 25 = M', so the search lifts in no steps
+    for mode, a, m_side, r in ff_systems(6, 1, 1, 0, 2):
+        folded = ff.fold_a_matrix(a, m_side, r)
+        assert (folded is None) == (mode == "random")
+        assert folded is None or np.array_equal(folded, a)
+
+
+# one code per number e of lift steps, M = 2^e M': M = 13, 14, 20, 24, 16,
+# 32 and 64
+LIFT_CODES = [(6, 1, 25), (6, 1, 23), (6, 1, 11), (6, 1, 3), (6, 1, 19),
+              (7, 1, 49), (8, 1, 111)]
+
+
+@pytest.mark.parametrize("code", LIFT_CODES)
+def test_lifted_inverse_is_the_dense_inverse(code):
+    """Every candidate that passes has the inverse that inverting A gives:
+    expanded from its ring form, or, for random pairs, packed alone."""
+    row, col = code_pair(*code)
+    m_side, r = (row.k - row.r) // 2, row.r
+    lifted = 0
+    for mode, (pi1, pi2) in ff._candidates(m_side, r,
+                                           np.random.default_rng(0), 3):
+        a = ff.build_a_matrix(m_side, r, row.g_p[2 * m_side :],
+                              col.g_p[2 * m_side :], pi1, pi2)
+        try:
+            cons = ff.build_construction(row, col, pi1, pi2, mode)
+        except gf2.SingularMatrixError:
+            assert not invertible(a)
+            continue
+        a_inv = gf2.invert(a)
+        assert np.array_equal(cons.op_a_inv, gf2.operand(a_inv))
+        if mode == "random":
+            assert cons.a_inv_ring is None
+        else:
+            assert np.array_equal(ff.expand_ring(cons.a_inv_ring), a_inv)
+            lifted += 1
+    assert lifted
+
+
+def test_lift_check_fails_on_every_flipped_bit():
+    # ff(6,1,19): M = 16, r = 6; an inverse of full length lifts in no
+    # steps, so lift_inverse only checks it
+    cons = ff.search_construction(6, 1, 19)
+    a = ff.build_a_matrix(cons.m_side, cons.r, cons.g_r, cons.f_r,
+                          cons.pi1, cons.pi2)
+    a_ring = ff.ring_form(a, cons.m_side, cons.r)
+    x = cons.a_inv_ring
+    assert np.array_equal(ff.lift_inverse(a_ring, x), x)
+    for i in np.ndindex(x.shape):
+        flipped = x.copy()
+        flipped[i] ^= 1
+        with pytest.raises(ValueError, match="fails A"):
+            ff.lift_inverse(a_ring, flipped)
+
+
+def test_ring_form_and_expansion_are_inverse():
+    rng = np.random.default_rng(9)
+    x = rng.integers(0, 2, (5, 3, 3), dtype=np.uint8)
+    y = rng.integers(0, 2, (5, 3, 3), dtype=np.uint8)
+    dense = ff.expand_ring(x)
+    assert np.array_equal(ff.ring_form(dense, 5, 3), x)
+    assert ff.fold_a_matrix(dense, 5, 3) is not None
+    # the ring product is the product of the block circulants
+    assert np.array_equal(ff.expand_ring(ff.ring_product(x, y)),
+                          gf2.mat_mul(dense, ff.expand_ring(y)))
 
 
 @pytest.mark.parametrize("code, seed, tries, count",
@@ -110,16 +174,18 @@ def test_search_without_the_small_decision_finds_the_same(monkeypatch,
     monkeypatch.setattr(ff, "fold_a_matrix", lambda *args: None)
     dense = search(*code)
     search.cache_clear()
-    for field in ("mode", "pi1", "pi2", "a_inv"):
+    for field in ("mode", "pi1", "pi2", "op_a_inv"):
         assert np.array_equal(getattr(decided, field), getattr(dense, field))
+    assert decided.a_inv_ring is not None and dense.a_inv_ring is None
 
 
 # the sizes of the systems inverted, in order: ff(8,3,63) rejects its
-# low_ef candidate on the fold and takes the next; pff(8,3,15) inverts A_s
+# low_ef candidate on the fold, takes the next and lifts the inverse of its
+# fold; pff(8,3,15) inverts A_s
 # and the r^2 system for each Pi, rejects four and keeps the fifth inverse
 # to solve stage 2 with
 @pytest.mark.parametrize("family, sizes",
-                         [("ff", [216, 216, 1728]),
+                         [("ff", [216, 216]),
                           ("pff", [24, 576] * 5)])
 def test_search_inverts_one_full_size_system(monkeypatch, family, sizes):
     search, code = SEARCHES[family]

@@ -150,6 +150,19 @@ def test_batch_frames_below_one_is_refused_before_building():
     assert not built
 
 
+def test_min_bit_errors_below_one_is_refused_before_building():
+    built = []
+
+    def factory():
+        built.append(1)
+        return toy_factory()
+
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="min_bit_errors"):
+            run_monte_carlo(factory, 0.01, min_bit_errors=count, max_frames=4)
+    assert not built
+
+
 def test_report_statistics():
     report = run_monte_carlo(toy_factory, 0.2, master_seed=1,
                              min_bit_errors=10, max_frames=100)
