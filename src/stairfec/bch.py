@@ -20,18 +20,29 @@ known by their keys, unpacking the syndromes it needs (``key_fields``).  A
 word's result depends on that word alone, so a batch decodes exactly as its
 words would one by one.
 
-BDD is one lookup in a :class:`SyndromeTable`, which lists error patterns
-of weight <= t of the parent cyclic code of length N = 2^m - 1 by their
-syndromes; a pattern's locators are alpha^e for exponents e in [0, N).
-Shifting a pattern cyclically by j multiplies each S_k by alpha^(k*j), so
-the table lists only the patterns with S_1 = 1 and those with S_1 = 0.  A
-word with S_1 = alpha^j is looked up with each S_k scaled by
-alpha^(-k*j), and the locators found are shifted back by j.  The table
-depends on the field and t alone, so the row and column codes of every n
-share one per process (:func:`syndrome_table`).  A code whose table would
-exceed ``TABLE_BYTES`` by the closed-form :func:`table_bytes` decodes by
-binary Berlekamp-Massey and a Chien search instead (``berlekamp_chien``);
-the two give the same result for every syndrome.
+BDD returns a ``(words, t)`` matrix of positions, the same for both
+decoders: a word's corrections in any order, ``n`` in each unused column,
+and a failed word (no codeword within distance t, or one whose pattern
+needs a shortened position) reads ``n + 1`` somewhere in its row.  A
+caller that appends to each word a column of no-op and a column of vetoed
+positions reads a batch's flips and failures with one gather.
+
+A table code decodes by one lookup in its direct-indexed syndrome table
+(:func:`build_syndrome_table`), which holds the error patterns of weight
+<= t of the parent cyclic code of length N = 2^m - 1; a pattern's locators
+are alpha^e for exponents e in [0, N).  Shifting a pattern cyclically by j
+multiplies each S_k by alpha^(k*j), so a word with S_1 = alpha^j is
+looked up with each S_k scaled by alpha^(-k*j), which makes S_1 = 1, and
+the locators found are shifted back by j; a word with S_1 = 0 is looked up
+as it is.  The table is indexed by those normalised odd syndromes: S_1 in
+{0, 1} in bit 0 and S_3, S_5, ..., S_(2t-1) m bits apiece above it, so it
+has 2^(1 + (t-1)m) rows (2^17 for m = 8, t = 3), and a row without a
+pattern reads as a failure.  The table depends on the field and t alone,
+so the row and column codes of every n share one per process
+(:func:`syndrome_table`).  A code whose table would exceed
+``TABLE_BYTES`` (:func:`table_bytes`) decodes by binary Berlekamp-Massey
+and a Chien search instead (``berlekamp_chien``); the two give the same
+result for every syndrome.
 Miscorrections are applied, not suppressed; error-floor behaviour depends
 on them.
 """
@@ -53,7 +64,6 @@ __all__ = [
     "ComponentCode",
     "code_pair",
     "DecodeResult",
-    "SyndromeTable",
     "build_syndrome_table",
     "syndrome_table",
     "table_bytes",
@@ -61,8 +71,8 @@ __all__ = [
 ]
 
 # Largest table_bytes of a code that decodes by syndrome table: (8, 3) has
-# 0.9 MB and (10, 3) 14.6 MB, while (11, 3), (8, 4) and (6, 5) decode by
-# Berlekamp-Massey.  It keeps m*t <= 32, so a key fits an int64.
+# 0.79 MB and (10, 3) 12.6 MB, while (11, 3), (8, 4), (7, 4) and (6, 5)
+# decode by Berlekamp-Massey.  A table then has at most 2^23 rows.
 TABLE_BYTES = 16 << 20
 
 
@@ -100,11 +110,16 @@ class DecodeResult:
     flips: tuple
 
 
+def _locator_type(order):
+    """The dtype of a syndrome table's entries: an exponent below N, the
+    pad 2N or the failure 3N, each plus a shift below N."""
+    return np.min_scalar_type(4 * order)
+
+
 def table_bytes(m, t):
-    """Closed-form bound on the size of the syndrome table of (m, t),
-    about t times its size: an 8-byte key and t 2-byte locators for each
-    of the 2 * C(2^m - 1, t - 1) patterns of weight t its build tries."""
-    return 2 * math.comb((1 << m) - 1, t - 1) * (8 + 2 * t)
+    """Bytes of the syndrome table of (m, t): t entries for each of its
+    2^(1 + (t-1)m) rows."""
+    return (2 << (t - 1) * m) * t * _locator_type((1 << m) - 1).itemsize
 
 
 def _increasing(order, k, chunk=1 << 12):
@@ -133,37 +148,28 @@ def _increasing(order, k, chunk=1 << 12):
         f0 = f1
 
 
-class SyndromeTable:
-    """The error patterns of weight <= t of the BCH codes over one field.
-
-    ``keys`` is sorted and ends with a sentinel above every key.  Entry i
-    is the pattern whose locators are alpha^e for the exponents e in
-    ``locators[i]`` (padded with -N): the empty pattern, the patterns with
-    S_1 = 1, and those with S_1 = 0, each keyed by its odd syndromes
-    S_1, S_3, ..., S_(2t-1) packed m bits apiece, S_1 lowest.
-    """
-
-    def __init__(self, keys, locators):
-        self.keys = keys
-        self.locators = locators
-        gf2.freeze(self)
-
-
 def build_syndrome_table(field, t):
-    """Enumerate the :class:`SyndromeTable` of ``field`` and radius ``t``.
+    """The direct-indexed syndrome table of ``field`` and radius ``t``.
 
-    A pattern of weight w with a given S_1 is a choice of w - 1 exponents;
-    the last locator is S_1 plus theirs, and the pattern is kept once, when
-    that locator's exponent is the largest.  No two patterns of weight <= t
-    share their syndromes, since the parent code has distance >= 2t + 1.
-    The choices go in blocks of at most 4096 (:func:`_increasing`), so the
-    build holds no large temporary array besides the table.
+    Row ``S_1 | S_3 << 1 | S_5 << (1 + m) | ...``, for S_1 in {0, 1} and
+    S_3, S_5, ..., S_(2t-1) m bits apiece, holds the t locator exponents of
+    the pattern of weight <= t with those odd syndromes: its exponents in
+    [0, N), then the pad 2N; a row that no such pattern has holds the
+    failure 3N throughout.  A pattern of weight w with a given S_1 is a
+    choice of w - 1 exponents; the last locator is S_1 plus theirs, and
+    the pattern is kept once, when that locator's exponent is the largest.
+    No two patterns of weight <= t share their syndromes, since the parent
+    code has distance >= 2t + 1.  The choices go in blocks of at most 4096
+    (:func:`_increasing`), so the build holds no large temporary array
+    besides the table.
     """
     order, m = field.order, field.m
-    odd = np.arange(1, 2 * t, 2)[:, None, None]
-    weights = np.left_shift(1, m * np.arange(t), dtype=np.int64)
-    dtype = np.min_scalar_type(-order)  # locators, with -N for padding
-    keys, locators = [np.zeros(1, np.int64)], [np.full((1, t), -order, dtype)]
+    pad, fail = 2 * order, 3 * order
+    table = np.full((2 << (t - 1) * m, t), fail, dtype=_locator_type(order))
+    table[0] = pad  # the empty pattern
+    kept = 1
+    odd = np.arange(3, 2 * t, 2)[:, None, None]
+    weights = np.left_shift(2, m * np.arange(t - 1), dtype=np.int64)
     for w in range(1, t + 1):
         for chosen in _increasing(order, w - 1):
             rest = np.bitwise_xor.reduce(field.exp[chosen], axis=1)
@@ -173,29 +179,25 @@ def build_syndrome_table(field, t):
                 last = field.log[last]
                 if w > 1:
                     keep &= last > chosen[:, -1]
-                locs = np.full((np.count_nonzero(keep), t), -order)
+                locs = np.full((np.count_nonzero(keep), t), pad)
                 locs[:, : w - 1] = chosen[keep]
                 locs[:, w - 1] = last[keep]
                 synd = np.bitwise_xor.reduce(
                     field.exp[odd * locs[:, :w] % order], axis=2)
-                keys.append(weights @ synd)
-                locators.append(locs.astype(dtype))
-    keys.append([np.iinfo(np.int64).max])
-    locators.append(np.full((1, t), -order, dtype))
-    keys = np.concatenate(keys)
-    by_key = np.argsort(keys)
-    keys = keys[by_key]
-    if (keys[1:] <= keys[:-1]).any():
+                table[s1 + weights @ synd] = locs
+                kept += len(locs)
+    if np.count_nonzero(table[:, 0] != fail) != kept:
         raise AssertionError(f"two patterns of weight <= {t} share their "
                              f"syndromes over GF(2^{m})")
-    return SyndromeTable(keys, np.concatenate(locators)[by_key])
+    table.setflags(write=False)
+    return table
 
 
 @gf2.memoize
 def syndrome_table(poly, t):
-    """The :class:`SyndromeTable` over the field of primitive polynomial
-    ``poly``; a process builds one per ``(poly, t)`` while it fits
-    :func:`gf2.memoize`'s budget."""
+    """The :func:`build_syndrome_table` table over the field of primitive
+    polynomial ``poly``; a process builds one per ``(poly, t)`` while it
+    fits :func:`gf2.memoize`'s budget."""
     return build_syndrome_table(GaloisField(poly.bit_length() - 1, poly), t)
 
 
@@ -315,17 +317,21 @@ class ComponentCode:
             return
         # Table lookup: S_k * alpha^(-k*j) reads exp at log S_k + (N - k)*j
         # mod N, where S_1 = alpha^j; row S_1 of _unshift holds (N - k)*j
-        # mod N.  A key packs the scaled S_1, S_3, ... m bits apiece.
+        # mod N.  The scaled S_1 (0 or 1) is bit 0 of the table's index and
+        # S_3, S_5, ... follow m bits apiece.
         self._unshift = (
             (order - np.arange(1, 2 * t, 2)) * f.log[:, None] % order)
-        self._key_weights = np.left_shift(1, m * np.arange(t), dtype=np.int64)
+        self._index_weights = np.concatenate(
+            [[1], np.left_shift(2, m * np.arange(t - 1), dtype=np.int64)])
         # A locator e shifted back by j lies at degree sign*(e + j) mod N,
-        # which is position n - 1 - degree (negative past the shortened
-        # code); _position reads that at e + j, and n, no position, at a
-        # pad's -N + j, which indexes its last N entries.
-        self._position = np.full(3 * order, n)
-        self._position[: 2 * order - 1] = (
-            n - 1 - sign * np.arange(2 * order - 1) % order)
+        # which is position n - 1 - degree; _position reads that at e + j,
+        # n + 1 (failure) where the degree is shortened, n at a pad's
+        # 2N + j and n + 1 at a failure's 3N + j.
+        position = n - 1 - sign * np.arange(2 * order - 1) % order
+        self._position = np.full(4 * order, n + 1)
+        self._position[: 2 * order - 1] = np.where(position >= 0, position,
+                                                   n + 1)
+        self._position[2 * order : 3 * order] = n
 
     def _syndrome_bits(self, words):
         prod = np.asarray(words, dtype=np.float32) @ self._check_bits
@@ -352,8 +358,9 @@ class ComponentCode:
 
     @functools.cached_property
     def bdd_table(self):
-        """The :class:`SyndromeTable` this code decodes by, or None for a
-        code whose :func:`table_bytes` exceed ``TABLE_BYTES``.
+        """The syndrome table this code decodes by
+        (:func:`build_syndrome_table`), or None for a code whose
+        :func:`table_bytes` exceed ``TABLE_BYTES``.
 
         Fetched from :func:`syndrome_table` at first use, not at
         construction: a construction search builds its component codes
@@ -364,60 +371,53 @@ class ComponentCode:
             return None
         return syndrome_table(self.field.poly, self.t)
 
-    def decode_syndromes(self, rows, keys):
+    def decode_syndromes(self, keys):
         """Bounded-distance decode of words known by their syndrome keys.
 
-        ``keys[i]`` is the key of word ``rows[i]`` (:meth:`syndrome_keys`;
-        columns past ``key_words`` are ignored), from which its odd
-        syndromes S_1, S_3, ..., S_(2t-1) are unpacked as field ints.
-        Returns ``(ok, flip_rows, pos)``: ``ok[i]`` is False
-        where word ``rows[i]`` has no codeword within distance t; accepted
-        corrections flip position ``pos[j]`` of word ``flip_rows[j]``, in
-        order of word, then position.
+        ``keys[i]`` is the key of word i (:meth:`syndrome_keys`; columns
+        past ``key_words`` are ignored), from which its odd syndromes S_1,
+        S_3, ..., S_(2t-1) are unpacked as field ints.  Returns the
+        ``(words, t)`` position matrix: row i holds the positions that word
+        i's correction flips, in any order, and ``n`` in its unused
+        columns, or reads ``n + 1`` somewhere if word i has no codeword
+        within distance t.
 
         A word with S_1 = alpha^j has the syndromes of its error pattern
         shifted by -j: S_k * alpha^(-k*j), so S_1 becomes 1; a word with
-        S_1 = 0 is taken as it is.  One search of the :class:`SyndromeTable`
-        finds the pattern of weight <= t with those syndromes, or shows
-        there is none.  Its locators alpha^e, shifted back to e + j, lie at
-        degree (e + j) mod N (-(e + j) mod N for a column code, whose
-        syndromes run on alpha^-1), and the word is accepted when every
-        degree is below n: bounded-distance decoding of the shortened code.
-        A code without a table (``bdd_table`` is None, as
-        :func:`table_bytes` exceeds ``TABLE_BYTES``) runs
+        S_1 = 0 is taken as it is.  Those syndromes index the table
+        (``bdd_table``), whose row is the pattern of weight <= t that has
+        them, or a failure.  Its locators alpha^e, shifted back to e + j,
+        lie at degree (e + j) mod N (-(e + j) mod N for a column code,
+        whose syndromes run on alpha^-1); a degree of n or more is a
+        shortened position and fails the word: bounded-distance decoding
+        of the shortened code.  A code without a table (``bdd_table`` is
+        None, as :func:`table_bytes` exceeds ``TABLE_BYTES``) runs
         :meth:`berlekamp_chien` instead.
         """
         synd = self.key_fields(keys)
         table = self.bdd_table
         if table is None:
-            return self.berlekamp_chien(rows, synd)
+            return self.berlekamp_chien(synd)
         s1 = synd[:, 0]
-        shift = self.field.log[s1]  # log 0 reads 0: no shift
         scaled = self._unshift.take(s1, axis=0)
         scaled += self._log[synd]
-        lookup = self._exp[scaled] @ self._key_weights
-        entry = table.keys.searchsorted(lookup)  # the sentinel bounds it
-        found = table.keys[entry] == lookup
-        locs = table.locators.take(entry, axis=0)
-        pos = self._position[locs + shift[:, None]]
-        ok = found & (pos.min(axis=1) >= 0)
-        pos = pos[ok]
-        pos.sort(axis=1)
-        flip, col = (pos < self.n).nonzero()  # a pad reads n
-        return ok, rows[ok][flip], pos[flip, col]
+        locs = table.take(self._exp[scaled] @ self._index_weights, axis=0)
+        # log 0 reads 0: no shift
+        return self._position[locs + self.field.log[s1][:, None]]
 
-    def berlekamp_chien(self, rows, synd):
+    def berlekamp_chien(self, synd):
         """:meth:`decode_syndromes` by Berlekamp-Massey and a Chien search,
         from the field ints ``synd`` (:meth:`key_fields`) of the keys.
 
         Binary Berlekamp-Massey takes t steps (its odd discrepancies
         vanish); a word is accepted when L <= t and the Chien search finds
         L roots of sigma among the n positions.  Works for every code; it
-        is the decoder of codes too large for a syndrome table.
+        is the decoder of codes too large for a syndrome table.  A failed
+        word's row reads ``n + 1`` throughout.
         """
         t, order = self.t, self.field.order
         log, exp = self._log, self._exp
-        n_words = len(rows)
+        n_words = len(synd)
         # column j: log S_(j+1)
         lsyn = self._log_pow[self._syn_square, synd[:, self._syn_source]]
         # Step 0 in closed form: d = S_1 and L = 0, so sigma = 1 + S_1 x,
@@ -454,9 +454,13 @@ class ComponentCode:
         # same reason deg sigma = L needs no test.
         terms = exp[log[sigma[:, 1:, None]] + self._chien_exp]
         roots = np.bitwise_xor.reduce(terms, axis=1) == 1  # sigma_0 = 1
-        ok = np.count_nonzero(roots, axis=1) == L
-        flip, pos = np.nonzero(roots[ok])
-        return ok, rows[ok][flip], pos
+        count = np.count_nonzero(roots, axis=1)
+        # each word's roots in increasing order (a stable sort puts them
+        # first), then n, since deg sigma <= t bounds count by t
+        pos = np.argsort(~roots, axis=1, kind="stable")[:, :t]
+        pos[np.arange(t) >= count[:, None]] = self.n
+        pos[count != L] = self.n + 1
+        return pos
 
     def decode_batch(self, words):
         """Bounded-distance decode of every row of ``words`` at once.
@@ -468,11 +472,13 @@ class ComponentCode:
         """
         keys = self.syndrome_keys(words)
         flagged = np.flatnonzero(keys.any(axis=1))
+        pos = self.decode_syndromes(keys[flagged])
+        failed = (pos > self.n).any(axis=1)
         ok = np.ones(len(keys), dtype=bool)
-        if flagged.size == 0:
-            return ok, flagged, flagged
-        ok[flagged], rows, pos = self.decode_syndromes(flagged, keys[flagged])
-        return ok, rows, pos
+        ok[flagged[failed]] = False
+        pos = np.sort(pos[~failed], axis=1)
+        flip, col = (pos < self.n).nonzero()  # a pad reads n
+        return ok, flagged[~failed][flip], pos[flip, col]
 
     def decode(self, word):
         """Bounded-distance decode; Failure leaves the word unmodified."""

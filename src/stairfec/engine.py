@@ -36,25 +36,31 @@ unit error into a word's key is the same as XORing syndromes:
 - per group visit, only the words whose key is nonzero and has changed
   since their last decode go to ``code.decode_syndromes``: there is no
   gather and no screen, and a word that failed or was vetoed is not
-  decoded again until a flip reaches it;
+  decoded again until a flip reaches it.  Its ``(words, t)`` position
+  matrix indexes the words' rows of the padded word table, whose column n
+  holds -1 (no slot) and column n + 1 the zero slot, so one gather gives
+  every correction's slots and turns a failure into a flip on the zero
+  slot;
 - per flip, the flipped position's key is XORed into the key of every word
   that holds the slot, by one 1-D ``np.bitwise_xor.at`` over the flat key
   state.
 
-A visit is a few dozen small numpy calls, so their fixed cost is most of
-it.  With one-word keys, on a 2-vCPU Xeon VM with numpy 2.4, the flip
-scatter takes 1.4 us and the liveness test ``keys[touched] != 0`` 1.2 us,
-against 2.2 and 3.5 us for the same steps on a ``(words, t)`` uint16
-matrix of field ints; the live scan ``live[a:b].nonzero()`` takes 0.6 us
-against 2.2 us for ``np.flatnonzero``.
+A visit is about 35 small numpy calls, so their fixed cost is most of it.
+With one-word keys, on a 2-vCPU Xeon VM with numpy 2.4, the flip scatter
+takes 1.4 us and the liveness test ``keys[touched] != 0`` 1.2 us, against
+2.2 and 3.5 us for the same steps on a ``(words, t)`` uint16 matrix of
+field ints; the live scan ``live[a:b].nonzero()`` takes 0.6 us against
+2.2 us for ``np.flatnonzero``.
 
 Each group decodes from a single snapshot of its words, so a word does not
 see the flips made by other words of its own group; later groups see them.
 A group's syndromes at its turn are those of a fresh snapshot, so the group
-is one batch.  A word with a flip on the zero slot is vetoed, and the other
-accepted flips go in with one unbuffered ``np.bitwise_xor.at``, which acts
-like XORing them one at a time: a slot flipped by two words, or twice by one
-(pff's S[i,i]), flips back, and so does its syndrome contribution.
+is one batch.  A word with a flip on the zero slot, a failure included, is
+vetoed.  The decode reads the buffer only through keys, so the other
+accepted flips go in once, at the end, with one unbuffered
+``np.bitwise_xor.at``: XOR parity does not depend on order, and a slot
+flipped by two words, or twice by one (pff's S[i,i]), flips back, as its
+syndrome contribution did.
 """
 
 from __future__ import annotations
@@ -96,6 +102,11 @@ class Plan:
     ``groups``, ``windows`` and ``stacks`` are tuples and every table is
     read-only, so one plan can serve any number of decodes at once.
 
+    The word tables of ``windows`` and ``stacks`` are padded with two
+    columns, which the positions n and n + 1 of
+    ``ComponentCode.decode_syndromes`` read: -1, no slot, and the zero
+    slot.  Those of ``groups`` are views of their first n columns.
+
     Words are numbered code by code, each code's groups in turn, so one
     gather and one matmul per code give a frame's syndromes.  A word's row
     of ``syndromes`` is its key (``ComponentCode.syndrome_keys``): ``width``
@@ -115,45 +126,56 @@ class Plan:
         self.width = max(code.key_words for code in codes)
         self.n_words = sum(len(words) for _, words in groups)
         n_keys = sum(code.n for code in codes)
+        zero = n_slots - 1
         # a holder's id packs its word and its column key: word << shift | key
         shift = (n_keys - 1).bit_length()
         id_type = np.int32 if (self.n_words + 1) << shift < 2**31 else np.int64
-        # every code's word table is a C-ordered view of one slot array
-        slots = np.empty(sum(words.size for _, words in groups), dtype=np.intp)
-        ids = np.empty(slots.size, dtype=id_type)
+        # every code's padded word table is a C-ordered view of one slot array
+        slots = np.empty(sum(len(words) * (code.n + 2) for code, words in groups),
+                         dtype=np.intp)
+        ids = np.zeros(slots.size, dtype=id_type)
         self.hkeys = np.zeros((n_keys, self.width), dtype=np.uint64)
-        stacks = []  # (code, stacked word table, id of its first word)
+        stacks = []  # (code, padded word table, id of its first word)
         first = [0] * len(groups)
-        views = [None] * len(groups)
+        place = [None] * len(groups)  # (padded code table, first row)
         n_words = key_base = start = 0
         for code in codes:
             mine = [i for i, (c, _) in enumerate(groups) if c is code]
             rows = sum(len(groups[i][1]) for i in mine)
-            end = start + rows * code.n
-            table = slots[start:end].reshape(rows, code.n)
-            np.concatenate([groups[i][1] for i in mine], out=table)
-            ids[start:end].reshape(rows, code.n)[:] = (
+            end = start + rows * (code.n + 2)
+            table = slots[start:end].reshape(rows, code.n + 2)
+            np.concatenate([groups[i][1] for i in mine], out=table[:, : code.n])
+            # the padded columns hold the zero slot, which no word holds, until
+            # the flip table is compiled
+            table[:, code.n :] = zero
+            ids[start:end].reshape(rows, code.n + 2)[:, : code.n] = (
                 (np.arange(n_words, n_words + rows, dtype=id_type)[:, None]
                  << shift) + np.arange(key_base, key_base + code.n,
                                        dtype=id_type))
-            table.setflags(write=False)
             stacks.append((code, table, n_words))
             row = 0
             for i in mine:
                 first[i] = n_words + row
-                views[i] = table[row : row + len(groups[i][1])]
-                row += len(views[i])
+                place[i] = (table, row)
+                row += len(groups[i][1])
             n_words += rows
             self.hkeys[key_base : key_base + code.n, : code.key_words] = (
                 code.column_keys)
             key_base += code.n
             start = end
-        self.stacks = tuple(stacks)
-        self.groups = tuple((code, view)
-                            for (code, _), view in zip(groups, views))
-        self.windows = tuple(tuple((*self.groups[i], first[i]) for i in window)
-                             for window in windows)
         self._compile_flips(slots, ids, n_slots, shift)
+        for code, table, _ in stacks:
+            table[:, code.n] = -1  # no slot
+            table.setflags(write=False)
+        slots.setflags(write=False)
+        # views taken of the read-only tables are read-only too
+        padded = [table[row : row + len(words)]
+                  for (table, row), (_, words) in zip(place, groups)]
+        self.stacks = tuple(stacks)
+        self.groups = tuple((code, view[:, : code.n])
+                            for (code, _), view in zip(groups, padded))
+        self.windows = tuple(tuple((groups[i][0], padded[i], first[i])
+                                   for i in window) for window in windows)
         for table in (self.hkeys, self.flip_cells, self.flip_keys):
             table.setflags(write=False)
 
@@ -192,9 +214,10 @@ class Plan:
         """The key of every word of a frame buffer, plus a scratch row."""
         keys = np.zeros((self.n_words + 1, self.width), dtype=np.uint64)
         for code, table, first in self.stacks:
-            # the tables hold valid slots only, so skip the bounds check
+            # the tables hold valid slots and -1, which "clip" reads as slot
+            # 0, so skip the bounds check; the padded table is contiguous
             keys[first : first + len(table), : code.key_words] = (
-                code.syndrome_keys(buf.take(table, mode="clip")))
+                code.syndrome_keys(buf.take(table, mode="clip")[:, : code.n]))
         return keys
 
     def error_keys(self, slots):
@@ -240,6 +263,7 @@ def decode(buf, plan, l_max, keys=None):
     # decode; a decode that changed nothing would change nothing again
     live = keys.any(axis=1)
     zero = buf.size - 1
+    flips = []  # the slots of accepted corrections
     sweeps = 0
     for window in plan.windows:
         for _ in range(l_max):
@@ -251,19 +275,15 @@ def decode(buf, plan, l_max, keys=None):
                     continue
                 ids = first + rows
                 live[ids] = False
-                _, rows, pos = code.decode_syndromes(
-                    rows, keys.take(ids, axis=0))
-                if rows.size == 0:
-                    continue
-                slots = words[rows, pos]
+                # position n reads -1 and a failure's n + 1 the zero slot
+                slots = words[rows[:, None],
+                              code.decode_syndromes(keys.take(ids, axis=0))]
                 if slots.max() == zero:  # the zero slot is the last one
-                    vetoed = np.zeros(len(words), dtype=bool)
-                    vetoed[rows[slots == zero]] = True
-                    slots = slots[~vetoed[rows]]
+                    slots = slots[(slots != zero).all(axis=1)]
                     if slots.size == 0:
                         continue
-                # unbuffered: a slot listed twice flips back
-                np.bitwise_xor.at(buf, slots, _ONE)
+                slots = slots[slots >= 0]  # unused columns read -1
+                flips.append(slots)
                 touched = plan.flip(cells, slots)
                 if width == 1:
                     live[touched] = cells[touched] != 0
@@ -273,6 +293,10 @@ def decode(buf, plan, l_max, keys=None):
                 changed = True
             if not changed:
                 break
+    if flips:
+        # the decode read buf only through keys, and XOR parity is
+        # order-free: one unbuffered pass, so a slot listed twice flips back
+        np.bitwise_xor.at(buf, np.concatenate(flips), _ONE)
     return sweeps, keys
 
 

@@ -34,11 +34,24 @@ from .bch import ComponentCode, code_pair
 
 __all__ = [
     "reduced_b_matrix",
+    "stage1_matrix",
     "PFFConstruction",
     "build_pff_construction",
     "search_pff_construction",
     "PFFCode",
 ]
+
+
+def stage1_matrix(code_row, code_col):
+    """The stage-1 system A_s = G_r^T + F_r^T of a PFF code pair, from the
+    last r rows of each code's G_p; it does not depend on Pi.  ValueError
+    if the row code gives no PFF geometry (k > r, k - r even, M > 2r)."""
+    k, r = code_row.k, code_row.r
+    if k <= r or (k - r) % 2:
+        raise ValueError("PFF needs k > r with k - r even")
+    if (k - r) // 2 <= 2 * r:
+        raise ValueError("PFF needs M > 2r")
+    return code_row.g_p[-r:].T ^ code_col.g_p[-r:].T
 
 
 def reduced_b_matrix(a_small, g_b_t, f_r):
@@ -72,31 +85,32 @@ class PFFConstruction:
     """Design-time data for one PFF code.
 
     Takes the component codes, the 2r row-permutation indices ``pi``
-    (G_B~ = G_B[pi]) and the mode.  Derives the inverses of the stage-1
-    system ``a_small`` and of R (``u_inv``, :func:`reduced_b_matrix`);
-    SingularMatrixError if either is singular.  ``gp_std`` is the row
-    code's G_p without its leading 2r pad rows.
+    (G_B~ = G_B[pi]), ``a_inv``, the inverse of the stage-1 system
+    ``a_small`` (:func:`stage1_matrix`), which does not depend on Pi, so a
+    search inverts it once for all its candidates, and the mode.  ValueError
+    if ``a_inv`` is not that inverse.  Derives the inverse of R (``u_inv``,
+    :func:`reduced_b_matrix`); SingularMatrixError if R is singular.
+    ``gp_std`` is the row code's G_p without its leading 2r pad rows.
     """
 
     code_row: ComponentCode
     code_col: ComponentCode
     pi: np.ndarray
+    a_inv: np.ndarray
     mode: str = "custom"
 
     def __post_init__(self):
         row, col = self.code_row, self.code_col
-        if row.k <= row.r or (row.k - row.r) % 2:
-            raise ValueError("PFF needs k > r with k - r even")
+        self.a_small = stage1_matrix(row, col)
         m_side = self.m_side = (row.k - row.r) // 2
         r = self.r = row.r
-        if m_side <= 2 * r:
-            raise ValueError("PFF needs M > 2r")
         self.pi = gf2.check_permutation(self.pi, 2 * r)
         self.g_i, self.g_r = row.g_p[: 2 * m_side], row.g_p[2 * m_side :]
         self.f_i, self.f_r = col.g_p[: 2 * m_side], col.g_p[2 * m_side :]
         self.gp_std = row.g_p[2 * r :]
-        self.a_small = self.g_r.T ^ self.f_r.T
-        self.a_inv = gf2.invert(self.a_small)
+        if not np.array_equal(gf2.mat_mul(self.a_small, self.a_inv),
+                              gf2.identity(r)):
+            raise ValueError("a_inv is not the inverse of A_s")
         m2 = m_side - 2 * r
         self.g_b_t = self.g_i[m2:m_side][self.pi]
         try:  # a candidate is rejected on the r^2 system
@@ -121,9 +135,10 @@ class PFFConstruction:
         return np.concatenate([u, gf2.mat_mul(u, self.f_r) ^ w], axis=-1)
 
 
-def build_pff_construction(code_row, code_col, pi, mode="custom"):
-    """One search candidate; SingularMatrixError if a system is singular."""
-    return PFFConstruction(code_row, code_col, pi, mode)
+def build_pff_construction(code_row, code_col, pi, a_inv, mode="custom"):
+    """One search candidate, given A_s's inverse ``a_inv``;
+    SingularMatrixError if R is singular."""
+    return PFFConstruction(code_row, code_col, pi, a_inv, mode)
 
 
 def _candidates(r, rng, max_tries):
@@ -137,15 +152,23 @@ def _candidates(r, rng, max_tries):
 def search_pff_construction(m, t, s, *, seed=0, max_tries=200):
     """Find a Pi making both staged systems invertible; identity first.
 
-    Memoized like :func:`ff.search_construction`: one search per process
-    and ``(m, t, s, seed, max_tries)``, within :func:`gf2.memoize`'s budget.
+    The stage-1 system does not depend on Pi, so it is inverted once, and
+    each candidate inverts only its r^2 x r^2 system R.  Memoized like
+    :func:`ff.search_construction`: one search per process and
+    ``(m, t, s, seed, max_tries)``, within :func:`gf2.memoize`'s budget.
     """
     code_row, code_col = code_pair(m, t, s)
+    try:
+        a_inv = gf2.invert(stage1_matrix(code_row, code_col))
+    except gf2.SingularMatrixError as err:
+        raise gf2.SingularMatrixError(
+            f"no usable Pi found for (m={m}, t={t}, s={s}): {err}") from None
     last_err = None
     for mode, pi in _candidates(code_row.r, np.random.default_rng(seed),
                                 max_tries):
         try:
-            return build_pff_construction(code_row, code_col, pi, mode=mode)
+            return build_pff_construction(code_row, code_col, pi, a_inv,
+                                          mode=mode)
         except gf2.SingularMatrixError as err:
             last_err = str(err)  # not err: its traceback would pin this frame
     raise gf2.SingularMatrixError(

@@ -343,12 +343,12 @@ def _increasing(order, k, start=0):
 
 def syndrome_table(field, t):
     """``bch.build_syndrome_table`` with the choices of w - 1 exponents
-    enumerated block by block in Python: (keys, locators)."""
+    enumerated block by block in Python and each pattern keyed by its odd
+    syndromes S_1, S_3, ... m bits apiece, then scattered to its row."""
     order, m = field.order, field.m
     odd = np.arange(1, 2 * t, 2)[:, None, None]
     weights = np.left_shift(1, m * np.arange(t), dtype=np.int64)
-    dtype = np.min_scalar_type(-order)  # locators, with -N for padding
-    keys, locators = [np.zeros(1, np.int64)], [np.full((1, t), -order, dtype)]
+    keys, locators = [np.zeros(1, np.int64)], [np.full((1, t), -order)]
     for s1 in (1, 0):
         for w in range(1, t + 1):
             for chosen in _increasing(order, w - 1):
@@ -363,12 +363,15 @@ def syndrome_table(field, t):
                 synd = np.bitwise_xor.reduce(
                     field.exp[odd * locs[:, :w] % order], axis=2)
                 keys.append(weights @ synd)
-                locators.append(locs.astype(dtype))
-    keys.append([np.iinfo(np.int64).max])
-    locators.append(np.full((1, t), -order, dtype))
-    keys = np.concatenate(keys)
-    by_key = np.argsort(keys)
-    return keys[by_key], np.concatenate(locators)[by_key]
+                locators.append(locs)
+    keys, locators = np.concatenate(keys), np.concatenate(locators)
+    assert len(np.unique(keys)) == len(keys)
+    # S_1 in {0, 1} stays at bit 0, and S_3, S_5, ... move down to bit 1
+    rows = (keys & 1) | (keys >> m) << 1
+    table = np.full((2 << (t - 1) * m, t), 3 * order,
+                    dtype=np.min_scalar_type(4 * order))
+    table[rows] = np.where(locators < 0, 2 * order, locators)
+    return table
 
 
 def decode_one_at_a_time(buf, schedule, l_max):

@@ -149,10 +149,19 @@ def test_compiled_tables_match_reference_words(table_ff, table_pff,
             for (code, words), (ref_code, ref_words) in zip(codec.groups,
                                                             reference):
                 assert code is ref_code
-                assert words.dtype == np.intp and words.flags.c_contiguous
+                assert words.dtype == np.intp
                 assert (frame.buf[words] == ref_words).all()
         for code, words in codec.groups:
             assert not code.words_with_errors(encoded.buf[words]).any()
+        # decode and Plan.syndromes gather from the padded tables: no slot,
+        # then the zero slot, after each word's n slots
+        padded = [(code, words) for window in codec.plan.windows
+                  for code, words, _ in window]
+        padded += [(code, table) for code, table, _ in codec.plan.stacks]
+        for code, table in padded:
+            assert table.dtype == np.intp and table.flags.c_contiguous
+            assert (table[:, code.n] == -1).all()
+            assert (table[:, code.n + 1] == codec.n_tx).all()
 
 
 # -- criteria ------------------------------------------------------------------

@@ -40,14 +40,11 @@ def batches(draw):
     return code, np.array(words)
 
 
-def berlekamp_chien_batch(code, words):
-    """``decode_batch`` with the flagged words decoded by Berlekamp-Massey."""
-    keys = code.syndrome_keys(words)
-    flagged = np.flatnonzero(keys.any(axis=1))
-    ok = np.ones(len(words), dtype=bool)
-    ok[flagged], rows, pos = code.berlekamp_chien(
-        flagged, code.key_fields(keys[flagged]))
-    return ok, rows, pos
+def corrections(code, pos):
+    """Each row of a position matrix as ``reference.bdd`` gives a word's
+    decode: (ok, sorted flips); a row fails where it reads n + 1."""
+    return [(False, []) if (row > code.n).any()
+            else (True, sorted(row[row < code.n].tolist())) for row in pos]
 
 
 @hypothesis.settings(deadline=None, max_examples=150)
@@ -55,14 +52,17 @@ def berlekamp_chien_batch(code, words):
 def test_batch_matches_scalar_oracle(batch):
     code, words = batch
     assert code.bdd_table is not None
-    for decode in (code.decode_batch,
-                   functools.partial(berlekamp_chien_batch, code)):
-        ok, rows, pos = decode(words)
-        assert ok.shape == (len(words),)
-        for w, word in enumerate(words):
-            expect_ok, expect_flips = reference.bdd(code, word)
-            assert ok[w] == expect_ok
-            assert sorted(pos[rows == w].tolist()) == expect_flips
+    expect = [reference.bdd(code, word) for word in words]
+    keys = code.syndrome_keys(words)
+    for pos in (code.decode_syndromes(keys),
+                code.berlekamp_chien(code.key_fields(keys))):
+        assert pos.shape == (len(words), code.t)
+        assert corrections(code, pos) == expect
+    ok, rows, pos = code.decode_batch(words)
+    assert ok.shape == (len(words),)
+    for w, (expect_ok, expect_flips) in enumerate(expect):
+        assert ok[w] == expect_ok
+        assert pos[rows == w].tolist() == expect_flips
 
 
 @pytest.mark.parametrize("reciprocal", [False, True])
@@ -95,15 +95,60 @@ def test_table_and_berlekamp_chien_agree_on_every_syndrome(m, t, s, reciprocal):
     assert (code.key_fields(keys) == every).all()
     accepted = 0
     for start in range(0, len(every), 8192):  # bounds the Chien search's terms
-        synd = every[start : start + 8192]
-        rows = start + np.arange(len(synd))
-        table = code.decode_syndromes(rows, keys[start : start + 8192])
-        chien = code.berlekamp_chien(rows, synd)
-        for got, expect in zip(table, chien):
-            assert got.shape == expect.shape and (got == expect).all()
-        accepted += np.count_nonzero(table[0])
+        table = code.decode_syndromes(keys[start : start + 8192])
+        chien = code.berlekamp_chien(every[start : start + 8192])
+        assert table.shape == chien.shape == (len(chien), t)
+        # Berlekamp-Massey lists a word's flips in increasing order and
+        # fails a word throughout; the table may list them in any order
+        failed = (chien > code.n).any(axis=1)
+        assert (chien[failed] == code.n + 1).all()
+        assert ((table > code.n).any(axis=1) == failed).all()
+        assert (np.sort(table[~failed], axis=1) == chien[~failed]).all()
+        accepted += np.count_nonzero(~failed)
     # every pattern of weight 1..t at the n positions, and nothing else
     assert accepted == sum(math.comb(code.n, w) for w in range(1, t + 1))
+
+
+def parent_keys(code, patterns):
+    """One-word keys of error patterns of the parent code, each given by
+    the degrees of its errors; degrees n..N-1 are the shortened positions."""
+    field, sign = code.field, -1 if code.reciprocal else 1
+    keys = []
+    for degrees in patterns:
+        key = 0
+        for i, k in enumerate(range(1, 2 * code.t, 2)):
+            syndrome = 0
+            for degree in degrees:
+                syndrome ^= field.pow_alpha(sign * k * degree)
+            key |= syndrome << code.m * i
+        keys.append(key)
+    return np.array(keys, dtype=np.uint64)[:, None]
+
+
+@pytest.mark.parametrize("reciprocal", [False, True])
+@pytest.mark.parametrize("m,t,s", [(6, 3, 5), (5, 2, 4), (8, 3, 63)])
+def test_locator_on_a_shortened_position_fails(m, t, s, reciprocal):
+    """A pattern of weight <= t of the parent code with an error on a
+    shortened position has no codeword of the shortened code within
+    distance t: its word fails (n + 1), and the error does not read as an
+    unused column (n), which would accept the rest of the pattern."""
+    code = component(m, t, s, reciprocal)
+    n, order = code.n, code.field.order
+    rng = np.random.default_rng(5)
+    patterns = [[d] for d in range(n, order)]
+    for weight in range(2, t + 1):
+        for _ in range(40):
+            patterns.append([int(rng.integers(n, order))] + rng.choice(
+                n, size=weight - 1, replace=False).tolist())
+    keys = parent_keys(code, patterns)
+    for pos in (code.decode_syndromes(keys),
+                code.berlekamp_chien(code.key_fields(keys))):
+        assert (pos == n + 1).any(axis=1).all()
+    # the same patterns without the shortened error decode to themselves
+    inside = [pattern[1:] for pattern in patterns if len(pattern) > 1]
+    pos = np.sort(code.decode_syndromes(parent_keys(code, inside)), axis=1)
+    for row, pattern in zip(pos, inside):
+        assert row[row < n].tolist() == sorted(n - 1 - d for d in pattern)
 
 
 def test_code_beyond_the_table_budget_decodes_by_berlekamp_chien(monkeypatch):
@@ -130,30 +175,30 @@ def test_code_beyond_the_table_budget_decodes_by_berlekamp_chien(monkeypatch):
 
 def test_table_holds_every_pattern_once():
     field = bch.GaloisField(5)
+    order = field.order
     table = bch.build_syndrome_table(field, 2)
-    assert (np.diff(table.keys) > 0).all()
-    assert table.keys[-1] == np.iinfo(np.int64).max
+    assert table.shape == (2 << 5, 2) and not table.flags.writeable
+    held = np.flatnonzero(table[:, 0] != 3 * order)  # the rest fail
+    assert (np.delete(table, held, axis=0) == 3 * order).all()
     # weight 0, then S_1 = 1: {0}, and the pairs {a, b} with
     # alpha^a + alpha^b = 1, each once: (N - 1) / 2 of them
-    assert len(table.keys) == 1 + 1 + (field.order - 1) // 2 + 1  # sentinel
-    for key, locs in zip(table.keys[:-1], table.locators[:-1]):
-        assert (locs[locs < 0] == -field.order).all()  # the pads
-        locs = locs[locs >= 0]
+    assert len(held) == 1 + 1 + (order - 1) // 2
+    for row in held:
+        locs = table[row]
+        assert (locs[locs >= order] == 2 * order).all()  # the pads
         s1, s3 = 0, 0
-        for e in locs.tolist():
+        for e in locs[locs < order].tolist():
             s1 ^= field.pow_alpha(e)
             s3 ^= field.pow_alpha(3 * e)
-        assert s1 in (0, 1) and key == s1 | s3 << 5
+        assert s1 in (0, 1) and row == s1 | s3 << 1
 
 
 @pytest.mark.parametrize("m,t", [(5, 4), (6, 4), (7, 4), (5, 2), (8, 3)])
 def test_table_build_matches_block_by_block_enumeration(m, t):
     field = bch.GaloisField(m)
     table = bch.build_syndrome_table(field, t)
-    keys, locators = reference.syndrome_table(field, t)
-    assert table.keys.dtype == keys.dtype and (table.keys == keys).all()
-    assert table.locators.dtype == locators.dtype
-    assert (table.locators == locators).all()
+    expect = reference.syndrome_table(field, t)
+    assert table.dtype == expect.dtype and (table == expect).all()
 
 
 @pytest.mark.parametrize("m,t,s", [(10, 7, 823), (8, 3, 63), (8, 8, 100)])

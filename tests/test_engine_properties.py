@@ -33,7 +33,7 @@ def test_kept_syndromes_and_result_match_word_by_word_loop(case, p, seed):
     bsc_corrupt(codec, frame, p, rng)
 
     expect = frame.buf.copy()
-    schedule = [[(code, words) for code, words, _ in window]
+    schedule = [[(code, words[:, : code.n]) for code, words, _ in window]
                 for window in codec.plan.windows]
     expect_sweeps = reference.decode_one_at_a_time(expect, schedule,
                                                    codec.l_max)
@@ -57,7 +57,7 @@ def test_two_word_keys_match_word_by_word_loop(p):
     bsc_corrupt(codec, frame, p, rng)
 
     expect = frame.buf.copy()
-    schedule = [[(code, words) for code, words, _ in window]
+    schedule = [[(code, words[:, : code.n]) for code, words, _ in window]
                 for window in codec.plan.windows]
     expect_sweeps = reference.decode_one_at_a_time(expect, schedule,
                                                    codec.l_max)
@@ -80,7 +80,7 @@ def check_flip_table(codec):
     hkeys = plan.hkeys.reshape(-1)
     holders = {}
     for code, table, first in plan.stacks:
-        for w, word in enumerate(table):
+        for w, word in enumerate(table[:, : code.n]):
             for pos, slot in enumerate(word.tolist()):
                 if slot != zero:
                     holders.setdefault(slot, []).append(

@@ -28,7 +28,7 @@ from stairfec.ff import (
     shifted_block_indices,
     transpose_indices,
 )
-from stairfec.pff import PFFConstruction
+from stairfec.pff import PFFConstruction, stage1_matrix
 
 
 @pytest.fixture(scope="module")
@@ -266,8 +266,10 @@ def test_constructions_reject_bad_permutations(spoil):
     that does not reorder range(n), before building any system."""
     ff_codes, pff_codes = code_pair(6, 1, 1), code_pair(7, 2, 41)
     pi1, pi2 = low_ef_indices(25, 6)
+    a_inv = gf2.invert(stage1_matrix(*pff_codes))
     for make in [lambda: FFConstruction(*ff_codes, spoil(pi1), pi2),
                  lambda: FFConstruction(*ff_codes, pi1, spoil(pi2)),
-                 lambda: PFFConstruction(*pff_codes, spoil(np.arange(28)))]:
+                 lambda: PFFConstruction(*pff_codes, spoil(np.arange(28)),
+                                         a_inv)]:
         with pytest.raises(ValueError, match="not a permutation"):
             make()

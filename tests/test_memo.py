@@ -330,8 +330,9 @@ def test_codec_bytes_count_what_it_keeps_alive_once(family):
     args, kwargs = CODECS[family]
     codec = sim.build_codec(family, *args, **kwargs)
     plan = codec.plan
-    # the stacked word tables are views covering one slot array, and the
-    # groups and windows are views of those tables
+    # the stacked word tables, pad and zero-slot columns included, are views
+    # covering one slot array, and the groups and windows are views of those
+    # tables
     slots = {id(table.base) for _, table, _ in plan.stacks}
     assert len(slots) == 1
     own = (codec.info_idx.nbytes + codec.info_starts.nbytes

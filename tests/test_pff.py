@@ -66,10 +66,11 @@ def test_stage2_solve_matches_b_inverse(code, count):
     row, col = code_pair(*code)
     rng = np.random.default_rng(11)
     candidates = pff._candidates(row.r, np.random.default_rng(0), count)
+    a_inv = gf2.invert(pff.stage1_matrix(row, col))
     solved = 0
     for mode, pi in itertools.islice(candidates, count):
         try:
-            cons = pff.build_pff_construction(row, col, pi, mode)
+            cons = pff.build_pff_construction(row, col, pi, a_inv, mode)
         except gf2.SingularMatrixError:
             continue
         r = cons.r
@@ -204,6 +205,14 @@ def test_validation(cons):
     codec = PFFCode(cons, 1, 1)
     with pytest.raises(ValueError):
         codec.encode_payload(np.zeros(3, dtype=np.uint8))
+
+
+def test_construction_refuses_a_wrong_stage1_inverse(cons):
+    """A supplied A_s inverse is checked: one flipped bit is refused."""
+    wrong = cons.a_inv.copy()
+    wrong[0, 0] ^= 1
+    with pytest.raises(ValueError, match="not the inverse"):
+        pff.build_pff_construction(cons.code_row, cons.code_col, cons.pi, wrong)
 
 
 def test_describe(cons):

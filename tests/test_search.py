@@ -181,12 +181,11 @@ def test_search_without_the_small_decision_finds_the_same(monkeypatch,
 
 # the sizes of the systems inverted, in order: ff(8,3,63) rejects its
 # low_ef candidate on the fold, takes the next and lifts the inverse of its
-# fold; pff(8,3,15) inverts A_s
-# and the r^2 system for each Pi, rejects four and keeps the fifth inverse
-# to solve stage 2 with
+# fold; pff(8,3,15) inverts A_s once, then the r^2 system for each Pi,
+# rejects four and keeps the fifth inverse to solve stage 2 with
 @pytest.mark.parametrize("family, sizes",
                          [("ff", [216, 216]),
-                          ("pff", [24, 576] * 5)])
+                          ("pff", [24] + [576] * 5)])
 def test_search_inverts_one_full_size_system(monkeypatch, family, sizes):
     search, code = SEARCHES[family]
     inverted = []
@@ -201,3 +200,25 @@ def test_search_inverts_one_full_size_system(monkeypatch, family, sizes):
     search(*code)
     search.cache_clear()
     assert inverted == sizes
+
+
+@pytest.mark.parametrize("code, seed", [((6, 1, 1), 0), ((7, 2, 41), 0),
+                                        ((7, 2, 41), 3), ((8, 3, 15), 0),
+                                        ((8, 3, 15), 2)])
+def test_pff_search_shares_one_stage1_inverse(code, seed):
+    """The search inverts A_s once for all its candidates and finds what
+    building each candidate on its own, with A_s inverted anew, finds."""
+    row, col = code_pair(*code)
+    for mode, pi in pff._candidates(row.r, np.random.default_rng(seed), 200):
+        try:
+            alone = pff.build_pff_construction(
+                row, col, pi, gf2.invert(pff.stage1_matrix(row, col)), mode)
+            break
+        except gf2.SingularMatrixError:
+            continue
+    pff.search_pff_construction.cache_clear()
+    cons = pff.search_pff_construction(*code, seed=seed)
+    pff.search_pff_construction.cache_clear()
+    assert cons.mode == alone.mode
+    for field in ("pi", "a_inv", "u_inv", "op_u_inv"):
+        assert np.array_equal(getattr(cons, field), getattr(alone, field))
