@@ -37,7 +37,6 @@ __all__ = [
     "operand",
     "apply",
     "invert",
-    "verify_inverse",
     "kron",
     "invert_indices",
     "check_permutation",
@@ -228,41 +227,6 @@ def invert(a):
         packed[r0 : r0 + k, word:] = reduced
     return np.unpackbits(by_byte[:, 8 * half :], axis=1, count=n,
                          bitorder="little")
-
-
-def _is_packed_identity(prod):
-    """Whether packed columns (:func:`operand`'s layout) are those of the
-    identity: column j is bit j alone, padding included.  Clears the
-    diagonal bits of ``prod`` on the way."""
-    by_byte = prod.view(np.uint8)
-    diag = np.arange(len(by_byte))
-    if not (by_byte[diag, diag // 8] == 1 << diag % 8).all():
-        return False
-    by_byte[diag, diag // 8] = 0
-    return not by_byte.any()
-
-
-def verify_inverse(a, a_inv):
-    """``a_inv`` as bits once ``a_inv @ a`` is the identity; ValueError if not.
-
-    For square matrices that is the same as ``a @ a_inv`` being the
-    identity.  It checks an inverse found by another route, such as a
-    construction search's, without inverting again.  The product is taken
-    and compared packed, one XOR of columns of ``a_inv`` per column of
-    ``a`` (:func:`_packed_products`), so it costs the ones of ``a`` and
-    holds n*n/8 bytes, not the n*n of an unpacked product.
-    """
-    a = np.asarray(a)
-    a_inv = np.asarray(a_inv, dtype=np.uint8)
-    # the ones of a, column by column
-    rows, cols = np.nonzero(a)
-    order = np.argsort(cols, kind="stable")
-    if (a_inv.shape != a.shape or a_inv.max(initial=0) > 1
-            or not _is_packed_identity(_packed_products(
-                operand(a_inv), cols[order], rows[order], len(a)))):
-        raise ValueError(f"the {a_inv.shape} inverse of a {a.shape} "
-                         "matrix fails verification")
-    return a_inv
 
 
 def kron(a, b):

@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from stairfec import gf2
+from stairfec import ff, gf2
+from stairfec.bch import code_pair
 
 
 # -- GF(2) matrices ------------------------------------------------------------
@@ -98,6 +99,42 @@ def invert(a):
         if others.size:
             packed[others] ^= packed[col]
     return np.unpackbits(packed[:, half:], axis=1, count=n)
+
+
+def _is_packed_identity(prod):
+    """Whether packed columns (``gf2.operand``'s layout) are those of the
+    identity: column j is bit j alone, padding included.  Clears the
+    diagonal bits of ``prod`` on the way."""
+    by_byte = prod.view(np.uint8)
+    diag = np.arange(len(by_byte))
+    if not (by_byte[diag, diag // 8] == 1 << diag % 8).all():
+        return False
+    by_byte[diag, diag // 8] = 0
+    return not by_byte.any()
+
+
+def verify_inverse(a, a_inv):
+    """``a_inv`` as bits once ``a_inv @ a`` is the identity; ValueError if not.
+
+    For square matrices that is the same as ``a @ a_inv`` being the
+    identity.  It checks an inverse found by another route, such as a
+    construction search's, without inverting again.  The product is taken
+    and compared packed, one XOR of columns of ``a_inv`` per column of
+    ``a`` (``gf2._packed_products``, the kernel of ``gf2.apply``), so it
+    costs the ones of ``a`` and holds n*n/8 bytes, not the n*n of an
+    unpacked product.
+    """
+    a = np.asarray(a)
+    a_inv = np.asarray(a_inv, dtype=np.uint8)
+    # the ones of a, column by column
+    rows, cols = np.nonzero(a)
+    order = np.argsort(cols, kind="stable")
+    if (a_inv.shape != a.shape or a_inv.max(initial=0) > 1
+            or not _is_packed_identity(gf2._packed_products(
+                gf2.operand(a_inv), cols[order], rows[order], len(a)))):
+        raise ValueError(f"the {a_inv.shape} inverse of a {a.shape} "
+                         "matrix fails verification")
+    return a_inv
 
 
 def elementary_perm(m, i):
@@ -207,6 +244,66 @@ def valid_column_set(row, m_side, r):
     """Column words reachable from channel row ``row`` under the canonical
     low-floor permutations: the 2r columns row+1 .. row+2r mod M."""
     return {(row + 1 + j) % m_side for j in range(2 * r)}
+
+
+def permutations(cons):
+    """The index arrays (pi_1, pi_2) of an ff construction's shift pair."""
+    return (ff.shifted_block_indices(cons.s1, cons.m_side),
+            ff.shifted_block_indices(cons.s2, cons.m_side))
+
+
+def build_a_matrix(m_side, r, g_r, f_r, pi1, pi2):
+    """The Mr x Mr system matrix tying Y to its own parity contributions,
+    for any permutation pair: the dense oracle for ``ff.build_a_ring``.
+
+    Implements A = I_M (x) F_r^T + T pi_2 T (I_M (x) G_r^T) T pi_1^{-1} T
+    where T alternates between the two vec-transposition permutations; the
+    permutation legs are composed as index arrays, the G_r term is
+    scattered straight into A and F_r^T XORed into its diagonal blocks.
+    """
+    t_rm = ff.transpose_indices(r, m_side)   # vec(Y) -> vec(Y^T), Y r x M
+    t_mr = ff.transpose_indices(m_side, r)   # vec(X) -> vec(X^T), X M x r
+    # vec(Y) -> vec(X^T): transpose, un-permute, transpose again.
+    idx_pre = t_rm[gf2.invert_indices(pi1)][t_mr]
+    # G_r^T acts column-wise on X^T (r x M): vec result -> pi_2 -> transpose.
+    idx_post = t_rm[pi2][t_mr]
+    n = m_side * r
+    a = gf2.zeros(n, n)
+    # row p of the G_r term is row idx_post[p] % r of G_r^T, in block
+    # idx_post[p] // r of I_M (x) G_r^T, with its columns moved to idx_pre
+    block, row = np.divmod(idx_post, r)
+    a[np.arange(n)[:, None], idx_pre[block[:, None] * r + np.arange(r)]] = \
+        g_r.T[row]
+    diag = np.arange(m_side)
+    a.reshape(m_side, r, m_side, r)[diag, :, diag] ^= f_r.T
+    return a
+
+
+def ring_form(a, m_side, r):
+    """The first block row of an Mr x Mr matrix as an M x r x r array,
+    coefficient c being block (0, c): A(z) = sum_c C_c z^c when A is
+    block-circulant (``ff.expand_ring`` gives A back)."""
+    return a[:r].reshape(r, m_side, r).swapaxes(0, 1).copy()
+
+
+def search_dense(m, t, s, seed=0, max_tries=200):
+    """ff's search decided on the dense A of each candidate, in the
+    search's own candidate order: (mode, s1, s2, A^-1) of the first
+    candidate whose A inverts, or None."""
+    row, col = code_pair(m, t, s)
+    m_side, r = (row.k - row.r) // 2, row.r
+    g_r, f_r = row.g_p[2 * m_side :], col.g_p[2 * m_side :]
+    for mode, (s1, s2) in ff._candidates(m_side, r,
+                                         np.random.default_rng(seed),
+                                         max_tries):
+        a = build_a_matrix(m_side, r, g_r, f_r,
+                           ff.shifted_block_indices(s1, m_side),
+                           ff.shifted_block_indices(s2, m_side))
+        try:
+            return mode, s1, s2, gf2.invert(a)
+        except gf2.SingularMatrixError:
+            continue
+    return None
 
 
 def x_from_y(cons, y):

@@ -13,11 +13,17 @@ from functools import partial
 import numpy as np
 import pytest
 
-from reference import (perm_matrix, pr_from_pc, transpose_perm, unvec, vec,
-                       x_from_y)
+from reference import (perm_matrix, permutations, pr_from_pc, transpose_perm,
+                       unvec, vec, x_from_y)
 from stairfec import gf2
 from stairfec.bch import ComponentCode
-from stairfec.ff import FFCode, low_ef_indices, search_construction, transpose_indices
+from stairfec.ff import (
+    FFCode,
+    low_ef_shifts,
+    search_construction,
+    shifted_block_indices,
+    transpose_indices,
+)
 from stairfec.floors import apply_stall, certify_stall, ff_floor, gen_stall, ncg_gap
 from stairfec.pff import PFFCode, search_pff_construction
 from stairfec.sim import build_codec, run_monte_carlo
@@ -220,8 +226,8 @@ def _ff_oracle(cons):
     """Precomputed joint linear solve of the raw pair constraints."""
     m_side, r = cons.m_side, cons.r
     n_unknown = 2 * m_side * r
-    p1_inv = gf2.invert(perm_matrix(cons.pi1))
-    p2_inv = gf2.invert(perm_matrix(cons.pi2))
+    p1_inv, p2_inv = (gf2.invert(perm_matrix(pi))
+                      for pi in permutations(cons))
     t_y = transpose_perm(r, m_side)
 
     def mirrors(u):
@@ -316,7 +322,7 @@ def test_criterion_04_oracle_equivalence(capsys):
     # the smallest t=2 column-protected construction with M > 2r uses m=7
     # (shorter fields leave no room for the self-protected block), so the
     # partial feed-forward check runs at m=7, t=2, s=41 instead of m=4, t=2
-    ff_cons = search_construction(4, 1, 1, seed=0)
+    ff_cons = search_construction(6, 1, 19, seed=0)
     pff_cons = search_pff_construction(7, 2, 41, seed=0)
 
     def body():
@@ -451,10 +457,10 @@ def test_criterion_08_spreading_property(capsys):
             for r in range(1, (m_side - 1) // 2 + 1):
                 if 2 * r >= m_side:
                     continue
-                pi1, pi2 = low_ef_indices(m_side, r)
+                s1, s2 = low_ef_shifts(m_side, r)
                 t_rm = transpose_indices(r, m_side)
-                idx1 = t_rm[gf2.invert_indices(pi1)]
-                idx2 = t_rm[gf2.invert_indices(pi2)]
+                idx1 = t_rm[shifted_block_indices(-s1, m_side)]
+                idx2 = t_rm[shifted_block_indices(-s2, m_side)]
                 # vec index of X (or Pr~) entry (row, col) is col*M + row;
                 # the mirrored column-word index is the Y vec index // r
                 p = np.arange(r)[None, :] * m_side + np.arange(m_side)[:, None]

@@ -176,7 +176,7 @@ def test_parameter_validation():
 
 
 def test_parity_partition_shapes():
-    cons = search_construction(6, 2, 5)
+    cons = search_construction(7, 2, 27)
     for code, g_i, g_r in [(cons.code_row, cons.g_i, cons.g_r),
                            (cons.code_col, cons.f_i, cons.f_r)]:
         assert g_i.shape == (code.k - code.r, code.r)

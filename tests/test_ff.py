@@ -5,10 +5,12 @@ import pytest
 
 from reference import (
     block_diag,
+    build_a_matrix,
     elementary_perm,
     ff_rate_finite,
     pc_from_pr,
     perm_matrix,
+    permutations,
     pr_from_pc,
     transpose_perm,
     unvec,
@@ -21,9 +23,8 @@ from stairfec.bch import code_pair
 from stairfec.ff import (
     FFCode,
     FFConstruction,
-    build_a_matrix,
     expand_ring,
-    low_ef_indices,
+    low_ef_shifts,
     search_construction,
     shifted_block_indices,
     transpose_indices,
@@ -33,9 +34,8 @@ from stairfec.pff import PFFConstruction, stage1_matrix
 
 @pytest.fixture(scope="module")
 def cons_small():
-    # m=4, t=1, s=1: M=3, r=4; 2r >= M so the search must leave the
-    # shifted-block-diagonal family
-    return search_construction(4, 1, 1, seed=0)
+    # m=6, t=1, s=19: M=16, r=6, so M' = 1 and the fold is 6 x 6
+    return search_construction(6, 1, 19, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +47,7 @@ def cons_low_ef():
 def matrix_mirrors(cons):
     """Mirror maps recomputed through explicit permutation matrices."""
     m_side, r = cons.m_side, cons.r
-    p1 = perm_matrix(cons.pi1)
-    p2 = perm_matrix(cons.pi2)
+    p1, p2 = map(perm_matrix, permutations(cons))
     t_y = transpose_perm(r, m_side)
 
     def x_of(y):
@@ -82,7 +81,7 @@ def test_shifted_block_indices_match_matrix():
 
 def test_low_ef_requires_room():
     with pytest.raises(ValueError):
-        low_ef_indices(8, 4)
+        low_ef_shifts(8, 4)
 
 
 def test_mirror_maps_match_matrix_form(cons_low_ef):
@@ -116,11 +115,12 @@ def test_mirror_entry_coordinates(cons_low_ef):
 def test_a_matrix_functional_identity(cons_low_ef):
     cons = cons_low_ef
     m_side, r = cons.m_side, cons.r
-    a = build_a_matrix(m_side, r, cons.g_r, cons.f_r, cons.pi1, cons.pi2)
+    pi1, pi2 = permutations(cons)
+    a = build_a_matrix(m_side, r, cons.g_r, cons.f_r, pi1, pi2)
     assert (gf2.mat_mul(a, expand_ring(cons.a_inv_ring))
             == gf2.identity(m_side * r)).all()
     x_of, _ = matrix_mirrors(cons)
-    p2 = perm_matrix(cons.pi2)
+    p2 = perm_matrix(pi2)
     rng = np.random.default_rng(4)
     for _ in range(5):
         y = rng.integers(0, 2, (r, m_side), dtype=np.uint8)
@@ -246,7 +246,11 @@ def test_describe(cons_small):
     ff = FFCode(cons_small, 2)
     d = ff.describe()
     assert d["family"] == "ff"
-    assert d["code"]["m"] == 4
+    assert d["code"]["m"] == 6 and d["mode"] == "low_ef"
+
+
+def refuse(*args):
+    raise AssertionError("built a system")
 
 
 def _repeat_first(pi):
@@ -255,21 +259,38 @@ def _repeat_first(pi):
     return pi
 
 
-@pytest.mark.parametrize("spoil", [
-    pytest.param(lambda pi: pi[:-1], id="short"),
-    pytest.param(lambda pi: pi + 1, id="out-of-range"),
-    pytest.param(_repeat_first, id="repeated"),
-    pytest.param(lambda pi: pi.astype(float), id="not-integer"),
+# each case spoils a pff permutation and, where the fault applies to
+# shifts (repeated shifts are allowed), an ff shift vector
+@pytest.mark.parametrize("spoil, spoil_shifts", [
+    pytest.param(lambda pi: pi[:-1], lambda s: s[:-1], id="short"),
+    pytest.param(lambda pi: pi + 1, lambda s: s + 25, id="out-of-range"),
+    pytest.param(_repeat_first, None, id="repeated"),
+    pytest.param(lambda pi: pi.astype(float), lambda s: s.astype(float),
+                 id="not-integer"),
 ])
-def test_constructions_reject_bad_permutations(spoil):
-    """Both constructions take caller-supplied permutations and refuse one
-    that does not reorder range(n), before building any system."""
+def test_constructions_reject_bad_permutations(spoil, spoil_shifts,
+                                               monkeypatch):
+    """Both constructions take caller-supplied permutations, ff as shift
+    vectors, and refuse bad ones before building any system."""
     ff_codes, pff_codes = code_pair(6, 1, 1), code_pair(7, 2, 41)
-    pi1, pi2 = low_ef_indices(25, 6)
+    s1, s2 = low_ef_shifts(25, 6)
     a_inv = gf2.invert(stage1_matrix(*pff_codes))
-    for make in [lambda: FFConstruction(*ff_codes, spoil(pi1), pi2),
-                 lambda: FFConstruction(*ff_codes, pi1, spoil(pi2)),
-                 lambda: PFFConstruction(*pff_codes, spoil(np.arange(28)),
-                                         a_inv)]:
-        with pytest.raises(ValueError, match="not a permutation"):
+    monkeypatch.setattr(gf2, "invert", refuse)
+    with pytest.raises(ValueError, match="not a permutation"):
+        PFFConstruction(*pff_codes, spoil(np.arange(28)), a_inv)
+    if spoil_shifts is None:
+        return
+    for make in [lambda: FFConstruction(*ff_codes, spoil_shifts(s1), s2),
+                 lambda: FFConstruction(*ff_codes, s1, spoil_shifts(s2))]:
+        with pytest.raises(ValueError, match="shifts must be 6 integers"):
             make()
+
+
+def test_search_refuses_codes_without_room_for_a_shift_pair(monkeypatch):
+    """ff(4,1,1) has M = 3 and r = 4: no 2r distinct shifts exist, so the
+    search refuses it before it builds any candidate."""
+    monkeypatch.setattr("stairfec.ff.build_construction", refuse)
+    monkeypatch.setattr(gf2, "invert", refuse)
+    search_construction.cache_clear()
+    with pytest.raises(ValueError, match="need 2r < M, got M = 3, r = 4"):
+        search_construction(4, 1, 1)

@@ -19,7 +19,7 @@ from stairfec.framing import FAMILY_CODES, HEADER, MAGIC, StreamFormatError
 
 # search, module, the candidate builder it calls, a small code
 SEARCHES = {
-    "ff": (ff.search_construction, ff, "build_construction", (4, 1, 1)),
+    "ff": (ff.search_construction, ff, "build_construction", (6, 1, 19)),
     "pff": (pff.search_pff_construction, pff, "build_pff_construction",
             (6, 1, 1)),
 }
@@ -95,22 +95,22 @@ def test_failed_search_is_repeated_on_every_call(monkeypatch, family):
 
 def test_budget_evicts_least_recently_used_and_skips_oversize(monkeypatch):
     search = ff.search_construction
-    size = gf2.nbytes(search(4, 1, 1, seed=0))
+    size = gf2.nbytes(search(6, 1, 19, seed=0))
     assert size > 0
     search.cache_clear()
     monkeypatch.setattr(gf2, "MEMO_BYTES", 2 * size)
-    a = search(4, 1, 1, seed=0)
-    b = search(4, 1, 1, seed=1)
-    assert search(4, 1, 1, seed=0) is a  # b is now the least recently used
-    c = search(4, 1, 1, seed=2)
-    assert search(4, 1, 1, seed=0) is a
-    assert search(4, 1, 1, seed=2) is c
-    assert search(4, 1, 1, seed=1) is not b
+    a = search(6, 1, 19, seed=0)
+    b = search(6, 1, 19, seed=1)
+    assert search(6, 1, 19, seed=0) is a  # b is now the least recently used
+    c = search(6, 1, 19, seed=2)
+    assert search(6, 1, 19, seed=0) is a
+    assert search(6, 1, 19, seed=2) is c
+    assert search(6, 1, 19, seed=1) is not b
 
     search.cache_clear()
     monkeypatch.setattr(gf2, "MEMO_BYTES", size - 1)
-    big = search(4, 1, 1, seed=0)
-    assert search(4, 1, 1, seed=0) is not big
+    big = search(6, 1, 19, seed=0)
+    assert search(6, 1, 19, seed=0) is not big
 
 
 def test_memoized_searches_keep_their_names():
@@ -399,7 +399,7 @@ def test_codec_hit_keeps_its_construction_recent(monkeypatch):
     codec's arguments still finds it."""
     search = ff.search_construction
     body, _ = noisy_body("ff")
-    small = gf2.nbytes(search(4, 1, 1, seed=0))
+    small = gf2.nbytes(search(6, 1, 19, seed=0))
     codec = decoded(body)[0]
     budget = gf2.nbytes(codec) + small  # the codec holds its construction
     search.cache_clear()
@@ -408,12 +408,12 @@ def test_codec_hit_keeps_its_construction_recent(monkeypatch):
     cons = search(6, 1, 1, seed=0)
     codec = decoded(body)[0]
     assert codec.cons is cons
-    search(4, 1, 1, seed=0)  # the small entry, more recent than the search
+    search(6, 1, 19, seed=0)  # the small entry, more recent than the search
     assert decoded(body)[0] is codec
-    assert gf2.nbytes(search(4, 1, 1, seed=1)) == small  # evicts one entry
+    assert gf2.nbytes(search(6, 1, 19, seed=1)) == small  # evicts one entry
     kept = [key[1:5] for key in gf2._memo
             if key[0] is search.__wrapped__]
-    assert kept == [(6, 1, 1, 0), (4, 1, 1, 1)]
+    assert kept == [(6, 1, 1, 0), (6, 1, 19, 1)]
     assert kept_codecs() != []
     built = []
     build = ff.build_construction
@@ -434,7 +434,7 @@ def test_eviction_skips_a_table_that_a_kept_codec_holds(monkeypatch):
     evicts another entry, and the table is found again, not rebuilt."""
     search = ff.search_construction
     body, _ = noisy_body("ff")
-    small = gf2.nbytes(search(4, 1, 1, seed=0))
+    small = gf2.nbytes(search(6, 1, 19, seed=0))
     codec = decoded(body)[0]
     budget = gf2.nbytes(codec) + small
     search.cache_clear()
@@ -443,9 +443,9 @@ def test_eviction_skips_a_table_that_a_kept_codec_holds(monkeypatch):
     monkeypatch.setattr(gf2, "MEMO_BYTES", budget)
     search(6, 1, 1, seed=0)
     codec = decoded(body)[0]  # kept, then fetches its table
-    search(4, 1, 1, seed=0)
+    search(6, 1, 19, seed=0)
     assert decoded(body)[0] is codec  # the table is now least recent
-    search(4, 1, 1, seed=1)  # evicts the small entry, not the table
+    search(6, 1, 19, seed=1)  # evicts the small entry, not the table
     assert memo_held_bytes() <= budget
     table = codec.code.bdd_table
     monkeypatch.setattr(bch, "build_syndrome_table", refuse)
@@ -457,7 +457,7 @@ def test_memo_counts_a_table_cached_on_a_kept_codec(monkeypatch):
     table.  The memo counts the table the codec holds with the codec, so
     an insert that needs the codec's bytes evicts the codec."""
     body, _ = noisy_body("sc")
-    other = gf2.nbytes(ff.search_construction(4, 1, 1))
+    other = gf2.nbytes(ff.search_construction(6, 1, 19))
     ff.search_construction.cache_clear()
     bch.syndrome_table.cache_clear()
     codec = decoded(body)[0]
@@ -465,7 +465,7 @@ def test_memo_counts_a_table_cached_on_a_kept_codec(monkeypatch):
     budget = gf2.nbytes(codec) + other - 1
     monkeypatch.setattr(gf2, "MEMO_BYTES", budget)
     assert decoded(body)[0] is codec  # the table is now least recent
-    ff.search_construction(4, 1, 1)  # evicts the codec, which holds the table
+    ff.search_construction(6, 1, 19)  # evicts the codec, which holds the table
     assert memo_held_bytes() == gf2.nbytes(*kept_results()) <= budget
     assert kept_codecs() == []
 

@@ -1,19 +1,22 @@
 """The construction searches decide each candidate on a small exact system:
-ff on A reduced modulo z^M' - 1 (``ff.fold_a_matrix``), whose inverse it
-lifts to A^-1 (``ff.lift_inverse``), so ff inverts no Mr x Mr system; pff
-on the r^2 x r^2 system through which it solves the stage-2 system B
-(``pff.reduced_b_matrix``), so pff builds no B at all.  Each decision must
-be the one that inverting the full system gives, and each lifted inverse
-the dense one, so the searches pick the constructions they picked by
-inverting every candidate.
+ff on A(z) reduced modulo z^M' - 1 (``ff.fold_ring``), whose inverse it
+lifts to A^-1 (``ff.lift_inverse``), so ff builds and inverts no Mr x Mr
+system; pff on the r^2 x r^2 system through which it solves the stage-2
+system B (``pff.reduced_b_matrix``), so pff builds no B at all.  ff builds
+A(z) straight from the shifts (``ff.build_a_ring``), which must be the first
+block row of the dense A that ``reference.build_a_matrix`` builds from the
+permutations.  Each decision must be the one that inverting the full system
+gives, and each lifted inverse the dense one, so the searches pick the
+constructions they picked by inverting every candidate.
 """
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
-from reference import build_b_matrix
+from reference import build_a_matrix, build_b_matrix, ring_form, search_dense
 from stairfec import ff, gf2, pff
 from stairfec.bch import code_pair
 
@@ -27,13 +30,18 @@ def invertible(a):
 
 
 def ff_systems(m, t, s, seed, tries, count=None):
-    """(mode, A, M, r) of the first ``count`` candidates of ff's search."""
+    """(mode, A(z), dense A, M, r) of the first ``count`` candidates of ff's
+    search, A(z) built from the shifts and A from their permutations."""
     row, col = code_pair(m, t, s)
     m_side, r = (row.k - row.r) // 2, row.r
     g_r, f_r = row.g_p[2 * m_side :], col.g_p[2 * m_side :]
     candidates = ff._candidates(m_side, r, np.random.default_rng(seed), tries)
-    for mode, (pi1, pi2) in itertools.islice(candidates, count):
-        yield mode, ff.build_a_matrix(m_side, r, g_r, f_r, pi1, pi2), m_side, r
+    for mode, (s1, s2) in itertools.islice(candidates, count):
+        dense = build_a_matrix(m_side, r, g_r, f_r,
+                               ff.shifted_block_indices(s1, m_side),
+                               ff.shifted_block_indices(s2, m_side))
+        yield (mode, ff.build_a_ring(m_side, r, g_r, f_r, s1, s2), dense,
+               m_side, r)
 
 
 def pff_systems(m, t, s, seed, tries, count=None):
@@ -50,65 +58,74 @@ def pff_systems(m, t, s, seed, tries, count=None):
 
 
 # (m, t, s), seeds, tries per mode, candidates taken: M = 16, 36 and 72
-FF_CODES = [((6, 2, 7), (0, 1), 4, None), ((7, 2, 27), (0, 1, 2), 4, None),
+FF_CODES = [((6, 1, 19), (0, 1), 4, None), ((7, 2, 27), (0, 1, 2), 4, None),
             ((8, 3, 63), (0,), 4, 4)]
-
-
-@pytest.mark.parametrize("code, seeds, tries, count", FF_CODES)
-def test_fold_decides_like_the_dense_inversion(code, seeds, tries, count):
-    decided = []
-    for seed in seeds:
-        for mode, a, m_side, r in ff_systems(*code, seed, tries, count):
-            folded = ff.fold_a_matrix(a, m_side, r)
-            # every shift-based A is block-circulant; these random ones are not
-            assert (folded is None) == (mode == "random")
-            if folded is not None:
-                odd = m_side // (m_side & -m_side)
-                assert folded.shape == (odd * r, odd * r)
-                decided.append(invertible(folded))
-                assert decided[-1] == invertible(a), (code, seed, mode)
-    # singular ones included, bar ff(6,2,7), where M' = 1 and the draws
-    # give none
-    assert True in decided and (False in decided or code == (6, 2, 7))
-
-
-def test_fold_of_odd_m_is_a_itself():
-    # ff(6,1,1): M = 25 = M', so the search lifts in no steps
-    for mode, a, m_side, r in ff_systems(6, 1, 1, 0, 2):
-        folded = ff.fold_a_matrix(a, m_side, r)
-        assert (folded is None) == (mode == "random")
-        assert folded is None or np.array_equal(folded, a)
-
-
 # one code per number e of lift steps, M = 2^e M': M = 13, 14, 20, 24, 16,
 # 32 and 64
 LIFT_CODES = [(6, 1, 25), (6, 1, 23), (6, 1, 11), (6, 1, 3), (6, 1, 19),
               (7, 1, 49), (8, 1, 111)]
 
 
+@pytest.mark.parametrize("code, seeds, tries, count",
+                         FF_CODES + [(code, (0,), 3, None)
+                                     for code in LIFT_CODES])
+def test_ring_built_a_is_the_dense_a(code, seeds, tries, count):
+    """A(z) from the shifts is the first block row of the dense A, and A is
+    the block circulant of it, on every candidate, odd M and M = 2^e
+    included."""
+    for seed in seeds:
+        for mode, a_ring, a, m_side, r in ff_systems(*code, seed, tries,
+                                                     count):
+            assert a_ring.shape == (m_side, r, r)
+            assert np.array_equal(a_ring, ring_form(a, m_side, r))
+            assert np.array_equal(ff.expand_ring(a_ring), a), (code, mode)
+
+
+@pytest.mark.parametrize("code, seeds, tries, count", FF_CODES)
+def test_fold_decides_like_the_dense_inversion(code, seeds, tries, count):
+    decided = []
+    for seed in seeds:
+        for mode, a_ring, a, m_side, r in ff_systems(*code, seed, tries,
+                                                     count):
+            folded = ff.expand_ring(ff.fold_ring(a_ring))
+            odd = m_side // (m_side & -m_side)
+            assert folded.shape == (odd * r, odd * r)
+            decided.append(invertible(folded))
+            assert decided[-1] == invertible(a), (code, seed, mode)
+    # singular ones included, bar ff(6,1,19), where M' = 1 and the draws
+    # give none
+    assert True in decided and (False in decided or code == (6, 1, 19))
+
+
+def test_fold_of_odd_m_is_a_itself():
+    # ff(6,1,1): M = 25 = M', so the search lifts in no steps
+    for _, a_ring, a, m_side, r in ff_systems(6, 1, 1, 0, 2):
+        assert np.array_equal(ff.fold_ring(a_ring), a_ring)
+        assert np.array_equal(ff.expand_ring(ff.fold_ring(a_ring)), a)
+
+
 @pytest.mark.parametrize("code", LIFT_CODES)
 def test_lifted_inverse_is_the_dense_inverse(code):
-    """Every candidate that passes has the inverse that inverting A gives:
-    expanded from its ring form, or, for random pairs, packed alone."""
+    """Every candidate that passes has the inverse that inverting A gives,
+    expanded from its ring form and packed."""
     row, col = code_pair(*code)
     m_side, r = (row.k - row.r) // 2, row.r
     lifted = 0
-    for mode, (pi1, pi2) in ff._candidates(m_side, r,
-                                           np.random.default_rng(0), 3):
-        a = ff.build_a_matrix(m_side, r, row.g_p[2 * m_side :],
-                              col.g_p[2 * m_side :], pi1, pi2)
+    for mode, (s1, s2) in ff._candidates(m_side, r,
+                                         np.random.default_rng(0), 3):
+        a = build_a_matrix(m_side, r, row.g_p[2 * m_side :],
+                           col.g_p[2 * m_side :],
+                           ff.shifted_block_indices(s1, m_side),
+                           ff.shifted_block_indices(s2, m_side))
         try:
-            cons = ff.build_construction(row, col, pi1, pi2, mode)
+            cons = ff.build_construction(row, col, s1, s2, mode)
         except gf2.SingularMatrixError:
             assert not invertible(a)
             continue
         a_inv = gf2.invert(a)
         assert np.array_equal(cons.op_a_inv, gf2.operand(a_inv))
-        if mode == "random":
-            assert cons.a_inv_ring is None
-        else:
-            assert np.array_equal(ff.expand_ring(cons.a_inv_ring), a_inv)
-            lifted += 1
+        assert np.array_equal(ff.expand_ring(cons.a_inv_ring), a_inv)
+        lifted += 1
     assert lifted
 
 
@@ -116,9 +133,8 @@ def test_lift_check_fails_on_every_flipped_bit():
     # ff(6,1,19): M = 16, r = 6; an inverse of full length lifts in no
     # steps, so lift_inverse only checks it
     cons = ff.search_construction(6, 1, 19)
-    a = ff.build_a_matrix(cons.m_side, cons.r, cons.g_r, cons.f_r,
-                          cons.pi1, cons.pi2)
-    a_ring = ff.ring_form(a, cons.m_side, cons.r)
+    a_ring = ff.build_a_ring(cons.m_side, cons.r, cons.g_r, cons.f_r,
+                             cons.s1, cons.s2)
     x = cons.a_inv_ring
     assert np.array_equal(ff.lift_inverse(a_ring, x), x)
     for i in np.ndindex(x.shape):
@@ -133,8 +149,7 @@ def test_ring_form_and_expansion_are_inverse():
     x = rng.integers(0, 2, (5, 3, 3), dtype=np.uint8)
     y = rng.integers(0, 2, (5, 3, 3), dtype=np.uint8)
     dense = ff.expand_ring(x)
-    assert np.array_equal(ff.ring_form(dense, 5, 3), x)
-    assert ff.fold_a_matrix(dense, 5, 3) is not None
+    assert np.array_equal(ring_form(dense, 5, 3), x)
     # the ring product is the product of the block circulants
     assert np.array_equal(ff.expand_ring(ff.ring_product(x, y)),
                           gf2.mat_mul(dense, ff.expand_ring(y)))
@@ -158,25 +173,34 @@ def test_reduced_system_decides_like_the_dense_inversion(code, seed, tries,
 
 SEARCHES = {"ff": (ff.search_construction, (8, 3, 63)),
             "pff": (pff.search_pff_construction, (8, 3, 15))}
+# SHA-256 of ff(8,3,63)'s packed A^-1, recorded when its search still built
+# the dense A of every candidate
+OP_DIGEST = "f2bad33ef0c952ed28caa7f8e23cdf850cd59ea596f6ee503a7a6849fdeda345"
 
 
 # pff has no full-size inversion to fall back to: its decisions are checked
 # above, and its solve against B^-1 in test_pff.py
 @pytest.mark.parametrize("family", ["ff"])
-def test_search_without_the_small_decision_finds_the_same(monkeypatch,
-                                                          family):
-    """With the fold standing in as never applying, every candidate goes to
-    the dense inversion, and the search finds the same construction."""
+def test_search_without_the_small_decision_finds_the_same(family):
+    """A search that decides every candidate by inverting its dense A finds
+    the same shifts and, expanded from the ring form, the same A^-1."""
     search, code = SEARCHES[family]
-    search.cache_clear()
     decided = search(*code)
-    search.cache_clear()
-    monkeypatch.setattr(ff, "fold_a_matrix", lambda *args: None)
-    dense = search(*code)
-    search.cache_clear()
-    for field in ("mode", "pi1", "pi2", "op_a_inv"):
-        assert np.array_equal(getattr(decided, field), getattr(dense, field))
-    assert decided.a_inv_ring is not None and dense.a_inv_ring is None
+    mode, s1, s2, a_inv = search_dense(*code)
+    assert (decided.mode, list(decided.s1), list(decided.s2)) == \
+        (mode, list(s1), list(s2))
+    assert np.array_equal(ff.expand_ring(decided.a_inv_ring), a_inv)
+    assert np.array_equal(decided.op_a_inv, gf2.operand(a_inv))
+
+
+def test_benchmark_ff_construction_is_pinned():
+    """ff(8,3,63), the benchmark's ff code, rejects its low_ef pair and
+    keeps its first drawn pair of distinct shifts."""
+    cons = ff.search_construction(8, 3, 63)
+    assert cons.mode == "block_shift_spread"
+    assert list(cons.s1[:4]) == [58, 31, 21, 9]
+    assert list(cons.s2[:4]) == [0, 27, 37, 65]
+    assert hashlib.sha256(cons.op_a_inv.tobytes()).hexdigest() == OP_DIGEST
 
 
 # the sizes of the systems inverted, in order: ff(8,3,63) rejects its
