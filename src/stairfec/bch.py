@@ -494,10 +494,6 @@ class ComponentCode:
 
     # -- descriptors ------------------------------------------------------
 
-    @property
-    def rate(self):
-        return self.k / self.n
-
     def descriptor(self):
         """JSON-serializable descriptor, a codec's ``describe()["code"]``."""
         return {

@@ -22,8 +22,9 @@ built straight from the shifts (:func:`build_a_ring`).  The search decides
 each candidate on A(z) reduced modulo z^M' - 1 (:func:`fold_ring`), an
 rM' x rM' system for the odd part M' of M = 2^e M', and lifts the inverse
 of the one that passes to A(z)^-1 in e Newton steps (:func:`lift_inverse`),
-so no Mr x Mr system is built or inverted; only A^-1 is expanded, to pack
-it for the encoder.
+so no Mr x Mr system is built or inverted.  The encoder multiplies by
+A^-1 in ring form too, one cyclic convolution along z
+(:meth:`FFConstruction.solve`), so no dense A^-1 is built either.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "low_ef_shifts",
     "build_a_ring",
     "expand_ring",
+    "ring_apply",
     "ring_product",
     "fold_ring",
     "lift_inverse",
@@ -112,17 +114,24 @@ def expand_ring(x):
     return out
 
 
-def ring_product(x, y):
-    """X(z) Y(z) mod z^M - 1 over GF(2), for M x r x r coefficient arrays:
-    the first block row of the product of their block circulants.
+def ring_apply(x_spectrum, y):
+    """X(z) Y(z) mod z^M - 1 over GF(2), where ``x_spectrum`` is the real
+    FFT along z of the M x r x r coefficient array of X(z) and ``y`` is an
+    M x r x c coefficient array.
 
     The integer product is a cyclic convolution along z, one real FFT of
     each factor; its coefficients are sums of at most rM products of bits,
     so rounding gives them exactly before they are reduced mod 2.
     """
-    prod = np.fft.irfft(np.fft.rfft(x, axis=0) @ np.fft.rfft(y, axis=0),
-                        n=len(x), axis=0)
+    prod = np.fft.irfft(x_spectrum @ np.fft.rfft(y, axis=0), n=len(y),
+                        axis=0)
     return (np.rint(prod).astype(np.int64) & 1).astype(np.uint8)
+
+
+def ring_product(x, y):
+    """X(z) Y(z) mod z^M - 1 over GF(2), for M x r x r coefficient arrays:
+    the first block row of the product of their block circulants."""
+    return ring_apply(np.fft.rfft(x, axis=0), y)
 
 
 def fold_ring(a):
@@ -181,9 +190,9 @@ class FFConstruction:
     permutation pair (r integers in [0, M) each) and the mode.  Derives M,
     r, the parity splits G_p = [G_i; G_r] and F_p = [F_i; F_r], the mirror
     maps, ``a_inv_ring``, the M x r x r ring form of A^-1
-    (:func:`expand_ring` gives the dense A^-1), and A^-1 as the encoder's
-    packed operand ``op_a_inv``; SingularMatrixError if A is not
-    invertible.
+    (:func:`expand_ring` gives the dense A^-1), and ``a_inv_spectrum``,
+    the real FFT along z of A^-1's first block column, by which
+    :meth:`solve` multiplies; SingularMatrixError if A is not invertible.
     """
 
     code_row: ComponentCode
@@ -212,7 +221,7 @@ class FFConstruction:
         except gf2.SingularMatrixError as err:
             raise gf2.SingularMatrixError(
                 f"A(z) mod (z^{odd} - 1) is singular: {err}") from None
-        del folded  # before the dense A^-1 and its padded copy
+        del folded  # before the lift's padded arrays
         self.a_inv_ring = lift_inverse(a, x0)
         t_rm = transpose_indices(r, m_side)
         # vec(X) = vec(Y)[idx_y_to_x] and vec(Pr~) = vec(Pc~)[idx_pc_to_pr]
@@ -221,9 +230,25 @@ class FFConstruction:
         # vec(P_r) -> vec((pi_2(P_r))^T), used on the encoder side
         self.idx_pr_enc = shifted_block_indices(self.s2, m_side)[
             transpose_indices(m_side, r)]
-        # packed once for the encoder
-        self.op_a_inv = gf2.operand(expand_ring(self.a_inv_ring))
+        # block i of A^-1's first block column is X_(-i mod M)
+        self.a_inv_spectrum = np.fft.rfft(
+            self.a_inv_ring[-np.arange(m_side)], axis=0)
         gf2.freeze(self)
+
+    def solve(self, rhs):
+        """A^-1 y for every vector y along the last axis of ``rhs``.
+
+        A vector is the column-wise vec of an r x M matrix, whose column j
+        is coefficient y_j of y(z).  Block (i, j) of A^-1 is X_(j - i), so
+        block i of the product is sum_j X_(j - i) y_j, coefficient i of
+        X(z^-1) y(z); X(z^-1), A^-1's first block column, is convolved with
+        all vectors at once.
+        """
+        m_side, r = self.m_side, self.r
+        # coefficient j of y(z), column j of the r x M matrix, for every y
+        blocks = rhs.reshape(-1, m_side, r).transpose(1, 2, 0)
+        y = ring_apply(self.a_inv_spectrum, blocks)
+        return y.transpose(2, 0, 1).reshape(rhs.shape)
 
 
 def build_construction(code_row, code_col, s1, s2, mode="custom"):
@@ -321,7 +346,7 @@ class FFCode(engine.FrameCodec):
         # column-wise vec(P_c) and the pi_2-permuted vec(P_r), one row per pair
         rhs = (p_c.reshape(*lead, -1)
                ^ p_r.swapaxes(-1, -2).reshape(*lead, -1)[..., c.idx_pr_enc])
-        y = gf2.apply(c.op_a_inv, rhs).reshape(p_c.shape)
+        y = c.solve(rhs).reshape(p_c.shape)
         pc = p_c ^ gf2.mat_mul(y, c.f_r)
         return engine.FFPair(y=y.swapaxes(-1, -2), pc=pc.swapaxes(-1, -2))
 

@@ -43,11 +43,14 @@ HEADER = struct.Struct("<4sBBBBHHII")
 FIELDS = ("family", "m", "t", "L", "s", "length", "seed", "payload_bits")
 FAMILY_CODES = {"sc": 0, "ff": 1, "pff": 2}
 FAMILY_NAMES = {v: k for k, v in FAMILY_CODES.items()}
-# Rows of the largest GF(2) system whose inversion a stream header may ask
-# for: M*r for ff (its A), 2r^2 for pff (the stage-2 unknowns that it solves
-# for through an r^2 x r^2 system).  ff(10,3,183), the rate-13/14
-# code, has 11,700 and takes 4-8 s and about 400 MB to construct on a 2-vCPU
-# Xeon VM; ff(11,3,1) would have 32,670, and memory grows with rows squared.
+# Rows of the largest GF(2) system that a stream header may ask a
+# construction to solve: M*r for ff (its A, though the search inverts only
+# A's fold, rM' rows for the odd part M' of M, and lifts that inverse in
+# ring form), 2r^2 for pff (the stage-2 unknowns that it solves for through
+# an r^2 x r^2 system).  ff(10,3,183), the rate-13/14 code, has 11,700 (a
+# 5,850-row fold) and takes 1-2 s and about 120 MB to construct on a 2-vCPU
+# Xeon VM; ff(11,3,1) would have 32,670 (a 16,335-row fold).  For odd M the
+# fold is A itself, and memory grows with the fold's rows squared.
 MAX_SYSTEM_ROWS = 12_000
 
 

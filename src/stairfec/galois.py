@@ -75,13 +75,6 @@ class Poly2:
 
     __sub__ = __add__
 
-    def __mod__(self, other):
-        return Poly2(poly_mod(self.bits, other.bits))
-
-    def __floordiv__(self, other):
-        q, _ = poly_divmod(self.bits, other.bits)
-        return Poly2(q)
-
     def reciprocal(self):
         """x^deg(p) * p(1/x): the coefficient-reversed polynomial."""
         if self.bits == 0:
@@ -92,15 +85,6 @@ class Poly2:
             if (self.bits >> i) & 1:
                 out |= 1 << (d - i)
         return Poly2(out)
-
-    def __str__(self):
-        if self.bits == 0:
-            return "0"
-        terms = []
-        for i in range(self.degree, -1, -1):
-            if (self.bits >> i) & 1:
-                terms.append("1" if i == 0 else ("x" if i == 1 else f"x^{i}"))
-        return " + ".join(terms)
 
 
 def poly_mod(a, b):

@@ -3,15 +3,11 @@ Dense GF(2) matrix arithmetic and structural operators.
 
 Matrices are numpy uint8 arrays with entries in {0, 1}; a vector is a 1-D
 array (conceptually a single-column matrix).  Products use float32 BLAS
-matmuls, exact while the inner dimension stays below 2**24.  A large
-constant square matrix is instead packed once by :func:`operand`, its
-columns into uint64 words, and :func:`apply` multiplies by it with a gather
-and XOR of the packed columns each vector selects, so a product reads at
-most n*n/8 bytes (packed words as in M4RI; Albrecht, Bard & Hart, ACM
-TOMS 2010).  Inversion eliminates on rows packed into uint64 words, eight
-columns per pass: each pass clears one byte of columns in every row with a
-single gathered XOR from a table of the 256 combinations of that byte's
-pivot rows (M4RI's "method of four Russians", same reference), so the
+matmuls, exact while the inner dimension stays below 2**24.  Inversion
+eliminates on rows packed into uint64 words, eight columns per pass: each
+pass clears one byte of columns in every row with a single gathered XOR
+from a table of the 256 combinations of that byte's pivot rows (M4RI's
+"method of four Russians"; Albrecht, Bard & Hart, ACM TOMS 2010), so the
 small systems on which the construction searches of the benchmark codes
 decide, 216 and 576 rows, invert in a few milliseconds.  Read-only results
 of design-time searches, and the codecs that stream readers build, are kept
@@ -34,8 +30,6 @@ __all__ = [
     "zeros",
     "identity",
     "mat_mul",
-    "operand",
-    "apply",
     "invert",
     "kron",
     "invert_indices",
@@ -47,16 +41,14 @@ __all__ = [
 ]
 
 # Bytes of arrays that memoized results may hold together in one process;
-# ff(8,3,63) holds 0.6 MiB, pff(8,3,15) 0.5 MiB, ff(10,3,183) about 18 MiB,
+# ff(8,3,63) holds 0.5 MiB, pff(8,3,15) 0.5 MiB, ff(10,3,183) 3.9 MiB,
 # and the stream codecs sc(8,3,63), ff(8,3,63) and pff(8,3,15) L=2 of the
-# benchmark 2.0, 2.2 and 3.5 MiB, their constructions included.
+# benchmark 2.0, 2.1 and 3.5 MiB, their constructions included.
 MEMO_BYTES = 256 << 20
 # (search, its integer arguments) -> (result, what it holds: {id of each
 # base array: its bytes} and the ids of every object it reaches), least
 # recently used first
 _memo = OrderedDict()
-# bytes of packed columns that one numpy call of _packed_products gathers
-_GATHER_BYTES = 1 << 20
 
 
 class SingularMatrixError(ValueError):
@@ -76,63 +68,6 @@ def _square(a):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got {a.shape}")
     return a
-
-
-def operand(a):
-    """The columns of a square 0/1 matrix packed into uint64 words.
-
-    Row j of the ``(n, ceil(n/64))`` result holds column j of ``a``, bit i
-    of the column in bit i % 8 of byte i // 8 of the row; :func:`apply`
-    multiplies by it.
-    """
-    a = _square(a)
-    n = len(a)
-    # byte b of column j holds rows 8b..8b+7, zero-padded to whole words;
-    # built a bit plane at a time, so no temporary exceeds n*n/8 bytes
-    packed = zeros(8 * -(-n // 64), n)
-    for k in range(8):
-        rows = a[k::8]
-        packed[: len(rows)] |= rows << k
-    return np.ascontiguousarray(packed.T).view(np.uint64)
-
-
-def apply(op, x):
-    """``a @ v`` as bits for every vector ``v`` along the last axis of ``x``,
-    where ``op`` is :func:`operand` of the square matrix ``a``.
-
-    Each product is the XOR of the packed columns that the ones of ``v``
-    select; the result has the shape of ``x``.
-    """
-    x = np.asarray(x)
-    n = op.shape[0]
-    if x.shape[-1:] != (n,):
-        raise ValueError(f"dimension mismatch: {n}x{n} @ {x.shape}")
-    vectors = x.reshape(-1, n)
-    prod = _packed_products(op, *np.divmod(np.flatnonzero(vectors), n),
-                            len(vectors))
-    bits = np.unpackbits(prod.view(np.uint8), axis=1, count=n,
-                         bitorder="little")
-    return bits.reshape(x.shape)
-
-
-def _packed_products(op, vec, col, count):
-    """``a @ v`` for ``count`` vectors ``v``, packed as ``op`` packs a
-    column, where vector i has its ones at the entries of ``col`` at which
-    ``vec`` (sorted) is i.
-
-    Product i is the XOR of the packed columns that those ones select.  The
-    selected columns are gathered for many vectors at once, up to
-    ``_GATHER_BYTES``, and XORed per vector by one ``reduceat``.
-    """
-    prod = np.zeros((count, op.shape[1]), dtype=np.uint64)
-    step = max(1, _GATHER_BYTES // max(1, op[:1].nbytes))
-    for lo in range(0, len(vec), step):
-        v, c = vec[lo : lo + step], col[lo : lo + step]
-        starts = np.concatenate(([0], np.flatnonzero(v[1:] != v[:-1]) + 1))
-        # a vector split between two gathers gets its XOR in two parts
-        prod[v[starts]] ^= np.bitwise_xor.reduceat(
-            np.take(op, c, axis=0), starts, axis=0)
-    return prod
 
 
 def mat_mul(a, b):

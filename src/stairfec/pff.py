@@ -120,7 +120,6 @@ class PFFConstruction:
                 f"U -> U H + U^T A_s^T is singular: {err}") from None
         self.colidx = gf2.invert_indices(self.pi)
         self.g_i_mod = np.vstack([self.g_i[:m2], self.g_b_t, self.g_i[m_side:]])
-        self.op_u_inv = gf2.operand(self.u_inv)  # packed once for the encoder
         gf2.freeze(self)
 
     def solve_stage2(self, known):
@@ -131,7 +130,9 @@ class PFFConstruction:
         f_k_t = gf2.mat_mul(k_t.swapaxes(-1, -2), self.f_r).swapaxes(-1, -2)
         w = gf2.mat_mul(k_b ^ f_k_t, self.a_inv.T).swapaxes(-1, -2)
         rhs = k_t ^ gf2.mat_mul(w, self.g_b_t[r:])
-        u = gf2.apply(self.op_u_inv, rhs.reshape(*w.shape[:-2], -1)).reshape(w.shape)
+        # R^-1 acts on the row-wise vec of U, held along the last axis
+        u = gf2.mat_mul(rhs.reshape(*w.shape[:-2], -1),
+                        self.u_inv.T).reshape(w.shape)
         return np.concatenate([u, gf2.mat_mul(u, self.f_r) ^ w], axis=-1)
 
 
@@ -238,7 +239,7 @@ class PFFCode(engine.FrameCodec):
         of stacks of periods along a leading axis, one product per stage.
 
         Products are taken transposed where needed, so that the stacked
-        operand is always on the left.
+        factor is always on the left.
         """
         c = self.cons
         m_side, r = self.M, self.r

@@ -101,9 +101,37 @@ def invert(a):
     return np.unpackbits(packed[:, half:], axis=1, count=n)
 
 
+# bytes of packed rows that one numpy call of _packed_product gathers
+_GATHER_BYTES = 1 << 20
+
+
+def _packed_product(a, b):
+    """The rows of ``a @ b``, each packed into uint64 words, bit j of a row
+    in bit j % 8 of its byte j // 8.
+
+    Row i is the XOR of the packed rows of ``b`` that the ones of row i of
+    ``a`` select.  The selected rows are gathered ``_GATHER_BYTES`` at a
+    time and XORed per row by one ``reduceat``.
+    """
+    cols = b.shape[1]
+    # zero-padded to whole words
+    packed = np.zeros((len(b), 8 * -(-cols // 64)), dtype=np.uint8)
+    packed[:, : -(-cols // 8)] = np.packbits(b, axis=1, bitorder="little")
+    packed = packed.view(np.uint64)
+    row, col = np.nonzero(a)
+    prod = np.zeros((len(a), packed.shape[1]), dtype=np.uint64)
+    step = max(1, _GATHER_BYTES // max(1, packed[:1].nbytes))
+    for lo in range(0, len(row), step):
+        r, c = row[lo : lo + step], col[lo : lo + step]
+        starts = np.concatenate(([0], np.flatnonzero(r[1:] != r[:-1]) + 1))
+        # a row split between two gathers gets its XOR in two parts
+        prod[r[starts]] ^= np.bitwise_xor.reduceat(packed[c], starts, axis=0)
+    return prod
+
+
 def _is_packed_identity(prod):
-    """Whether packed columns (``gf2.operand``'s layout) are those of the
-    identity: column j is bit j alone, padding included.  Clears the
+    """Whether packed rows (:func:`_packed_product`'s layout) are those of
+    the identity: row i is bit i alone, padding included.  Clears the
     diagonal bits of ``prod`` on the way."""
     by_byte = prod.view(np.uint8)
     diag = np.arange(len(by_byte))
@@ -114,24 +142,18 @@ def _is_packed_identity(prod):
 
 
 def verify_inverse(a, a_inv):
-    """``a_inv`` as bits once ``a_inv @ a`` is the identity; ValueError if not.
+    """``a_inv`` as bits once ``a @ a_inv`` is the identity; ValueError if not.
 
-    For square matrices that is the same as ``a @ a_inv`` being the
+    For square matrices that is the same as ``a_inv @ a`` being the
     identity.  It checks an inverse found by another route, such as a
     construction search's, without inverting again.  The product is taken
-    and compared packed, one XOR of columns of ``a_inv`` per column of
-    ``a`` (``gf2._packed_products``, the kernel of ``gf2.apply``), so it
-    costs the ones of ``a`` and holds n*n/8 bytes, not the n*n of an
-    unpacked product.
+    and compared packed (:func:`_packed_product`), so it costs the ones of
+    ``a`` and holds n*n/8 bytes, not the n*n of an unpacked product.
     """
     a = np.asarray(a)
     a_inv = np.asarray(a_inv, dtype=np.uint8)
-    # the ones of a, column by column
-    rows, cols = np.nonzero(a)
-    order = np.argsort(cols, kind="stable")
     if (a_inv.shape != a.shape or a_inv.max(initial=0) > 1
-            or not _is_packed_identity(gf2._packed_products(
-                gf2.operand(a_inv), cols[order], rows[order], len(a)))):
+            or not _is_packed_identity(_packed_product(a, a_inv))):
         raise ValueError(f"the {a_inv.shape} inverse of a {a.shape} "
                          "matrix fails verification")
     return a_inv

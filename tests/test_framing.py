@@ -131,9 +131,9 @@ def test_read_stream_codec_matches_and_is_read_only(family, m, t, s, kwargs):
                   c.plan.flip_keys, c.plan.hkeys]
         tables += [words for _, words in c.groups]
         if family == "ff":
-            tables += [c.cons.a_inv_ring, c.cons.op_a_inv]
+            tables += [c.cons.a_inv_ring, c.cons.a_inv_spectrum]
         if family == "pff":
-            tables += [c.cons.a_inv, c.cons.op_u_inv]
+            tables += [c.cons.a_inv, c.cons.u_inv]
         if family != "sc":
             tables += [c.cons.g_i, c.cons.code_row.g_p]
         assert not any(table.flags.writeable for table in tables)

@@ -54,44 +54,26 @@ def test_invert_multiplies_back_to_identity():
         assert (gf2.mat_mul(inv, a) == gf2.identity(n)).all()
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 63, 64, 65, 130])
-def test_apply_matches_mat_mul(n):
-    rng = np.random.default_rng(n)
-    a = rng.integers(0, 2, (n, n), dtype=np.uint8)
-    op = gf2.operand(a)
-    assert op.dtype == np.uint64 and op.shape == (n, -(-n // 64))
-    for x in (rng.integers(0, 2, (2, 3, n), dtype=np.uint8),
-              rng.integers(0, 2, n, dtype=np.uint8),
-              np.zeros((4, n), dtype=np.uint8),
-              np.ones((4, n), dtype=np.uint8)):
-        # a @ v for every v along the last axis: x a^T, row by row
-        expected = gf2.mat_mul(x.reshape(-1, n), a.T).reshape(x.shape)
-        assert (gf2.apply(op, x) == expected).all()
-
-
 def test_products_split_between_gathers(monkeypatch):
-    # gathers of one and of seven packed columns split vectors between them
+    """The oracle's packed product, in gathers of one and of seven packed
+    rows, which split rows between them, is the product; a row with no
+    ones gives zero."""
     rng = np.random.default_rng(3)
     a = rng.integers(0, 2, (130, 130), dtype=np.uint8)
-    op = gf2.operand(a)
-    x = rng.integers(0, 2, (5, 130), dtype=np.uint8)
-    x[2] = 0
-    expected = gf2.mat_mul(x, a.T)
-    unit = gf2.identity(130) ^ np.triu(a, 1)
+    b = rng.integers(0, 2, (130, 130), dtype=np.uint8)
+    a[2] = 0
+    expected = np.zeros((130, 24), dtype=np.uint8)
+    expected[:, :17] = np.packbits(gf2.mat_mul(a, b), axis=1,
+                                   bitorder="little")
+    unit = gf2.identity(130) ^ np.triu(b, 1)
     inv = gf2.invert(unit)
-    for gather in (1, 7 * op[:1].nbytes):
-        monkeypatch.setattr(gf2, "_GATHER_BYTES", gather)
-        assert (gf2.apply(op, x) == expected).all()
+    for gather in (1, 7 * 24):
+        monkeypatch.setattr(reference, "_GATHER_BYTES", gather)
+        assert (reference._packed_product(a, b).view(np.uint8)
+                == expected).all()
         assert (reference.verify_inverse(unit, inv) == inv).all()
         with pytest.raises(ValueError):
             reference.verify_inverse(unit, inv ^ gf2.identity(130))
-
-
-def test_apply_dimension_check():
-    with pytest.raises(ValueError):
-        gf2.apply(gf2.operand(gf2.identity(3)), gf2.zeros(2, 4))
-    with pytest.raises(ValueError):
-        gf2.operand(gf2.zeros(2, 3))
 
 
 def test_verify_inverse_rejects_wrong_inverses():
@@ -123,19 +105,17 @@ def test_verify_inverse_rejects_wrong_inverses():
             reference.verify_inverse(a, bad)
 
 
-def test_construction_operands_are_packed_and_read_only():
+def test_construction_inverses_are_read_only_and_small():
     ff_cons = ff.search_construction(8, 3, 63)
     pff_cons = pff.search_pff_construction(8, 3, 15)
-    for op, inv in ((ff_cons.op_a_inv, ff.expand_ring(ff_cons.a_inv_ring)),
-                    (pff_cons.op_u_inv, pff_cons.u_inv)):
-        assert type(op) is np.ndarray and not op.flags.writeable
-        assert (op == gf2.operand(inv)).all()
+    for kept in (ff_cons.a_inv_ring, ff_cons.a_inv_spectrum, pff_cons.a_inv,
+                 pff_cons.u_inv):
+        assert type(kept) is np.ndarray and not kept.flags.writeable
         with pytest.raises(ValueError):
-            op[0, 0] = 0
-    # A^-1 is kept as its ring form and the operand, not as 3 MB of bits;
-    # the syndrome table that its codes hold from their first decode on
-    # (0.79 MB, shared by every code over the field) is not counted
-    assert not ff_cons.a_inv_ring.flags.writeable
+            kept[0, 0] = 0
+    # A^-1 is kept as its ring form and that form's spectrum, not as 3 MB of
+    # bits; the syndrome table that its codes hold from their first decode
+    # on (0.79 MB, shared by every code over the field) is not counted
     table = gf2.nbytes(ff_cons.code_row.bdd_table)
     assert gf2.nbytes(ff_cons) - table < 1 << 20
 

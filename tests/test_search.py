@@ -107,7 +107,7 @@ def test_fold_of_odd_m_is_a_itself():
 @pytest.mark.parametrize("code", LIFT_CODES)
 def test_lifted_inverse_is_the_dense_inverse(code):
     """Every candidate that passes has the inverse that inverting A gives,
-    expanded from its ring form and packed."""
+    expanded from its ring form."""
     row, col = code_pair(*code)
     m_side, r = (row.k - row.r) // 2, row.r
     lifted = 0
@@ -122,11 +122,29 @@ def test_lifted_inverse_is_the_dense_inverse(code):
         except gf2.SingularMatrixError:
             assert not invertible(a)
             continue
-        a_inv = gf2.invert(a)
-        assert np.array_equal(cons.op_a_inv, gf2.operand(a_inv))
-        assert np.array_equal(ff.expand_ring(cons.a_inv_ring), a_inv)
+        assert np.array_equal(ff.expand_ring(cons.a_inv_ring),
+                              gf2.invert(a))
         lifted += 1
     assert lifted
+
+
+@pytest.mark.parametrize("code", LIFT_CODES)
+def test_ring_product_by_a_inv_is_the_dense_product(code):
+    """The encoder's product by A^-1, one convolution with its ring form, is
+    the product by the dense A^-1: for one vector, a stack along two leading
+    axes, and the zero and all-ones vectors (the ones give the largest sums
+    before rounding)."""
+    cons = ff.search_construction(*code)
+    a_inv = ff.expand_ring(cons.a_inv_ring)
+    n = len(a_inv)
+    rng = np.random.default_rng(n)
+    for v in (rng.integers(0, 2, n, dtype=np.uint8),
+              rng.integers(0, 2, (2, 3, n), dtype=np.uint8),
+              np.zeros(n, dtype=np.uint8), np.ones(n, dtype=np.uint8)):
+        expected = gf2.mat_mul(a_inv, v.reshape(-1, n).T).T.reshape(v.shape)
+        y = cons.solve(v)
+        assert y.dtype == np.uint8 and y.shape == v.shape
+        assert np.array_equal(y, expected), v.shape
 
 
 def test_lift_check_fails_on_every_flipped_bit():
@@ -155,6 +173,22 @@ def test_ring_form_and_expansion_are_inverse():
                           gf2.mat_mul(dense, ff.expand_ring(y)))
 
 
+@pytest.mark.parametrize("m_side", [1, 2, 5, 8])
+def test_ring_apply_is_the_cyclic_convolution(m_side):
+    """``ring_apply`` of X's spectrum and an M x r x c array Y is the sum of
+    X_i Y_j over i + j = k mod M in coefficient k, for odd and even M, and
+    for all-ones factors, whose sums before rounding are the largest."""
+    rng = np.random.default_rng(m_side)
+    x = rng.integers(0, 2, (m_side, 3, 3), dtype=np.uint8)
+    y = rng.integers(0, 2, (m_side, 3, 4), dtype=np.uint8)
+    for x, y in ((x, y), (np.ones_like(x), np.ones_like(y))):
+        expected = np.zeros_like(y)
+        for i, j in itertools.product(range(m_side), repeat=2):
+            expected[(i + j) % m_side] ^= gf2.mat_mul(x[i], y[j])
+        got = ff.ring_apply(np.fft.rfft(x, axis=0), y)
+        assert got.dtype == np.uint8 and np.array_equal(got, expected)
+
+
 @pytest.mark.parametrize("code, seed, tries, count",
                          [((6, 1, 1), 0, 12, None), ((7, 2, 41), 0, 30, None),
                           ((8, 3, 15), 0, 8, 8)])
@@ -173,9 +207,10 @@ def test_reduced_system_decides_like_the_dense_inversion(code, seed, tries,
 
 SEARCHES = {"ff": (ff.search_construction, (8, 3, 63)),
             "pff": (pff.search_pff_construction, (8, 3, 15))}
-# SHA-256 of ff(8,3,63)'s packed A^-1, recorded when its search still built
-# the dense A of every candidate
-OP_DIGEST = "f2bad33ef0c952ed28caa7f8e23cdf850cd59ea596f6ee503a7a6849fdeda345"
+# SHA-256 of ff(8,3,63)'s A^-1 in ring form (72 x 24 x 24 uint8), recorded
+# when the encoder still multiplied by a packed dense A^-1, whose digest was
+# pinned here since its search built the dense A of every candidate
+RING_DIGEST = "902a9c6177d0e98fbe56c09ce5beecc9e27117f0e768b9927cdfabcd0f792780"
 
 
 # pff has no full-size inversion to fall back to: its decisions are checked
@@ -190,7 +225,6 @@ def test_search_without_the_small_decision_finds_the_same(family):
     assert (decided.mode, list(decided.s1), list(decided.s2)) == \
         (mode, list(s1), list(s2))
     assert np.array_equal(ff.expand_ring(decided.a_inv_ring), a_inv)
-    assert np.array_equal(decided.op_a_inv, gf2.operand(a_inv))
 
 
 def test_benchmark_ff_construction_is_pinned():
@@ -200,7 +234,9 @@ def test_benchmark_ff_construction_is_pinned():
     assert cons.mode == "block_shift_spread"
     assert list(cons.s1[:4]) == [58, 31, 21, 9]
     assert list(cons.s2[:4]) == [0, 27, 37, 65]
-    assert hashlib.sha256(cons.op_a_inv.tobytes()).hexdigest() == OP_DIGEST
+    ring = cons.a_inv_ring
+    assert ring.shape == (72, 24, 24) and ring.dtype == np.uint8
+    assert hashlib.sha256(ring.tobytes()).hexdigest() == RING_DIGEST
 
 
 # the sizes of the systems inverted, in order: ff(8,3,63) rejects its
@@ -244,5 +280,5 @@ def test_pff_search_shares_one_stage1_inverse(code, seed):
     cons = pff.search_pff_construction(*code, seed=seed)
     pff.search_pff_construction.cache_clear()
     assert cons.mode == alone.mode
-    for field in ("pi", "a_inv", "u_inv", "op_u_inv"):
+    for field in ("pi", "a_inv", "u_inv"):
         assert np.array_equal(getattr(cons, field), getattr(alone, field))
