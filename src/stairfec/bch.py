@@ -5,7 +5,11 @@ A component code is built from (m, t, s): block length n = 2^m - 1 - s,
 k = n - m*t information bits, r = m*t parity bits.  Codewords are laid out
 [information | parity] with word index i holding the coefficient of
 x^(n-1-i); the s shortened positions are the leading information positions
-of the parent code and are never transmitted or flipped.
+of the parent code and are never transmitted or flipped.  The generator
+g(x) is the product of (x + alpha^e) over the cyclotomic cosets of
+1..2t in GF(2^m) (``bch_generator``), carried as an int (bit i = x^i); a
+column code uses its bit reversal.  Every code of degree m works over the
+process's one field of that degree (``galois.field``).
 
 Decoding is bounded-distance (BDD) and works from syndromes.  A word's odd
 syndromes S_1, S_3, ..., S_(2t-1) come from one float32 matmul against a
@@ -14,11 +18,11 @@ S_1 lowest, floor(64/m) syndromes per uint64, so ``key_words`` =
 ceil(t / floor(64/m)) words, one for every code with t*m <= 64.  The even
 syndromes follow from S_2j = S_j^2.  Keys are linear: a unit error at
 position i has the key ``column_keys[i]``, and a caller that keeps keys
-updates them per flip by XOR.  ``decode_batch`` screens and decodes a
-matrix of received words; ``decode_syndromes`` decodes a batch of words
-known by their keys, unpacking the syndromes it needs (``key_fields``).  A
-word's result depends on that word alone, so a batch decodes exactly as its
-words would one by one.
+updates them per flip by XOR.  ``decode_syndromes`` decodes a batch of
+words known by their keys, unpacking the syndromes it needs
+(``key_fields``), and ``decode`` one received word.  A word's result
+depends on that word alone, so a batch decodes exactly as its words would
+one by one.
 
 BDD returns a ``(words, t)`` matrix of positions, the same for both
 decoders: a word's corrections in any order, ``n`` in each unused column,
@@ -37,8 +41,8 @@ the locators found are shifted back by j; a word with S_1 = 0 is looked up
 as it is.  The table is indexed by those normalised odd syndromes: S_1 in
 {0, 1} in bit 0 and S_3, S_5, ..., S_(2t-1) m bits apiece above it, so it
 has 2^(1 + (t-1)m) rows (2^17 for m = 8, t = 3), and a row without a
-pattern reads as a failure.  The table depends on the field and t alone,
-so the row and column codes of every n share one per process
+pattern reads as a failure.  The table depends on m and t alone, so the
+row and column codes of every n share one per process
 (:func:`syndrome_table`).  A code whose table would exceed
 ``TABLE_BYTES`` (:func:`table_bytes`) decodes by binary Berlekamp-Massey
 and a Chien search instead (``berlekamp_chien``); the two give the same
@@ -55,12 +59,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf2
-from .galois import GaloisField, Poly2, minimal_polynomial, poly_lcm
+from . import galois, gf2
 
 __all__ = [
     "bch_generator",
-    "reciprocal_generator",
     "ComponentCode",
     "code_pair",
     "DecodeResult",
@@ -77,30 +79,40 @@ TABLE_BYTES = 16 << 20
 
 
 def bch_generator(field, t):
-    """Generator polynomial: LCM of the minimal polynomials of alpha^1..alpha^2t.
+    """The generator of the primitive BCH code of radius t over ``field``,
+    as an int (bit i = coefficient of x^i).
 
-    (The product over distinct conjugacy classes; taking the literal product
-    over i would double-count conjugates.)
+    g(x) is the product of (x + alpha^e) over the union of the cyclotomic
+    cosets {i * 2^j mod N} of i = 1..2t.  Each coset's factor, the minimal
+    polynomial of alpha^i, is multiplied out on field ints through the
+    exp/log tables, has binary coefficients, and enters g carry-less.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
-    g = 1
-    seen = set()
+    order, exp, log = field.order, field.exp, field.log
+    g, seen = 1, set()
     for i in range(1, 2 * t + 1):
-        e = field.pow_alpha(i)
-        cls = field.conjugacy_class(e)
-        if cls in seen:
+        if i in seen:
             continue
-        seen.add(cls)
-        g = poly_lcm(g, minimal_polynomial(field, e).bits)
-    return Poly2(g)
-
-
-def reciprocal_generator(g):
-    """Reciprocal polynomial x^deg(g) * g(1/x); requires g(0) = 1."""
-    if g.bits & 1 == 0:
-        raise ValueError("generator must have nonzero constant term")
-    return g.reciprocal()
+        coset = [i]
+        while (e := 2 * coset[-1] % order) != i:
+            coset.append(e)
+        seen.update(coset)
+        factor = [1]  # ascending coefficients, field ints
+        for e in coset:
+            nxt = [0, *factor]
+            for j, c in enumerate(factor):
+                if c:
+                    nxt[j] ^= exp[log[c] + e]
+            factor = nxt
+        if any(c >> 1 for c in factor):
+            raise AssertionError("minimal polynomial left the prime field")
+        product = 0
+        for j, c in enumerate(factor):
+            if c:
+                product ^= g << j
+        g = product
+    return g
 
 
 @dataclass(frozen=True)
@@ -194,43 +206,44 @@ def build_syndrome_table(field, t):
 
 
 @gf2.memoize
-def syndrome_table(poly, t):
-    """The :func:`build_syndrome_table` table over the field of primitive
-    polynomial ``poly``; a process builds one per ``(poly, t)`` while it
-    fits :func:`gf2.memoize`'s budget."""
-    return build_syndrome_table(GaloisField(poly.bit_length() - 1, poly), t)
+def syndrome_table(m, t):
+    """The :func:`build_syndrome_table` table over GF(2^m); a process
+    builds one per ``(m, t)`` while it fits :func:`gf2.memoize`'s budget."""
+    return build_syndrome_table(galois.field(m), t)
 
 
 class ComponentCode:
-    """Shortened primitive BCH code with systematic encode and BDD decode."""
+    """Shortened primitive BCH code with systematic encode and BDD decode.
 
-    def __init__(self, m, t, s, *, role="row", reciprocal=False, field=None):
-        if field is None:
-            field = GaloisField(m)
-        if field.m != m:
-            raise ValueError("field degree does not match m")
+    A ``reciprocal`` code, the column code of an FF or PFF construction,
+    has the reversed generator x^(mt) g(1/x), whose roots are alpha^-1 ..
+    alpha^-2t; its ``role`` is "col", a row code's "row".
+    """
+
+    def __init__(self, m, t, s, *, reciprocal=False):
         if s < 0:
             raise ValueError("shortening must be non-negative")
-        self.field = field
+        self.field = galois.field(m)
         self.m = m
         self.t = t
         self.s = s
-        self.role = role
+        self.role = "col" if reciprocal else "row"
         self.n_full = (1 << m) - 1
         self.n = self.n_full - s
         self.r = m * t
         self.k = self.n - self.r
         if self.k <= 0:
             raise ValueError(f"(m={m}, t={t}, s={s}) leaves no information bits")
-        gen = bch_generator(field, t)
-        if gen.degree != m * t:
+        gen = bch_generator(self.field, t)
+        degree = gen.bit_length() - 1
+        if degree != m * t:
             raise ValueError(
-                f"generator degree {gen.degree} != m*t={m * t}; "
+                f"generator degree {degree} != m*t={m * t}; "
                 "parameter combination is outside the primitive-BCH family"
             )
-        self.gen = gen.reciprocal() if reciprocal else gen
+        # g(0) = 1, so reversing the bits keeps the degree
+        self.gen = int(bin(gen)[:1:-1], 2) if reciprocal else gen
         self.reciprocal = reciprocal
-        self._gen_bits = self.gen.bits
         self._build_parity_matrix()
         self._build_decode_tables()
         gf2.freeze(self)
@@ -239,7 +252,7 @@ class ComponentCode:
 
     def _build_parity_matrix(self):
         """Row j holds x^(n-1-j) mod gen, highest power first."""
-        k, r, gen = self.k, self.r, self._gen_bits
+        k, r, gen = self.k, self.r, self.gen
         rems = []
         rem = gen ^ (1 << r)  # x^r mod gen; then x^(e+1) = x * x^e
         for _ in range(k):
@@ -369,7 +382,7 @@ class ComponentCode:
         """
         if not self._by_table:
             return None
-        return syndrome_table(self.field.poly, self.t)
+        return syndrome_table(self.m, self.t)
 
     def decode_syndromes(self, keys):
         """Bounded-distance decode of words known by their syndrome keys.
@@ -462,35 +475,20 @@ class ComponentCode:
         pos[count != L] = self.n + 1
         return pos
 
-    def decode_batch(self, words):
-        """Bounded-distance decode of every row of ``words`` at once.
-
-        Screens the rows, packs the flagged rows' syndromes and runs
-        :meth:`decode_syndromes` on them.  Returns ``(ok, rows, pos)``:
-        ``ok[w]`` is False where row w has no codeword within distance t;
-        accepted corrections flip position ``pos[i]`` of row ``rows[i]``.
-        """
-        keys = self.syndrome_keys(words)
-        flagged = np.flatnonzero(keys.any(axis=1))
-        pos = self.decode_syndromes(keys[flagged])
-        failed = (pos > self.n).any(axis=1)
-        ok = np.ones(len(keys), dtype=bool)
-        ok[flagged[failed]] = False
-        pos = np.sort(pos[~failed], axis=1)
-        flip, col = (pos < self.n).nonzero()  # a pad reads n
-        return ok, flagged[~failed][flip], pos[flip, col]
-
     def decode(self, word):
-        """Bounded-distance decode; Failure leaves the word unmodified."""
+        """Bounded-distance decode of one word by :meth:`decode_syndromes`;
+        a failure leaves the word unmodified, a success lists its flips in
+        increasing order."""
         word = np.asarray(word, dtype=np.uint8).reshape(-1)
         if word.size != self.n:
             raise ValueError(f"word must have {self.n} bits, got {word.size}")
-        ok, _, pos = self.decode_batch(word[None, :])
-        if not ok[0]:
+        pos = self.decode_syndromes(self.syndrome_keys(word[None, :]))[0]
+        if (pos > self.n).any():
             return DecodeResult(False, word, ())
+        flips = np.sort(pos[pos < self.n])  # a pad reads n
         fixed = word.copy()
-        fixed[pos] ^= 1
-        return DecodeResult(True, fixed, tuple(pos.tolist()))
+        fixed[flips] ^= 1
+        return DecodeResult(True, fixed, tuple(flips.tolist()))
 
     # -- descriptors ------------------------------------------------------
 
@@ -503,7 +501,7 @@ class ComponentCode:
             "role": self.role,
             "reciprocal": self.reciprocal,
             "primitive_poly": hex(self.field.poly),
-            "generator": hex(self.gen.bits),
+            "generator": hex(self.gen),
         }
 
     def __repr__(self):
@@ -514,6 +512,4 @@ class ComponentCode:
 def code_pair(m, t, s):
     """The (row, column) component codes of an FF or PFF construction: the
     column code uses the reciprocal generator over the same field."""
-    row = ComponentCode(m, t, s)
-    col = ComponentCode(m, t, s, role="col", reciprocal=True, field=row.field)
-    return row, col
+    return ComponentCode(m, t, s), ComponentCode(m, t, s, reciprocal=True)

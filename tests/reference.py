@@ -1,9 +1,10 @@
 """
 Reference helpers used only by the tests.
 
-Matrix forms of the index-array permutations, slow but obvious algebra,
-and the ff mirror views, kept apart from the package so the tests can check
-the package against them.
+Matrix forms of the index-array permutations, slow but obvious algebra
+(scalar GF(2^m) arithmetic and binary polynomial division among it), the
+scalar BDD oracle and the ff mirror views, kept apart from the package so
+the tests can check the package against them.
 """
 
 import math
@@ -240,6 +241,47 @@ def from_text(text):
 # -- GF(2^m) ---------------------------------------------------------------------
 
 
+def mul(field, a, b):
+    """a * b in ``field``, through its exp/log tables."""
+    if a == 0 or b == 0:
+        return 0
+    return int(field.exp[field.log[a] + field.log[b]])
+
+
+def div(field, a, b):
+    """a / b in ``field``; b is nonzero."""
+    if b == 0:
+        raise ZeroDivisionError("division by zero in GF(2^m)")
+    if a == 0:
+        return 0
+    return int(field.exp[(field.log[a] - field.log[b]) % field.order])
+
+
+def pow_alpha(field, e):
+    """alpha^e for any integer exponent."""
+    return int(field.exp[e % field.order])
+
+
+def poly_mod(a, b):
+    """Remainder of the carry-less division of a by b, binary polynomials
+    as ints (bit i = coefficient of x^i)."""
+    if b == 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = b.bit_length() - 1
+    while a and a.bit_length() - 1 >= db:
+        a ^= b << (a.bit_length() - 1 - db)
+    return a
+
+
+def poly_eval(field, g, x):
+    """The binary polynomial ``g`` (an int, bit i = x^i) at field element x,
+    by Horner's rule."""
+    acc = 0
+    for i in range(g.bit_length() - 1, -1, -1):
+        acc = mul(field, acc, x) ^ (g >> i & 1)
+    return acc
+
+
 def element_order(field, a):
     """Multiplicative order of a nonzero field element: N / gcd(N, log a)."""
     if a == 0:
@@ -388,7 +430,7 @@ def syndromes(code, word):
     for i in np.flatnonzero(np.asarray(word, dtype=np.uint8)):
         deg = code.n - 1 - int(i)
         for j in range(1, 2 * code.t + 1):
-            out[j - 1] ^= f.pow_alpha(_sign(code) * j * deg)
+            out[j - 1] ^= pow_alpha(f, _sign(code) * j * deg)
     return out
 
 
@@ -402,12 +444,12 @@ def berlekamp_massey(field, synd):
         d = s
         for j in range(1, L + 1):
             if j < len(c) and c[j]:
-                d ^= f.mul(c[j], synd[i - j])
+                d ^= mul(f, c[j], synd[i - j])
         if d == 0:
             mshift += 1
             continue
-        coef = f.div(d, bb)
-        shifted = [0] * mshift + [f.mul(coef, x) for x in b]
+        coef = div(f, d, bb)
+        shifted = [0] * mshift + [mul(f, coef, x) for x in b]
         new = c + [0] * (len(shifted) - len(c))
         for j, x in enumerate(shifted):
             new[j] ^= x
@@ -426,10 +468,10 @@ def chien(code, sigma):
     f = code.field
     roots = []
     for i in range(code.n):
-        x = f.pow_alpha(-_sign(code) * (code.n - 1 - i))
+        x = pow_alpha(f, -_sign(code) * (code.n - 1 - i))
         acc = 0
         for coef in reversed(sigma):
-            acc = f.mul(acc, x) ^ coef
+            acc = mul(f, acc, x) ^ coef
         if acc == 0:
             roots.append(i)
     return roots

@@ -1,10 +1,22 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import reference
-from stairfec.bch import ComponentCode, bch_generator, reciprocal_generator
+from reference import poly_eval, poly_mod, pow_alpha
+from stairfec.bch import ComponentCode, bch_generator, code_pair
 from stairfec.ff import search_construction
-from stairfec.galois import GaloisField, Poly2, poly_mod
+from stairfec.galois import GaloisField
+
+# (m, t) with m = 2..16, t = 1..8 and m*t < 2^m - 1: 100 pairs
+GRID = [(m, t) for m in range(2, 17) for t in range(1, 9)
+        if m * t < (1 << m) - 1]
+# the pairs of GRID whose generator has degree below m*t
+SHORT = [(4, 3), (5, 5), (5, 6), (6, 5), (6, 6), (6, 7), (6, 8)]
+# SHA-256 of the lines "m,t,hex(g)" of GRID, joined by newlines, as the
+# LCM of the minimal polynomials of alpha^1..alpha^2t gave them
+GRID_SHA256 = "a32a15ea4269d04a4f4bf3f60398506c380ef83688ff0e8c5837218a43efbdd0"
 
 
 def bits_to_poly_int(word):
@@ -21,31 +33,53 @@ def test_generator_m4_t2():
     f = GaloisField(4)
     g = bch_generator(f, 2)
     # the (15, 7) double-error-correcting code
-    assert g.bits == 0b111010001
-    assert g.degree == 8
+    assert g == 0b111010001
+    with pytest.raises(ValueError):
+        bch_generator(f, 0)
+
+
+def test_generator_grid_is_pinned():
+    lines = []
+    for m, t in GRID:
+        lines.append(f"{m},{t},{hex(bch_generator(GaloisField(m), t))}")
+    assert len(lines) == 100
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GRID_SHA256
+    for m, t in SHORT:
+        with pytest.raises(ValueError, match="primitive-BCH family"):
+            ComponentCode(m, t, 0)
 
 
 def test_generator_degree_is_mt():
     for m, t in [(4, 1), (5, 2), (6, 3), (8, 3)]:
         f = GaloisField(m)
-        assert bch_generator(f, t).degree == m * t
+        assert bch_generator(f, t).bit_length() - 1 == m * t
 
 
 def test_generator_roots():
-    f = GaloisField(6)
-    g = bch_generator(f, 2)
-    for i in range(1, 5):
-        assert f.eval_poly2(g, f.pow_alpha(i)) == 0
+    """g vanishes at alpha^1..alpha^2t, has degree mt and divides
+    x^N - 1; the reversed generator of a column code vanishes at
+    alpha^-1..alpha^-2t."""
+    for m, t in [(4, 2), (5, 3), (6, 2), (8, 3), (10, 3)]:
+        row, col = code_pair(m, t, 0)
+        f, order = row.field, row.field.order
+        for code, sign in ((row, 1), (col, -1)):
+            assert code.gen.bit_length() - 1 == m * t
+            assert code.gen & 1
+            for i in range(1, 2 * t + 1):
+                assert poly_eval(f, code.gen, pow_alpha(f, sign * i)) == 0
+            assert poly_mod(1 << order | 1, code.gen) == 0
+        assert col.gen == int(f"{row.gen:b}"[::-1], 2)
 
 
 def test_reciprocal_generator_roots():
     f = GaloisField(5)
-    g = bch_generator(f, 2)
-    rg = reciprocal_generator(g)
+    g = ComponentCode(5, 2, 0, reciprocal=True).gen
     for i in range(1, 5):
-        assert f.eval_poly2(rg, f.pow_alpha(-i)) == 0
-    with pytest.raises(ValueError):
-        reciprocal_generator(Poly2(0b10))
+        assert poly_eval(f, g, pow_alpha(f, -i)) == 0
+    # a root of the row generator's is a root of the column generator's
+    # only where its exponent and its negation share a coset
+    assert poly_eval(f, g, pow_alpha(f, 1)) != 0
 
 
 def test_systematic_encode_matches_long_division():
@@ -57,11 +91,11 @@ def test_systematic_encode_matches_long_division():
         assert (word[: code.k] == msg).all()
         # independent parity: x^r * m(x) mod g(x)
         m_int = bits_to_poly_int(msg)
-        parity_int = poly_mod(m_int << code.r, code.gen.bits)
+        parity_int = poly_mod(m_int << code.r, code.gen)
         expect = [(parity_int >> (code.r - 1 - l)) & 1 for l in range(code.r)]
         assert (word[code.k :] == expect).all()
         # codeword polynomial divisible by generator
-        assert poly_mod(bits_to_poly_int(word), code.gen.bits) == 0
+        assert poly_mod(bits_to_poly_int(word), code.gen) == 0
 
 
 def test_encode_zero_syndrome():
@@ -116,7 +150,7 @@ def test_shortened_positions_behave_like_parent_prefix():
     # shortening drops leading information positions: a shortened codeword
     # padded with s zeros is a parent codeword
     parent = ComponentCode(6, 2, 0)
-    short = ComponentCode(6, 2, 10, field=parent.field)
+    short = ComponentCode(6, 2, 10)
     rng = np.random.default_rng(4)
     msg = rng.integers(0, 2, short.k, dtype=np.uint8)
     word = short.systematic_encode(msg)
@@ -157,13 +191,31 @@ def test_words_with_errors_pad():
 
 def test_mirror_property_row_column():
     # reversing a row codeword yields a column (reciprocal) codeword
-    row = ComponentCode(5, 2, 4, role="row")
-    col = ComponentCode(5, 2, 4, role="col", reciprocal=True, field=row.field)
+    row, col = code_pair(5, 2, 4)
+    assert row.field is col.field
     rng = np.random.default_rng(7)
     for _ in range(10):
         msg = rng.integers(0, 2, row.k, dtype=np.uint8)
         word = row.systematic_encode(msg)
         assert not any(reference.syndromes(col, word[::-1]))
+
+
+def test_role_follows_reciprocal():
+    row, col = code_pair(5, 2, 4)
+    assert (row.role, row.reciprocal) == ("row", False)
+    assert (col.role, col.reciprocal) == ("col", True)
+    # the descriptors as the generators' LCM construction printed them
+    assert row.descriptor() == {
+        "m": 5, "t": 2, "s": 4, "role": "row", "reciprocal": False,
+        "primitive_poly": "0x25", "generator": "0x769",
+    }
+    assert col.descriptor() == {
+        "m": 5, "t": 2, "s": 4, "role": "col", "reciprocal": True,
+        "primitive_poly": "0x25", "generator": "0x4b7",
+    }
+    assert repr(col) == "ComponentCode(m=5, t=2, s=4, n=27, k=17, role='col')"
+    with pytest.raises(TypeError):
+        ComponentCode(5, 2, 4, role="col")
 
 
 def test_parameter_validation():

@@ -3,7 +3,7 @@ syndrome table once and builds each stream codec once.
 
 ``ff.search_construction`` and ``pff.search_pff_construction`` keep their
 results by ``(m, t, s, seed, max_tries)``, ``bch.syndrome_table`` by
-``(poly, t)`` and ``framing.read_stream`` its codecs by the header's
+``(m, t)`` and ``framing.read_stream`` its codecs by the header's
 identity, ``window`` and ``l_max``, each within ``gf2.MEMO_BYTES``.
 """
 
@@ -449,7 +449,7 @@ def test_eviction_skips_a_table_that_a_kept_codec_holds(monkeypatch):
     assert memo_held_bytes() <= budget
     table = codec.code.bdd_table
     monkeypatch.setattr(bch, "build_syndrome_table", refuse)
-    assert bch.syndrome_table(codec.code.field.poly, codec.code.t) is table
+    assert bch.syndrome_table(codec.code.m, codec.code.t) is table
 
 
 def test_memo_counts_a_table_cached_on_a_kept_codec(monkeypatch):
@@ -461,7 +461,7 @@ def test_memo_counts_a_table_cached_on_a_kept_codec(monkeypatch):
     ff.search_construction.cache_clear()
     bch.syndrome_table.cache_clear()
     codec = decoded(body)[0]
-    assert codec.code.bdd_table is bch.syndrome_table(0b100101, 2)
+    assert codec.code.bdd_table is bch.syndrome_table(5, 2)
     budget = gf2.nbytes(codec) + other - 1
     monkeypatch.setattr(gf2, "MEMO_BYTES", budget)
     assert decoded(body)[0] is codec  # the table is now least recent
