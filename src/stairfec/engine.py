@@ -28,11 +28,11 @@ uint64 (``ComponentCode.syndrome_keys``; codes with t*m > 64 take
 ceil(t / floor(64/m)) of them).  Keys are linear, so XORing the key of a
 unit error into a word's key is the same as XORing syndromes:
 
-- per frame, every word's key comes from one gather and one float32 matmul
-  per component code (:meth:`Plan.syndromes`), or, for a buffer known by
-  its few ones, from their unit-error keys alone (:meth:`Plan.error_keys`,
-  the flip scatter below): Monte Carlo decodes a frame's error pattern,
-  whose keys are those of the received frame, since a codeword's are zero;
+- per frame, every word's key comes from float32 matmuls on strided views
+  of the frame (:meth:`Plan.syndromes`), or, for a buffer known by its few
+  ones, from their unit-error keys alone (:meth:`Plan.error_keys`, the flip
+  scatter below): Monte Carlo decodes a frame's error pattern, whose keys
+  are those of the received frame, since a codeword's are zero;
 - per group visit, only the words whose key is nonzero and has changed
   since their last decode go to ``code.decode_syndromes``: there is no
   gather and no screen, and a word that failed or was vetoed is not
@@ -65,6 +65,7 @@ syndrome contribution did.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,16 +100,16 @@ class Plan:
     ``groups`` is a list of ``(code, words)`` pairs, ``windows`` lists the
     indices of the groups each window position decodes, in order, and
     ``n_slots`` is the buffer size, zero slot included.  The compiled
-    ``groups``, ``windows`` and ``stacks`` are tuples and every table is
-    read-only, so one plan can serve any number of decodes at once.
+    ``groups``, ``windows``, ``stacks`` and ``pieces`` are tuples and every
+    table is read-only, so one plan can serve any number of decodes at once.
 
     The word tables of ``windows`` and ``stacks`` are padded with two
     columns, which the positions n and n + 1 of
     ``ComponentCode.decode_syndromes`` read: -1, no slot, and the zero
     slot.  Those of ``groups`` are views of their first n columns.
 
-    Words are numbered code by code, each code's groups in turn, so one
-    gather and one matmul per code give a frame's syndromes.  A word's row
+    Words are numbered code by code, each code's groups in turn, so the
+    pieces of a code (``pieces``) sum into one block of keys.  A word's row
     of ``syndromes`` is its key (``ComponentCode.syndrome_keys``): ``width``
     uint64 cells, zero-padded to the widest code; one cell wherever
     t*m <= 64, as in every benchmark code.  Row k of ``hkeys`` is the key
@@ -124,6 +125,7 @@ class Plan:
     def __init__(self, groups, windows, n_slots):
         codes = list({id(code): code for code, _ in groups}.values())
         self.width = max(code.key_words for code in codes)
+        self.n_slots = n_slots
         self.n_words = sum(len(words) for _, words in groups)
         n_keys = sum(code.n for code in codes)
         zero = n_slots - 1
@@ -210,14 +212,33 @@ class Plan:
             -1, n_slots)
         self.flip_keys = (keys + cell.astype(keys.dtype)).reshape(-1, n_slots)
 
+    @functools.cached_property
+    def pieces(self):
+        """Per code, ``(code, first word, words, pieces)``; a piece ``(a, b,
+        read, matrix)`` adds ``read`` of the float32 buffer (:func:`_read`)
+        times ``matrix`` to the odd-syndrome sums of the code's words a..b.
+        Compiled at the first :meth:`syndromes`, so a plan decoded from
+        :meth:`error_keys` alone compiles none."""
+        out = []
+        for code, table, first in self.stacks:
+            a, pieces = 0, []
+            for words in [words for c, words in self.groups if c is code]:
+                pieces += _pieces(code, words, a, self.n_slots - 1)
+                a += len(words)
+            out.append((code, first, a, tuple(pieces)))
+        return tuple(out)
+
     def syndromes(self, buf):
         """The key of every word of a frame buffer, plus a scratch row."""
         keys = np.zeros((self.n_words + 1, self.width), dtype=np.uint64)
-        for code, table, first in self.stacks:
-            # the tables hold valid slots and -1, which "clip" reads as slot
-            # 0, so skip the bounds check; the padded table is contiguous
-            keys[first : first + len(table), : code.key_words] = (
-                code.syndrome_keys(buf.take(table, mode="clip")[:, : code.n]))
+        f = buf.astype(np.float32)
+        for code, first, rows, pieces in self.pieces:
+            # float32 sums of bits are exact below 2**24
+            sums = np.zeros((rows, code._check_bits.shape[1]), np.float32)
+            for a, b, read, matrix in pieces:
+                sums[a:b] += _read(f, read, b - a, len(matrix)) @ matrix
+            keys[first : first + rows, : code.key_words] = code._keys(
+                sums.astype(np.int64) & 1)
         return keys
 
     def error_keys(self, slots):
@@ -236,6 +257,55 @@ class Plan:
         np.bitwise_xor.at(cells, touched, self.hkeys.reshape(-1)[
             self.flip_keys.take(slots, axis=1).reshape(-1)])
         return touched
+
+
+def _pieces(code, words, a, zero):
+    """The pieces of a group whose ``(words, n)`` slot table holds words a..
+    of its code.  Affine columns (word w holds slot c + w * step) of one
+    step, sorted by c, cluster where c moves by their least gap g, or 2g
+    over a hole; a cluster reads the strided view ``(c, step, g)`` against
+    its positions' check rows: a view of ``code._check_bits`` where these
+    run in order, else a copy, summing a slot that a word lists twice (pff's
+    S[i,i]).  Zero-slot columns read 0 and are skipped; the rest (ff's
+    wrapped mirror shifts) are gathered by a view of ``words`` over them.
+    """
+    bits = code._check_bits
+    b = a + len(words)
+    size = np.dtype(np.float32).itemsize  # the view's strides are in bytes
+    pad = (words == zero).all(axis=0)
+    step = (words[-1] - words[0]) // max(b - a - 1, 1)
+    affine = ~pad & (np.diff(words, axis=0) == step).all(axis=0)
+    out = []
+    odd = np.flatnonzero(~affine & ~pad)
+    if odd.size:
+        lo, hi = odd[0], odd[-1] + 1
+        out.append((a, b, words[:, lo:hi], bits[lo:hi]))
+        affine[lo:hi] = False
+    for s in sorted(set(step[affine].tolist())):
+        cols = np.flatnonzero(affine & (step == s))
+        cols = cols[np.argsort(words[0, cols], kind="stable")]
+        gaps = np.diff(words[0, cols])
+        g = gaps[gaps > 0].min(initial=gaps.sum() + 1)
+        for part in np.split(cols, np.flatnonzero((gaps > 2 * g)
+                                                   | (gaps % g != 0)) + 1):
+            k = (words[0, part] - words[0, part[0]]) // g
+            if (k == np.arange(k.size)).all() and (np.diff(part) == 1).all():
+                matrix = bits[part[0] : part[-1] + 1]
+            else:
+                matrix = np.zeros((k[-1] + 1, bits.shape[1]), np.float32)
+                np.add.at(matrix, k, bits[part])
+                matrix.setflags(write=False)
+            read = size * int(words[0, part[0]]), size * s, size * int(g)
+            out.append((a, b, read, matrix))
+    return out
+
+
+def _read(f, read, rows, span):
+    """A piece's ``(rows, span)`` words of the float32 buffer ``f``: by an
+    index table (no bounds check), or a strided view (offset, strides)."""
+    if isinstance(read, np.ndarray):
+        return f.take(read, mode="clip")
+    return np.ndarray((rows, span), np.float32, f, read[0], read[1:])
 
 
 _ONE = np.uint8(1)  # a scalar of the buffer's dtype: no cast per flip

@@ -3,8 +3,9 @@ Reference helpers used only by the tests.
 
 Matrix forms of the index-array permutations, slow but obvious algebra
 (scalar GF(2^m) arithmetic and binary polynomial division among it), the
-scalar BDD oracle and the ff mirror views, kept apart from the package so
-the tests can check the package against them.
+scalar BDD oracle, the word-table syndrome gather and the ff mirror views,
+kept apart from the package so the tests can check the package against
+them.
 """
 
 import math
@@ -561,6 +562,18 @@ def decode_one_at_a_time(buf, schedule, l_max):
             if not changed:
                 break
     return sweeps
+
+
+def syndromes_by_gather(plan, buf):
+    """``engine.Plan.syndromes`` by gathering every word's bits through its
+    code's padded word table and taking their keys
+    (``ComponentCode.syndrome_keys``)."""
+    keys = np.zeros((plan.n_words + 1, plan.width), dtype=np.uint64)
+    for code, table, first in plan.stacks:
+        # the tables hold valid slots and -1, which "clip" reads as slot 0
+        keys[first : first + len(table), : code.key_words] = (
+            code.syndrome_keys(buf.take(table, mode="clip")[:, : code.n]))
+    return keys
 
 
 # -- Monte Carlo -----------------------------------------------------------------

@@ -345,6 +345,17 @@ def test_codec_bytes_count_what_it_keeps_alive_once(family):
     assert gf2.nbytes(codec) == own + gf2.nbytes(shared)
     assert gf2.nbytes(codec, shared, plan) == gf2.nbytes(codec)
     assert gf2.nbytes(codec) == held_bytes([codec])
+    # the first decode compiles the syndrome pieces (Plan.pieces), which the
+    # memo counts when it walks its results again before evicting: their
+    # gathers are views of the slot array and their matrices views of the
+    # codes' check rows, or copies where a cluster's positions are permuted
+    assert "pieces" not in vars(plan)
+    codec.decode_frame(codec.frame_from_bits(np.zeros(codec.n_tx, np.uint8)))
+    copies = [matrix for *_, pieces in plan.pieces for *_, matrix in pieces
+              if matrix.base is None]
+    assert gf2.nbytes(codec) == (own + gf2.nbytes(shared)
+                                 + sum(matrix.nbytes for matrix in copies))
+    assert gf2.nbytes(codec) == held_bytes([codec])
 
 
 def test_views_of_one_buffer_count_once():
