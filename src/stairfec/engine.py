@@ -12,7 +12,8 @@ Each codec compiles its geometry once by building a frame over the buffer
 ``arange(n_tx + 1)``: views of that frame hold buffer slots instead of
 bits.  From it the codec takes
 
-- ``info_idx``: the slots of the payload bits, in payload order;
+- ``info_pieces``: the payload's information blocks as runs of strided
+  views of the buffer, in payload order (:meth:`FrameCodec.info_blocks`);
 - ``groups``: ``(component code, words)`` pairs, where ``words[w, i]`` is
   the slot of position i of full-length component word w.  B_0 and pff's
   structural pad positions map to the zero slot; ff's punctured X and Pr~
@@ -66,6 +67,7 @@ syndrome contribution did.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,7 +111,11 @@ class Plan:
     slot.  Those of ``groups`` are views of their first n columns.
 
     Words are numbered code by code, each code's groups in turn, so the
-    pieces of a code (``pieces``) sum into one block of keys.  A word's row
+    pieces of a code (``pieces``) sum into one block of keys.  A piece
+    ``(shape, (a, d), read, matrix)``, ``shape`` ``(count, rows, span)``,
+    adds for each k < count slice k of ``read`` (:func:`_read`: a strided
+    view of the float32 frame or a table of its slots) times ``matrix`` to
+    the odd-syndrome sums of the code's words a + k*d onwards.  A word's row
     of ``syndromes`` is its key (``ComponentCode.syndrome_keys``): ``width``
     uint64 cells, zero-padded to the widest code; one cell wherever
     t*m <= 64, as in every benchmark code.  Row k of ``hkeys`` is the key
@@ -214,17 +220,28 @@ class Plan:
 
     @functools.cached_property
     def pieces(self):
-        """Per code, ``(code, first word, words, pieces)``; a piece ``(a, b,
-        read, matrix)`` adds ``read`` of the float32 buffer (:func:`_read`)
-        times ``matrix`` to the odd-syndrome sums of the code's words a..b.
+        """Per code, ``(code, first word, words, pieces)``.  Its groups'
+        pieces (:func:`_pieces`) of one view shape ``(rows, strides)`` and
+        equal check rows, at evenly stepped words and offsets, merge into
+        one, so copies of check rows (pff's, one per period) are kept once.
         Compiled at the first :meth:`syndromes`, so a plan decoded from
         :meth:`error_keys` alone compiles none."""
         out = []
         for code, table, first in self.stacks:
-            a, pieces = 0, []
+            a, classes, pieces = 0, {}, []
             for words in [words for c, words in self.groups if c is code]:
-                pieces += _pieces(code, words, a, self.n_slots - 1)
+                for *key, offset, matrix in _pieces(code, words, a,
+                                                    self.n_slots - 1):
+                    classes.setdefault((*key, matrix.shape, matrix.tobytes()),
+                                       (matrix, []))[1].append((a, offset))
                 a += len(words)
+            for (rows, strides, gather, *_), (matrix, at) in classes.items():
+                for (b, offset), (d, jump), count in _runs(at, rows):
+                    shape = count, rows, len(matrix)
+                    read = offset, (jump,) + strides
+                    if gather:
+                        read = np.ndarray(shape, table.dtype, table, *read)
+                    pieces.append((shape, (b, d), read, matrix))
             out.append((code, first, a, tuple(pieces)))
         return tuple(out)
 
@@ -235,8 +252,11 @@ class Plan:
         for code, first, rows, pieces in self.pieces:
             # float32 sums of bits are exact below 2**24
             sums = np.zeros((rows, code._check_bits.shape[1]), np.float32)
-            for a, b, read, matrix in pieces:
-                sums[a:b] += _read(f, read, b - a, len(matrix)) @ matrix
+            row, cell = sums.strides
+            for shape, (a, d), read, matrix in pieces:
+                into = np.ndarray(shape[:2] + sums.shape[1:], np.float32, sums,
+                                  a * row, (d * row, row, cell))
+                into += _read(f, read, shape) @ matrix
             keys[first : first + rows, : code.key_words] = code._keys(
                 sums.astype(np.int64) & 1)
         return keys
@@ -260,26 +280,28 @@ class Plan:
 
 
 def _pieces(code, words, a, zero):
-    """The pieces of a group whose ``(words, n)`` slot table holds words a..
-    of its code.  Affine columns (word w holds slot c + w * step) of one
-    step, sorted by c, cluster where c moves by their least gap g, or 2g
-    over a hole; a cluster reads the strided view ``(c, step, g)`` against
-    its positions' check rows: a view of ``code._check_bits`` where these
-    run in order, else a copy, summing a slot that a word lists twice (pff's
+    """The ``(rows, strides, gather, offset, matrix)`` pieces of a group
+    whose ``(rows, n)`` slot table holds words a.. of its code.  Affine
+    columns (word w holds slot c + w * step) of one step, sorted by c,
+    cluster where c moves by their least gap g, or 2g over a hole; a cluster
+    reads the float32 buffer's strided view ``(c, step, g)`` against its
+    positions' check rows: a view of ``code._check_bits`` where these run in
+    order, else a copy, summing a slot that a word lists twice (pff's
     S[i,i]).  Zero-slot columns read 0 and are skipped; the rest (ff's
-    wrapped mirror shifts) are gathered by a view of ``words`` over them.
+    wrapped mirror shifts) are gathered by a view of the word table.
     """
     bits = code._check_bits
-    b = a + len(words)
+    rows = len(words)
     size = np.dtype(np.float32).itemsize  # the view's strides are in bytes
     pad = (words == zero).all(axis=0)
-    step = (words[-1] - words[0]) // max(b - a - 1, 1)
+    step = (words[-1] - words[0]) // max(rows - 1, 1)
     affine = ~pad & (np.diff(words, axis=0) == step).all(axis=0)
     out = []
     odd = np.flatnonzero(~affine & ~pad)
     if odd.size:
         lo, hi = odd[0], odd[-1] + 1
-        out.append((a, b, words[:, lo:hi], bits[lo:hi]))
+        out.append((rows, words.strides, True,
+                    a * words.strides[0] + lo * words.strides[1], bits[lo:hi]))
         affine[lo:hi] = False
     for s in sorted(set(step[affine].tolist())):
         cols = np.flatnonzero(affine & (step == s))
@@ -295,17 +317,33 @@ def _pieces(code, words, a, zero):
                 matrix = np.zeros((k[-1] + 1, bits.shape[1]), np.float32)
                 np.add.at(matrix, k, bits[part])
                 matrix.setflags(write=False)
-            read = size * int(words[0, part[0]]), size * s, size * int(g)
-            out.append((a, b, read, matrix))
+            out.append((rows, (size * s, size * int(g)), False,
+                        size * int(words[0, part[0]]), matrix))
     return out
 
 
-def _read(f, read, rows, span):
-    """A piece's ``(rows, span)`` words of the float32 buffer ``f``: by an
-    index table (no bounds check), or a strided view (offset, strides)."""
+def _runs(starts, apart):
+    """Split ``starts``, tuples of ints, into runs that step evenly, by at
+    least ``apart`` in their first entry, as ``(first, step, count)``."""
+    runs = []
+    for start in starts:
+        if runs:
+            first, step, count = runs[-1]
+            move = tuple(x - f - (count - 1) * s
+                         for x, f, s in zip(start, first, step))
+            if move[0] >= apart and (count == 1 or move == step):
+                runs[-1] = first, move, count + 1
+                continue
+        runs.append((start, (apart,) + (0,) * (len(start) - 1), 1))
+    return runs
+
+
+def _read(f, read, shape):
+    """A piece's ``shape`` words of the float32 buffer ``f``: by a table of
+    slots (no bounds check), or a strided view ``(offset, strides)``."""
     if isinstance(read, np.ndarray):
         return f.take(read, mode="clip")
-    return np.ndarray((rows, span), np.float32, f, read[0], read[1:])
+    return np.ndarray(shape, np.float32, f, *read)
 
 
 _ONE = np.uint8(1)  # a scalar of the buffer's dtype: no cast per flip
@@ -376,8 +414,9 @@ class FrameCodec:
     A subclass sets ``code`` (ff/pff: the row code), ``M``, ``n_blocks``,
     ``length``, ``window``, ``l_max`` and, where it has them, ``L`` and
     ``mode``; calls :meth:`_compile` with its channel array shapes; and
-    from the returned slot frame sets ``info_idx`` and ``info_starts``
-    (:meth:`_set_info`) and ``plan`` and ``groups`` (:meth:`_set_plan`).
+    from the returned slot frame sets ``info_pieces``, ``info_starts`` and
+    ``payload_bits`` (:meth:`_set_info`) and ``plan`` and ``groups``
+    (:meth:`_set_plan`).
     The compiled tables are read-only.  ``sim.build_codec`` sets ``seed``.
     """
 
@@ -419,11 +458,20 @@ class FrameCodec:
         return self.slot_frame()
 
     def _set_info(self, views):
-        """Payload slots from the slot-frame views of the information blocks."""
-        self.info_idx = np.concatenate([v.reshape(-1) for v in views])
+        """Payload access from the slot-frame views of the information
+        blocks, in payload order: each run of views of one shape whose first
+        slots step evenly becomes an ``(offset, shape, strides)`` piece of a
+        uint8 buffer, ``shape`` ``(blocks, rows, cols)``."""
         self.info_starts = np.cumsum([0] + [v.size for v in views[:-1]])
-        self.info_idx.setflags(write=False)
         self.info_starts.setflags(write=False)
+        self.payload_bits = sum(v.size for v in views)
+        self.info_pieces = tuple(
+            (offset, (count,) + shape, (jump,) + strides)
+            for (shape, strides), run in itertools.groupby(
+                views, lambda v: (v.shape, tuple(s // v.itemsize
+                                                 for s in v.strides)))
+            for (offset,), (jump,), count in _runs(
+                [(int(v[0, 0]),) for v in run], 1))
 
     def _set_plan(self, groups, windows):
         """Compile the decoding plan; ``groups`` become views of its tables."""
@@ -461,6 +509,11 @@ class FrameCodec:
         buf[:-1] = bits
         return self._frame(buf)
 
+    def frame_over(self, buf):
+        """A frame over ``buf``, ``n_tx + 1`` bits; clears the zero slot."""
+        buf[-1] = 0
+        return self._frame(buf)
+
     def _payload_frame(self, bits):
         """A frame holding the payload bits and zero redundancy."""
         bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
@@ -469,15 +522,21 @@ class FrameCodec:
                 f"payload must have {self.payload_bits} bits, got {bits.size}"
             )
         buf = np.zeros(self.n_tx + 1, dtype=np.uint8)
-        buf[self.info_idx] = bits
+        start = 0
+        for block in self.info_blocks(buf):
+            block[...] = bits[start : start + block.size].reshape(block.shape)
+            start += block.size
         return self._frame(buf)
 
-    @property
-    def payload_bits(self):
-        return self.info_idx.size
+    def info_blocks(self, buf):
+        """The information blocks of a uint8 frame buffer, as ``(blocks,
+        rows, cols)`` views in payload order."""
+        return [np.ndarray(shape, np.uint8, buf, offset, strides)
+                for offset, shape, strides in self.info_pieces]
 
     def extract_payload(self, frame):
-        return frame.buf[self.info_idx]
+        # each view is copied, flat, straight into the payload
+        return np.concatenate(self.info_blocks(frame.buf), axis=None)
 
     def channel_arrays(self, frame):
         """Transmitted arrays in stream order, as mutable views."""

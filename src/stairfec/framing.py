@@ -166,5 +166,6 @@ def read_stream(data, *, window=7, l_max=8):
         raise StreamFormatError(f"header describes no usable code: {err}") from err
     if _header_fields(codec) != head or codec.n_tx != n_tx:
         raise StreamFormatError("header disagrees with the codec it names")
-    return codec, codec.frame_from_bits(np.unpackbits(body, count=n_tx))
+    # the zero slot reads the first pad bit, or a bit past the body
+    return codec, codec.frame_over(np.unpackbits(body, count=n_tx + 1))
 

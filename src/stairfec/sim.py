@@ -100,8 +100,8 @@ def run_frames(codec, p, master_seed, indices):
         engine.decode(buf, plan, codec.l_max,
                       keys=plan.error_keys(noise.nonzero()[0]))
         if np.count_nonzero(buf):  # most error-floor frames decode to zero
-            per_block = np.add.reduceat(buf[codec.info_idx], codec.info_starts,
-                                        dtype=np.int64)
+            per_block = np.concatenate([block.sum(axis=(1, 2), dtype=np.int64)
+                                        for block in codec.info_blocks(buf)])
             bit_errors += int(per_block.sum())
             block_errors += int(np.count_nonzero(per_block))
     frames = len(indices)

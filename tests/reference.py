@@ -576,6 +576,33 @@ def syndromes_by_gather(plan, buf):
     return keys
 
 
+def info_slots(codec):
+    """The slots of a codec's payload bits, in payload order, from its slot
+    frame and its family's block layout: sc's left M - r columns of B_1..,
+    ff's B_1.. whole, and per pff period its L - 1 standard blocks' left
+    M - r columns, S's top M - 2r rows and D."""
+    blocks = codec.slot_frame().blocks
+    side, r = codec.M, codec.r
+    if codec.family == "sc":
+        views = [b[:, : side - r] for b in blocks[1:]]
+    elif codec.family == "ff":
+        views = blocks[1:]
+    else:
+        views = []
+        L = codec.L
+        for base in range(0, codec.n_blocks, L + 1):
+            s_blk, d_blk = blocks[base + L : base + L + 2]
+            views += [b[:, : side - r] for b in blocks[base + 1 : base + L]]
+            views += [s_blk[: side - 2 * r], d_blk]
+    return np.concatenate([v.reshape(-1) for v in views])
+
+
+def payload_by_gather(codec, buf):
+    """``FrameCodec.extract_payload`` of a frame buffer by gathering its
+    payload slots (:func:`info_slots`)."""
+    return buf[info_slots(codec)]
+
+
 # -- Monte Carlo -----------------------------------------------------------------
 
 

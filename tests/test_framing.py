@@ -36,6 +36,33 @@ def test_stream_round_trip(family, m, t, s, kwargs):
         assert (a == b).all()
 
 
+def test_pad_bits_of_ones_change_nothing():
+    """pff(7,2,41) with L = 1 and one period sends 1,682 bits, so its last
+    byte holds 6 pad bits.  A stream whose pad bits are ones reads into the
+    same keys and decodes to the same payload, and the zero slot, which the
+    first pad bit lands on, reads 0."""
+    codec = build_codec("pff", 7, 2, 41, L=1, length=1, seed=4)
+    assert codec.n_tx == 1682
+    rng = np.random.default_rng(4)
+    payload = rng.integers(0, 2, codec.payload_bits, dtype=np.uint8)
+    frame = codec.encode_payload(payload)
+    frame.buf[rng.choice(codec.n_tx, 5, replace=False)] ^= 1
+    data = write_stream(codec, frame)
+    assert data[-1] & 0x3F == 0
+    results = []
+    for stream in data, data[:-1] + bytes([data[-1] | 0x3F]):
+        codec2, frame2 = read_stream(stream)
+        assert frame2.buf[-1] == 0
+        keys = codec2.plan.syndromes(frame2.buf)
+        assert keys.any()
+        codec2.decode_frame(frame2)
+        assert frame2.buf[-1] == 0
+        results.append((keys, codec2.extract_payload(frame2)))
+    (keys, decoded), (hostile_keys, hostile_decoded) = results
+    assert (keys == hostile_keys).all()
+    assert (decoded == hostile_decoded).all() and (decoded == payload).all()
+
+
 def test_header_fields():
     codec = build_codec("pff", 7, 2, 41, L=3, length=2, seed=9)
     frame = codec.encode_payload(np.zeros(codec.payload_bits, dtype=np.uint8))
@@ -127,7 +154,7 @@ def test_read_stream_codec_matches_and_is_read_only(family, m, t, s, kwargs):
     assert all((w1 == w2).all() for (_, w1), (_, w2)
                in zip(codec.groups, codec2.groups))
     for c in (codec, codec2):
-        tables = [c.info_idx, c.info_starts, c.plan.flip_cells,
+        tables = [c.info_starts, c.plan.flip_cells,
                   c.plan.flip_keys, c.plan.hkeys]
         tables += [words for _, words in c.groups]
         if family == "ff":

@@ -335,7 +335,7 @@ def test_codec_bytes_count_what_it_keeps_alive_once(family):
     # tables
     slots = {id(table.base) for _, table, _ in plan.stacks}
     assert len(slots) == 1
-    own = (codec.info_idx.nbytes + codec.info_starts.nbytes
+    own = (codec.info_starts.nbytes
            + plan.hkeys.nbytes + plan.flip_cells.nbytes
            + plan.flip_keys.nbytes
            + sum(table.nbytes for _, table, _ in plan.stacks))
@@ -348,13 +348,14 @@ def test_codec_bytes_count_what_it_keeps_alive_once(family):
     # the first decode compiles the syndrome pieces (Plan.pieces), which the
     # memo counts when it walks its results again before evicting: their
     # gathers are views of the slot array and their matrices views of the
-    # codes' check rows, or copies where a cluster's positions are permuted
+    # codes' check rows, or copies where a cluster's positions are permuted,
+    # which the pieces of every period share
     assert "pieces" not in vars(plan)
     codec.decode_frame(codec.frame_from_bits(np.zeros(codec.n_tx, np.uint8)))
-    copies = [matrix for *_, pieces in plan.pieces for *_, matrix in pieces
-              if matrix.base is None]
+    copies = {id(matrix): matrix for *_, pieces in plan.pieces
+              for *_, matrix in pieces if matrix.base is None}
     assert gf2.nbytes(codec) == (own + gf2.nbytes(shared)
-                                 + sum(matrix.nbytes for matrix in copies))
+                                 + sum(m.nbytes for m in copies.values()))
     assert gf2.nbytes(codec) == held_bytes([codec])
 
 
