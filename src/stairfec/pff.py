@@ -19,8 +19,10 @@ right 2r columns, where a 2r x 2r permutation Pi scrambles how row words
 read those columns.  All mirror permutations are trivial transposes:
 X1 = Y1^T, Pr1~ = Pc1~^T and likewise for stage 2, so the punctured row
 extensions are read straight out of S's columns.  B is never built: the
-search decides each Pi on an r^2 x r^2 system R (:func:`reduced_b_matrix`),
-and the encoder solves B through the inverses of A and R.
+search decides each Pi on an r x r matrix N whose eigenvalues say whether
+the r^2 x r^2 system R (:func:`reduced_b_matrix`) is invertible
+(:func:`reduced_b_invertible`), and the encoder solves B through the
+inverses of A and R.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ from . import engine, gf2
 from .bch import ComponentCode, code_pair
 
 __all__ = [
+    "stage2_h",
     "reduced_b_matrix",
+    "reduced_b_invertible",
     "stage1_matrix",
     "PFFConstruction",
     "build_pff_construction",
@@ -52,6 +56,13 @@ def stage1_matrix(code_row, code_col):
     if (k - r) // 2 <= 2 * r:
         raise ValueError("PFF needs M > 2r")
     return code_row.g_p[-r:].T ^ code_col.g_p[-r:].T
+
+
+def stage2_h(g_b_t, f_r):
+    """H = G1 + F_r G2 of the stage-2 reduction, with G_B~ = [G1; G2] split
+    into r x r halves (see :func:`reduced_b_matrix`)."""
+    r = len(f_r)
+    return g_b_t[:r] ^ gf2.mat_mul(f_r, g_b_t[r:])
 
 
 def reduced_b_matrix(a_small, g_b_t, f_r):
@@ -73,11 +84,105 @@ def reduced_b_matrix(a_small, g_b_t, f_r):
     and then Y2 = [U  U F_r + W].
     """
     r = len(a_small)
-    h = g_b_t[:r] ^ gf2.mat_mul(f_r, g_b_t[r:])
+    h = stage2_h(g_b_t, f_r)
     # vec(U^T) = vec(U)[swap], so U^T A_s^T is (I (x) A_s) on columns swap
     swap = np.arange(r * r).reshape(r, r).T.reshape(-1)
     return (gf2.kron(gf2.identity(r), h.T)
             ^ gf2.kron(gf2.identity(r), a_small)[:, swap])
+
+
+def _poly_mod(a, b):
+    """Remainder of GF(2)[x] polynomials held as ints (bit i: x^i)."""
+    db = b.bit_length()
+    while a.bit_length() >= db:
+        a ^= b << (a.bit_length() - db)
+    return a
+
+
+def _poly_gcd(a, b):
+    while b:
+        a, b = b, _poly_mod(a, b)
+    return a
+
+
+def _poly_lcm(a, b):
+    """lcm(a, b): a times the quotient b / gcd(a, b), carry-less."""
+    g, quot, prod = _poly_gcd(a, b), 0, 0
+    while b.bit_length() >= g.bit_length():
+        shift = b.bit_length() - g.bit_length()
+        quot |= 1 << shift
+        b ^= g << shift
+    while quot:
+        if quot & 1:
+            prod ^= a
+        a, quot = a << 1, quot >> 1
+    return prod
+
+
+def _minimal_polynomial(cols):
+    """The minimal polynomial over GF(2) of the matrix whose columns are
+    ``cols`` (ints, bit i: row i), as an int.
+
+    It is the lcm of the Krylov polynomials of unit vectors whose Krylov
+    spaces together span GF(2)^r: the least-degree p with p(N) e_j = 0 for
+    each unit vector e_j that the Krylov spaces of earlier ones do not
+    span.  Vectors are ints, reduced on dicts keyed by their lowest bit.
+    """
+    def apply(v):
+        out = 0
+        while v:
+            out ^= cols[(v & -v).bit_length() - 1]
+            v &= v - 1
+        return out
+
+    spanned, mu = {}, 1
+    for j in range(len(cols)):
+        v = 1 << j
+        while v and (v & -v) in spanned:
+            v ^= spanned[v & -v]
+        if not v:
+            continue
+        # e_j's Krylov sequence, each vector reduced with the polynomial
+        # that gives it from e_j, until one reduces to zero
+        own, v, poly = {}, 1 << j, 1
+        while True:
+            while v and (v & -v) in own:
+                basis, basis_poly = own[v & -v]
+                v, poly = v ^ basis, poly ^ basis_poly
+            if not v:
+                break
+            own[v & -v] = v, poly
+            v, poly = apply(v), poly << 1
+        mu = _poly_lcm(mu, poly)
+        for v, _ in own.values():
+            while v and (v & -v) in spanned:
+                v ^= spanned[v & -v]
+            if v:
+                spanned[v & -v] = v
+    return mu
+
+
+def reduced_b_invertible(a_inv, h):
+    """Whether R(U) = U H + U^T A_s^T (:func:`reduced_b_matrix`) is
+    invertible, decided on the r x r matrix N = A_s^-1 H^T, given
+    A_s^-1 = ``a_inv`` and H (:func:`stage2_h`).
+
+    R(U) = 0 reads U = N U^T, and R is invertible exactly when no two
+    eigenvalues of N, over GF(2)'s algebraic closure and the same one twice
+    included, multiply to 1 (the T-Sylvester equation: Byers & Kressner,
+    SIAM J. Matrix Anal. Appl. 2006; De Teran & Dopico, Electron. J. Linear
+    Algebra 2011).  An eigenvalue 0 pairs with none.  So with mu0 the
+    minimal polynomial of N without its factors of x, R is invertible
+    exactly when mu0 shares no root with its reversal, whose roots are the
+    reciprocals of mu0's; that covers mu0(1) = 0, since 1 is its own
+    reciprocal.
+    """
+    n = gf2.mat_mul(a_inv, h.T)
+    packed = np.packbits(n, axis=0, bitorder="little")
+    mu = _minimal_polynomial([int.from_bytes(col.tobytes(), "little")
+                              for col in packed.T])
+    mu0 = mu >> ((mu & -mu).bit_length() - 1)
+    return _poly_gcd(mu0, int(bin(mu0)[:1:-1], 2)) == 1
 
 
 @dataclass
@@ -89,8 +194,11 @@ class PFFConstruction:
     ``a_small`` (:func:`stage1_matrix`), which does not depend on Pi, so a
     search inverts it once for all its candidates, and the mode.  ValueError
     if ``a_inv`` is not that inverse.  Derives the inverse of R (``u_inv``,
-    :func:`reduced_b_matrix`); SingularMatrixError if R is singular.
-    ``gp_std`` is the row code's G_p without its leading 2r pad rows.
+    :func:`reduced_b_matrix`), the one r^2 x r^2 inversion of a search,
+    since the search builds a construction only for the Pi that
+    :func:`reduced_b_invertible` accepts; SingularMatrixError if R is
+    singular.  ``gp_std`` is the row code's G_p without its leading 2r pad
+    rows.
     """
 
     code_row: ComponentCode
@@ -113,7 +221,7 @@ class PFFConstruction:
             raise ValueError("a_inv is not the inverse of A_s")
         m2 = m_side - 2 * r
         self.g_b_t = self.g_i[m2:m_side][self.pi]
-        try:  # a candidate is rejected on the r^2 system
+        try:
             self.u_inv = gf2.invert(reduced_b_matrix(self.a_small, self.g_b_t, self.f_r))
         except gf2.SingularMatrixError as err:
             raise gf2.SingularMatrixError(
@@ -153,10 +261,12 @@ def _candidates(r, rng, max_tries):
 def search_pff_construction(m, t, s, *, seed=0, max_tries=200):
     """Find a Pi making both staged systems invertible; identity first.
 
-    The stage-1 system does not depend on Pi, so it is inverted once, and
-    each candidate inverts only its r^2 x r^2 system R.  Memoized like
-    :func:`ff.search_construction`: one search per process and
-    ``(m, t, s, seed, max_tries)``, within :func:`gf2.memoize`'s budget.
+    The stage-1 system does not depend on Pi, so it is inverted once.  Each
+    candidate is decided on its r x r matrix N (:func:`reduced_b_invertible`),
+    and only the Pi kept builds its construction, which inverts its
+    r^2 x r^2 system R.  Memoized like :func:`ff.search_construction`: one
+    search per process and ``(m, t, s, seed, max_tries)``, within
+    :func:`gf2.memoize`'s budget.
     """
     code_row, code_col = code_pair(m, t, s)
     try:
@@ -164,17 +274,16 @@ def search_pff_construction(m, t, s, *, seed=0, max_tries=200):
     except gf2.SingularMatrixError as err:
         raise gf2.SingularMatrixError(
             f"no usable Pi found for (m={m}, t={t}, s={s}): {err}") from None
-    last_err = None
-    for mode, pi in _candidates(code_row.r, np.random.default_rng(seed),
-                                max_tries):
-        try:
+    r, m_side = code_row.r, (code_row.k - code_row.r) // 2
+    g_b = code_row.g_p[m_side - 2 * r : m_side]
+    f_r = code_col.g_p[2 * m_side :]
+    for mode, pi in _candidates(r, np.random.default_rng(seed), max_tries):
+        if reduced_b_invertible(a_inv, stage2_h(g_b[pi], f_r)):
             return build_pff_construction(code_row, code_col, pi, a_inv,
                                           mode=mode)
-        except gf2.SingularMatrixError as err:
-            last_err = str(err)  # not err: its traceback would pin this frame
     raise gf2.SingularMatrixError(
-        f"no usable Pi found for (m={m}, t={t}, s={s}): {last_err}"
-    )
+        f"no usable Pi found for (m={m}, t={t}, s={s}): "
+        "U -> U H + U^T A_s^T is singular for every candidate")
 
 
 class PFFCode(engine.FrameCodec):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from stairfec import ff, gf2
+from stairfec import ff, gf2, pff
 from stairfec.bch import code_pair
 
 
@@ -414,6 +414,17 @@ def build_b_matrix(r, a_small, g_b_t, f_r):
     first = np.vstack([np.roll(scattered, j, axis=1) for j in range(2 * r)])
     second = gf2.kron(np.vstack([gf2.identity(r), f_r.T]), g_b_t.T)
     return first ^ second
+
+
+def reduced_b_invertible(a_small, g_b_t, f_r):
+    """The dense decision that ``pff.reduced_b_invertible`` takes on an
+    r x r matrix: whether ``gf2.invert`` inverts the r^2 x r^2 system R
+    (``pff.reduced_b_matrix``)."""
+    try:
+        gf2.invert(pff.reduced_b_matrix(a_small, g_b_t, f_r))
+    except gf2.SingularMatrixError:
+        return False
+    return True
 
 
 # -- BCH bounded-distance decoding -------------------------------------------------

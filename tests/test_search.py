@@ -1,8 +1,10 @@
 """The construction searches decide each candidate on a small exact system:
 ff on A(z) reduced modulo z^M' - 1 (``ff.fold_ring``), whose inverse it
 lifts to A^-1 (``ff.lift_inverse``), so ff builds and inverts no Mr x Mr
-system; pff on the r^2 x r^2 system through which it solves the stage-2
-system B (``pff.reduced_b_matrix``), so pff builds no B at all.  ff builds
+system; pff on the eigenvalues of an r x r matrix N
+(``pff.reduced_b_invertible``), which decide the r^2 x r^2 system through
+which it solves the stage-2 system B (``pff.reduced_b_matrix``), so pff
+builds no B at all and inverts R only for the Pi it keeps.  ff builds
 A(z) straight from the shifts (``ff.build_a_ring``), which must be the first
 block row of the dense A that ``reference.build_a_matrix`` builds from the
 permutations.  Each decision must be the one that inverting the full system
@@ -16,9 +18,11 @@ import itertools
 import numpy as np
 import pytest
 
-from reference import build_a_matrix, build_b_matrix, ring_form, search_dense
+from reference import (build_a_matrix, build_b_matrix, reduced_b_invertible,
+                       ring_form, search_dense)
 from stairfec import ff, gf2, pff
 from stairfec.bch import code_pair
+from stairfec.parameters import family_params
 
 
 def invertible(a):
@@ -205,6 +209,105 @@ def test_reduced_system_decides_like_the_dense_inversion(code, seed, tries,
     assert True in decided and False in decided
 
 
+def pff_grid(ms, ts, s_step, count):
+    """(code, A_s, A_s^-1, G_B~, F_r) of the first ``count`` candidates
+    (seed 0) of every pff code with m in ``ms``, t in ``ts`` and s a multiple
+    of ``s_step`` that family_params accepts and whose A_s is invertible."""
+    for m, t in itertools.product(ms, ts):
+        for s in range(0, 1 << m, s_step):
+            try:
+                family_params("pff", m, t, s)
+                a_inv = gf2.invert(pff.stage1_matrix(*code_pair(m, t, s)))
+            except ValueError:  # SingularMatrixError included
+                continue
+            for a_small, g_b_t, f_r in pff_systems(m, t, s, 0, 200, count):
+                yield (m, t, s), a_small, a_inv, g_b_t, f_r
+
+
+def test_pff_criterion_decides_like_the_dense_inversion():
+    """N's eigenvalues decide each candidate as inverting R does, on the
+    first six candidates of the pff codes with m = 4..8, t = 1..3 and s
+    stepped by 3 (618 candidates of 103 codes, 150 of them invertible)."""
+    decided = []
+    for code, a_small, a_inv, g_b_t, f_r in pff_grid(range(4, 9), (1, 2, 3),
+                                                     3, 6):
+        decided.append(pff.reduced_b_invertible(a_inv, pff.stage2_h(g_b_t,
+                                                                    f_r)))
+        assert decided[-1] == reduced_b_invertible(a_small, g_b_t, f_r), code
+    assert (len(decided), sum(decided)) == (618, 150)
+
+
+def companion(poly):
+    """The companion matrix of a monic GF(2)[x] polynomial (int, bit i:
+    x^i), whose minimal polynomial it is."""
+    d = poly.bit_length() - 1
+    c = gf2.zeros(d, d)
+    c[1:, :-1] = gf2.identity(d - 1)
+    c[:, -1] = [(poly >> i) & 1 for i in range(d)]
+    return c
+
+
+def block_diag(*blocks):
+    out = gf2.zeros(sum(map(len, blocks)), sum(map(len, blocks)))
+    at = 0
+    for b in blocks:
+        out[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
+    return out
+
+
+X3_X_1, X3_X2_1, X2_X_1 = 0b1011, 0b1101, 0b111
+NILPOTENT = np.triu(np.ones((3, 3), dtype=np.uint8), 1)
+
+
+@pytest.mark.parametrize("n, mu", [
+    (gf2.zeros(3, 3), 0b10),
+    (gf2.identity(3), 0b11),
+    (NILPOTENT, 0b1000),
+    (companion(X3_X_1), X3_X_1),
+    # the lcm, not the product, of the blocks' polynomials
+    (block_diag(companion(X2_X_1), companion(X2_X_1)), X2_X_1),
+    # (x^3 + x + 1)(x + 1)(x^3 + x^2 + 1) = x^7 + 1
+    (block_diag(companion(X3_X_1), gf2.identity(2), companion(X3_X2_1)),
+     0b10000001),
+])
+def test_minimal_polynomial(n, mu):
+    cols = [int("".join(map(str, col[::-1])), 2) for col in n.T]
+    assert pff._minimal_polynomial(cols) == mu
+
+
+@pytest.mark.parametrize("n, invertible_r", [
+    (gf2.zeros(3, 3), True),
+    (NILPOTENT, True),
+    # singular, with the roots of x^3 + x + 1, none the reciprocal of another
+    (block_diag(gf2.zeros(1, 1), companion(X3_X_1)), True),
+    (block_diag(NILPOTENT, companion(X3_X2_1)), True),
+    (companion(X3_X_1), True),
+    # an eigenvalue 1, simple or not
+    (gf2.identity(1), False),
+    (block_diag(gf2.identity(1), companion(X3_X_1)), False),
+    (block_diag(gf2.zeros(2, 2), gf2.identity(1)), False),
+    # a pair lambda, 1/lambda: x^3 + x^2 + 1 is the reversal of x^3 + x + 1,
+    # and x^2 + x + 1's roots are each other's inverse
+    (block_diag(companion(X3_X_1), companion(X3_X2_1)), False),
+    (block_diag(gf2.zeros(1, 1), companion(X3_X_1), companion(X3_X2_1)),
+     False),
+    (companion(X2_X_1), False),
+    (companion(0b1001), False),  # x^3 + 1 = (x + 1)(x^2 + x + 1)
+])
+def test_pff_criterion_on_hand_built_n(n, invertible_r):
+    """With A_s = I and H = N^T, R(U) = U N^T + U^T: an eigenvalue 0 pairs
+    with none, so a singular N is not refused; an eigenvalue 1, or two
+    eigenvalues that multiply to 1, are."""
+    r = len(n)
+    g_b_t = np.vstack([n.T, gf2.zeros(r, r)])
+    f_r = gf2.zeros(r, r)
+    h = pff.stage2_h(g_b_t, f_r)
+    assert np.array_equal(h, n.T)
+    assert reduced_b_invertible(gf2.identity(r), g_b_t, f_r) == invertible_r
+    assert pff.reduced_b_invertible(gf2.identity(r), h) == invertible_r
+
+
 SEARCHES = {"ff": (ff.search_construction, (8, 3, 63)),
             "pff": (pff.search_pff_construction, (8, 3, 15))}
 # SHA-256 of ff(8,3,63)'s A^-1 in ring form (72 x 24 x 24 uint8), recorded
@@ -239,13 +342,29 @@ def test_benchmark_ff_construction_is_pinned():
     assert hashlib.sha256(ring.tobytes()).hexdigest() == RING_DIGEST
 
 
+def test_benchmark_pff_construction_is_pinned():
+    """pff(8,3,15), the benchmark's pff code, rejects the identity and its
+    first three random Pi, and keeps the fourth drawn."""
+    cons = pff.search_pff_construction(8, 3, 15)
+    assert cons.mode == "random"
+    assert list(cons.pi[:6]) == [43, 39, 30, 35, 37, 47]
+
+
+def test_pff_search_refusing_every_candidate_raises():
+    """pff(8,3,15) with three random draws tries only the four Pi that N
+    refuses."""
+    with pytest.raises(gf2.SingularMatrixError,
+                       match="singular for every candidate"):
+        pff.search_pff_construction(8, 3, 15, max_tries=3)
+
+
 # the sizes of the systems inverted, in order: ff(8,3,63) rejects its
 # low_ef candidate on the fold, takes the next and lifts the inverse of its
-# fold; pff(8,3,15) inverts A_s once, then the r^2 system for each Pi,
-# rejects four and keeps the fifth inverse to solve stage 2 with
+# fold; pff(8,3,15) inverts A_s once, rejects four Pi on their r x r
+# matrices N, and inverts the r^2 system of the fifth to solve stage 2 with
 @pytest.mark.parametrize("family, sizes",
                          [("ff", [216, 216]),
-                          ("pff", [24] + [576] * 5)])
+                          ("pff", [24, 576])])
 def test_search_inverts_one_full_size_system(monkeypatch, family, sizes):
     search, code = SEARCHES[family]
     inverted = []

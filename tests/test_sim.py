@@ -3,13 +3,16 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
 
+import reference
 import stairfec
-from stairfec import ff
+from stairfec import ff, sim
 from stairfec.sim import build_codec, bsc_corrupt, run_frames, run_monte_carlo
 
 
@@ -178,3 +181,77 @@ def test_partial_factory_is_picklable():
 
     factory = partial(build_codec, "sc", 4, 1, 1, length=6)
     pickle.loads(pickle.dumps(factory))
+
+
+@pytest.mark.parametrize("family, code, kwargs",
+                         [("sc", (8, 3, 63), dict(length=8)),
+                          ("ff", (8, 3, 63), dict(length=8)),
+                          ("pff", (8, 3, 15), dict(L=2, length=3))])
+def test_warm_frame_stays_below_the_mmap_threshold(family, code, kwargs):
+    """A warm Monte Carlo frame of the benchmark's codes at p = 0.001 (the
+    error floor, where draws are most of a frame) allocates less than
+    128 KiB in all, glibc's least mmap threshold, so no allocation of it is
+    mmapped whatever set-up freed before; one float64 draw per transmitted
+    bit took 442-663 KB."""
+    codec = build_codec(family, *code, window=7, l_max=8, **kwargs)
+    run_frames(codec, 0.001, 1, range(2))
+    tracemalloc.start()
+    try:
+        run_frames(codec, 0.001, 1, [2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 << 10, peak
+
+
+def run_in_threads(targets, timeout=120):
+    threads = [threading.Thread(target=target) for target in targets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def test_threads_running_frames_at_once_count_as_a_serial_run():
+    """Each thread draws into a uniform buffer of its own: four threads
+    (more than this machine's cores) running frames at once return the
+    counters of running them one after another."""
+    codec = build_codec("sc", 7, 1, 1, length=6, window=4, l_max=4)
+    seeds = range(4)
+    serial = [run_frames(codec, 0.01, seed, range(50)) for seed in seeds]
+    got = {}
+
+    def target(seed):
+        return lambda: got.setdefault(seed,
+                                      run_frames(codec, 0.01, seed, range(50)))
+
+    run_in_threads([target(seed) for seed in seeds])
+    assert [got.get(seed) for seed in seeds] == serial
+
+
+def test_noise_buffer_regrows_for_a_larger_codec():
+    """In a fresh thread, a small codec's frames size the uniform buffer,
+    a larger codec's regrow it, and the small codec then draws from the
+    front of the larger buffer; the counters equal those of encoding,
+    corrupting and decoding every frame."""
+    small = toy_factory()
+    large = build_codec("pff", 7, 2, 41, L=1, length=2)
+    assert small.n_tx < large.n_tx
+    runs = [small, large, small]
+    got = []
+
+    def target():
+        for codec in runs:
+            got.append((run_frames(codec, 0.02, 3, range(6)),
+                        len(sim._uniforms.buf)))
+
+    run_in_threads([target])
+    assert [size for _, size in got] == [small.n_tx, large.n_tx, large.n_tx]
+    for codec, (counters, _) in zip(runs, got):
+        assert counters == reference.run_frames(codec, 0.02, 3, range(6))
