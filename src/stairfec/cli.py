@@ -196,7 +196,7 @@ def cmd_inject(args):
     codec = _make_codec(args)
     try:
         pattern = gen_stall(codec, seed=args.pattern_seed)
-    except RuntimeError as err:
+    except (RuntimeError, ValueError) as err:  # ValueError: frame too short
         print(f"stall generation failed: {err}", file=sys.stderr)
         return EXIT_CONSTRUCTION
     fixed, minimal = certify_stall(codec, pattern)

@@ -33,6 +33,7 @@ same numbers as ``Generator.random(n)``.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import threading
 import time
@@ -213,42 +214,28 @@ def run_monte_carlo(codec_factory, p, *, master_seed=0, min_bit_errors=100,
             f"min_bit_errors must be at least 1, got {min_bit_errors}")
     start = time.monotonic()
     codec = codec_factory() if callable(codec_factory) else codec_factory
-    totals = [0, 0, 0, 0, 0]
-    next_index = 0
-
-    def accumulate(res):
-        for i in range(5):
-            totals[i] += res[i]
-
+    totals = [0, 0, 0, 0, 0]  # frames first: the next frame's index
     if workers <= 1:
-        while totals[2] < min_bit_errors and totals[0] < max_frames:
-            count = min(batch_frames, max_frames - totals[0])
-            accumulate(run_frames(
-                codec, p, master_seed, range(next_index, next_index + count)
-            ))
-            next_index += count
+        pool = contextlib.nullcontext()
+        run = partial(map, partial(run_frames, codec, p, master_seed))
     else:
         # imported here: multiprocessing costs every process ~20 ms to import
         from concurrent.futures import ProcessPoolExecutor
 
         factory = partial(build_codec, **codec.identity(),
                           window=codec.window, l_max=codec.l_max)
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(factory,),
-        ) as pool:
-            while totals[2] < min_bit_errors and totals[0] < max_frames:
-                count = min(batch_frames, max_frames - totals[0])
-                indices = list(range(next_index, next_index + count))
-                next_index += count
-                chunks = [indices[w::workers] for w in range(workers)]
-                futures = [
-                    pool.submit(_worker_task, p, master_seed, chunk)
-                    for chunk in chunks if chunk
-                ]
-                for fut in futures:
-                    accumulate(fut.result())
+        pool = ProcessPoolExecutor(max_workers=workers,
+                                   initializer=_init_worker,
+                                   initargs=(factory,))
+        run = partial(pool.map, partial(_worker_task, p, master_seed))
+    with pool:
+        while totals[2] < min_bit_errors and totals[0] < max_frames:
+            count = min(batch_frames, max_frames - totals[0])
+            indices = range(totals[0], totals[0] + count)
+            # one chunk per worker, frames dealt round-robin
+            chunks = max(1, min(workers, count))
+            for res in run(indices[w::chunks] for w in range(chunks)):
+                totals = [a + b for a, b in zip(totals, res)]
 
     return SimReport(
         family=codec.family,

@@ -3,8 +3,8 @@ Reference helpers used only by the tests.
 
 Matrix forms of the index-array permutations, slow but obvious algebra
 (scalar GF(2^m) arithmetic and binary polynomial division among it), the
-scalar BDD oracle, the word-table syndrome gather and the ff mirror views,
-kept apart from the package so the tests can check the package against
+scalar BDD oracle, the word-table syndrome gather, the ff mirror views and
+the stall certificate on encoded frames, kept apart from the package so the tests can check the package against
 them.
 """
 
@@ -15,6 +15,7 @@ import numpy as np
 
 from stairfec import ff, gf2, pff
 from stairfec.bch import code_pair
+from stairfec.floors import StallPattern, apply_stall
 
 
 # -- GF(2) matrices ------------------------------------------------------------
@@ -636,3 +637,33 @@ def run_frames(codec, p, master_seed, indices):
         blocks += per_block.size
         block_errors += int(np.count_nonzero(per_block))
     return len(indices), bits, bit_errors, blocks, block_errors
+
+
+# -- stall patterns ----------------------------------------------------------------
+
+
+def certify_stall(codec, pattern, payload=None):
+    """``floors.certify_stall`` on encoded frames: encode the payload (by
+    default all-zero), apply the pattern and decode the whole frame, which
+    must come back unchanged, then each pattern with one entry dropped, which
+    must decode to the clean frame."""
+    if payload is None:
+        payload = np.zeros(codec.payload_bits, dtype=np.uint8)
+    clean = codec.encode_payload(payload).buf
+    frame = apply_stall(codec, codec.encode_payload(payload), pattern)
+    corrupted = frame.buf.copy()
+    codec.decode_frame(frame)
+    fixed = (frame.buf == corrupted).all()
+    deletions_ok = True
+    for drop in range(pattern.weight):
+        sub = StallPattern(
+            pattern.family,
+            tuple(e for i, e in enumerate(pattern.entries) if i != drop),
+        )
+        frame = codec.encode_payload(payload)
+        apply_stall(codec, frame, sub)
+        codec.decode_frame(frame)
+        if not (frame.buf == clean).all():
+            deletions_ok = False
+            break
+    return fixed, deletions_ok

@@ -245,6 +245,15 @@ def test_inject_reports_certificate(capsys):
     assert d["fixed_point"] and d["single_deletions_corrected"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--family", "sc", "--m", "5", "--t", "2", "--s", "1", "--length", "2"],
+    ["--family", "pff", "--m", "7", "--t", "2", "--s", "41", "--length", "1"],
+])
+def test_inject_on_a_frame_too_short_for_a_stall_exits_3(argv, capsys):
+    assert main(["inject"] + argv) == 3
+    assert "stall generation failed" in capsys.readouterr().err
+
+
 def test_simulate_csv(capsys):
     code, out = run_cli(capsys, [
         "simulate", "--family", "sc", "--m", "4", "--t", "1", "--s", "1",
