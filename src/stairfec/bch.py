@@ -54,6 +54,7 @@ on them.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -135,29 +136,14 @@ def table_bytes(m, t):
 
 
 def _increasing(order, k, chunk=1 << 12):
-    """Every strictly increasing k-tuple of range(order), in blocks of at
-    most ``chunk`` rows, or of the tuples of one first entry where those
-    alone are more."""
-    if k == 0:
-        yield np.zeros((1, 0), dtype=np.intp)
-        return
-    # the tuples starting at f number C(order - 1 - f, k - 1)
-    ends = np.cumsum([math.comb(order - 1 - f, k - 1)
-                      for f in range(order - k + 1)])
-    f0 = 0
-    while f0 < len(ends):
-        done = ends[f0 - 1] if f0 else 0
-        f1 = max(f0 + 1, int(np.searchsorted(ends, done + chunk, "right")))
-        tuples = np.arange(f0, f1)[:, None]
-        for _ in range(k - 1):
-            # each tuple goes on with every entry above its last
-            last = tuples[:, -1]
-            counts = order - 1 - last
-            row = np.repeat(np.arange(len(tuples)), counts)
-            step = np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
-            tuples = np.column_stack([tuples[row], last[row] + 1 + step])
-        yield tuples
-        f0 = f1
+    """Every strictly increasing k-tuple of range(order), in lexicographic
+    order, as arrays of at most ``chunk`` rows."""
+    tuples = itertools.combinations(range(order), k)
+    total = math.comb(order, k)
+    for start in range(0, total, chunk):
+        rows = min(chunk, total - start)
+        flat = itertools.chain.from_iterable(itertools.islice(tuples, rows))
+        yield np.fromiter(flat, np.intp, rows * k).reshape(rows, k)
 
 
 def build_syndrome_table(field, t):

@@ -256,25 +256,28 @@ def build_construction(code_row, code_col, s1, s2, mode="custom"):
     return FFConstruction(code_row, code_col, s1, s2, mode)
 
 
-def _candidates(m_side, r, rng, max_tries):
-    """Shift pairs in order of preference, drawn from ``rng`` lazily;
-    ValueError before the first when 2r >= M."""
+MAX_TRIES = 200  # random shift pairs that a search draws after the first
+
+
+def _candidates(m_side, r, rng):
+    """Shift pairs in order of preference, ``MAX_TRIES`` drawn from ``rng``
+    lazily after the first; ValueError before the first when 2r >= M."""
     yield "low_ef", low_ef_shifts(m_side, r)
     # Any pair with 2r pairwise-distinct shifts spreads every row's
     # mirrors over distinct column words, same as the canonical pair.
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         shifts = rng.choice(m_side, size=2 * r, replace=False)
         yield "block_shift_spread", (shifts[:r], shifts[r:])
 
 
 @gf2.memoize
-def search_construction(m, t, s, *, seed=0, max_tries=200):
+def search_construction(m, t, s, *, seed=0):
     """Find an invertible construction for the given component parameters.
 
-    Tries the low-error-floor shift pair, then up to ``max_tries`` random
+    Tries the low-error-floor shift pair, then up to ``MAX_TRIES`` random
     pairs of 2r distinct shifts; ValueError, before any candidate is built,
     when 2r >= M leaves no such pair.  A process searches once per
-    ``(m, t, s, seed, max_tries)`` and shares the read-only result while it
+    ``(m, t, s, seed)`` and shares the read-only result while it
     fits the byte budget of :func:`gf2.memoize`; a failed search is
     repeated on every call.
     """
@@ -282,7 +285,7 @@ def search_construction(m, t, s, *, seed=0, max_tries=200):
     m_side = (code_row.k - code_row.r) // 2
     last_err = None
     for mode, (s1, s2) in _candidates(m_side, code_row.r,
-                                      np.random.default_rng(seed), max_tries):
+                                      np.random.default_rng(seed)):
         try:
             return build_construction(code_row, code_col, s1, s2, mode=mode)
         except gf2.SingularMatrixError as err:

@@ -101,26 +101,29 @@ class FloorEstimate:
     weight: int
 
 
-def _estimate(family, p, bker, ber, weight):
-    return FloorEstimate(family, p, min(bker, 1.0), min(ber, 1.0), weight)
+def _estimate(family, p, count, weight, share):
+    """The estimate from ``count`` stall patterns of ``weight`` bits, each
+    leaving a ``share`` of a block's bits in error, at 0 < p < 1, taken in
+    the log domain and capped there: the count may exceed every float."""
+    log_bker = math.log(count) + weight * math.log(p)
+    bker = math.exp(min(log_bker, 0.0))
+    ber = math.exp(min(log_bker + math.log(share), 0.0))
+    return FloorEstimate(family, p, bker, ber, weight)
 
 
 def ff_floor(m_side, r, t, p):
     """Dominant-stall floor for FF codes (pattern weight t_r(t+1))."""
     t_i = (t + 1) // 2
     t_r = t + 1 - t_i
-    bker = math.comb(m_side, t_r) * math.comb(2 * r, t_r) * p ** (t_r * (t + 1))
-    ber = bker * t_i * t_r / m_side**2
-    return _estimate("ff", p, bker, ber, t_r * (t + 1))
+    count = math.comb(m_side, t_r) * math.comb(2 * r, t_r)
+    return _estimate("ff", p, count, t_r * (t + 1), t_i * t_r / m_side**2)
 
 
 def _square_floor(family, m_side, t, p):
-    total = sum(
-        math.comb(m_side, k) * math.comb(m_side, t + 1 - k) for k in range(t + 1)
-    )
-    bker = math.comb(m_side, t + 1) * total * p ** ((t + 1) ** 2)
-    ber = bker * (t + 1) ** 2 / m_side**2
-    return _estimate(family, p, bker, ber, (t + 1) ** 2)
+    total = sum(math.comb(m_side, k) * math.comb(m_side, t + 1 - k)
+                for k in range(t + 1))
+    return _estimate(family, p, math.comb(m_side, t + 1) * total, (t + 1) ** 2,
+                     (t + 1) ** 2 / m_side**2)
 
 
 def sc_floor(m_side, t, p):

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .galois import DEFAULT_PRIMITIVE_POLYS
+
 __all__ = ["FamilyParams", "family_params", "FAMILIES"]
 
 FAMILIES = ("sc", "ff", "pff")
@@ -51,11 +53,13 @@ def family_params(family, m, t, s):
     """Derive (n, k, r, M, R, OH) for one code family.
 
     Raises ValueError for parameter combinations the family cannot use
-    (odd n for staircase, k/r parity mismatch or 2r >= M for FF, M <= 2r
-    or non-positive rate for PFF).
+    (m outside ``galois.DEFAULT_PRIMITIVE_POLYS``, odd n for staircase, k/r
+    parity mismatch or 2r >= M for FF, M <= 2r or non-positive rate for PFF).
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    if m not in DEFAULT_PRIMITIVE_POLYS:
+        raise ValueError(f"no field of degree m = {m}")
     n = (1 << m) - 1 - s
     r = m * t
     k = n - r

@@ -105,61 +105,24 @@ def _poly_gcd(a, b):
     return a
 
 
-def _poly_lcm(a, b):
-    """lcm(a, b): a times the quotient b / gcd(a, b), carry-less."""
-    g, quot, prod = _poly_gcd(a, b), 0, 0
-    while b.bit_length() >= g.bit_length():
-        shift = b.bit_length() - g.bit_length()
-        quot |= 1 << shift
-        b ^= g << shift
-    while quot:
-        if quot & 1:
-            prod ^= a
-        a, quot = a << 1, quot >> 1
-    return prod
-
-
-def _minimal_polynomial(cols):
-    """The minimal polynomial over GF(2) of the matrix whose columns are
-    ``cols`` (ints, bit i: row i), as an int.
-
-    It is the lcm of the Krylov polynomials of unit vectors whose Krylov
-    spaces together span GF(2)^r: the least-degree p with p(N) e_j = 0 for
-    each unit vector e_j that the Krylov spaces of earlier ones do not
-    span.  Vectors are ints, reduced on dicts keyed by their lowest bit.
-    """
-    def apply(v):
-        out = 0
-        while v:
-            out ^= cols[(v & -v).bit_length() - 1]
-            v &= v - 1
-        return out
-
-    spanned, mu = {}, 1
-    for j in range(len(cols)):
-        v = 1 << j
-        while v and (v & -v) in spanned:
-            v ^= spanned[v & -v]
+def _minimal_polynomial(n):
+    """The minimal polynomial over GF(2) of the square matrix N = ``n`` as
+    an int (bit i: x^i): x^k plus the combination of I, N, ..., N^(k-1)
+    that gives the first power N^k that the lower ones span.  Powers are
+    flattened into ints and reduced on a dict keyed by lowest set bit,
+    each entry with the polynomial in N that gives it."""
+    basis, power = {}, gf2.identity(len(n))
+    while True:
+        v = int.from_bytes(np.packbits(power, bitorder="little").tobytes(),
+                           "little")
+        poly = 1 << len(basis)  # every lower power added one entry
+        while v and (v & -v) in basis:
+            lower, lower_poly = basis[v & -v]
+            v, poly = v ^ lower, poly ^ lower_poly
         if not v:
-            continue
-        # e_j's Krylov sequence, each vector reduced with the polynomial
-        # that gives it from e_j, until one reduces to zero
-        own, v, poly = {}, 1 << j, 1
-        while True:
-            while v and (v & -v) in own:
-                basis, basis_poly = own[v & -v]
-                v, poly = v ^ basis, poly ^ basis_poly
-            if not v:
-                break
-            own[v & -v] = v, poly
-            v, poly = apply(v), poly << 1
-        mu = _poly_lcm(mu, poly)
-        for v, _ in own.values():
-            while v and (v & -v) in spanned:
-                v ^= spanned[v & -v]
-            if v:
-                spanned[v & -v] = v
-    return mu
+            return poly
+        basis[v & -v] = v, poly
+        power = gf2.mat_mul(power, n)
 
 
 def reduced_b_invertible(a_inv, h):
@@ -177,10 +140,7 @@ def reduced_b_invertible(a_inv, h):
     reciprocals of mu0's; that covers mu0(1) = 0, since 1 is its own
     reciprocal.
     """
-    n = gf2.mat_mul(a_inv, h.T)
-    packed = np.packbits(n, axis=0, bitorder="little")
-    mu = _minimal_polynomial([int.from_bytes(col.tobytes(), "little")
-                              for col in packed.T])
+    mu = _minimal_polynomial(gf2.mat_mul(a_inv, h.T))
     mu0 = mu >> ((mu & -mu).bit_length() - 1)
     return _poly_gcd(mu0, int(bin(mu0)[:1:-1], 2)) == 1
 
@@ -250,22 +210,26 @@ def build_pff_construction(code_row, code_col, pi, a_inv, mode="custom"):
     return PFFConstruction(code_row, code_col, pi, a_inv, mode)
 
 
-def _candidates(r, rng, max_tries):
-    """Row permutations Pi of G_B, identity first, drawn from ``rng`` lazily."""
+MAX_TRIES = 200  # random Pi that a search draws after the identity
+
+
+def _candidates(r, rng):
+    """Row permutations Pi of G_B: the identity, then ``MAX_TRIES`` drawn
+    from ``rng`` lazily."""
     yield "identity", np.arange(2 * r)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         yield "random", rng.permutation(2 * r)
 
 
 @gf2.memoize
-def search_pff_construction(m, t, s, *, seed=0, max_tries=200):
+def search_pff_construction(m, t, s, *, seed=0):
     """Find a Pi making both staged systems invertible; identity first.
 
     The stage-1 system does not depend on Pi, so it is inverted once.  Each
     candidate is decided on its r x r matrix N (:func:`reduced_b_invertible`),
     and only the Pi kept builds its construction, which inverts its
     r^2 x r^2 system R.  Memoized like :func:`ff.search_construction`: one
-    search per process and ``(m, t, s, seed, max_tries)``, within
+    search per process and ``(m, t, s, seed)``, within
     :func:`gf2.memoize`'s budget.
     """
     code_row, code_col = code_pair(m, t, s)
@@ -277,7 +241,7 @@ def search_pff_construction(m, t, s, *, seed=0, max_tries=200):
     r, m_side = code_row.r, (code_row.k - code_row.r) // 2
     g_b = code_row.g_p[m_side - 2 * r : m_side]
     f_r = code_col.g_p[2 * m_side :]
-    for mode, pi in _candidates(r, np.random.default_rng(seed), max_tries):
+    for mode, pi in _candidates(r, np.random.default_rng(seed)):
         if reduced_b_invertible(a_inv, stage2_h(g_b[pi], f_r)):
             return build_pff_construction(code_row, code_col, pi, a_inv,
                                           mode=mode)

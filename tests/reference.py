@@ -3,9 +3,9 @@ Reference helpers used only by the tests.
 
 Matrix forms of the index-array permutations, slow but obvious algebra
 (scalar GF(2^m) arithmetic and binary polynomial division among it), the
-scalar BDD oracle, the word-table syndrome gather, the ff mirror views and
-the stall certificate on encoded frames, kept apart from the package so the tests can check the package against
-them.
+scalar BDD oracle, the word-table syndrome gather, the ff mirror views, the
+Krylov minimal polynomial and the stall certificate on encoded frames, kept
+apart from the package so the tests can check the package against them.
 """
 
 import math
@@ -352,7 +352,7 @@ def ring_form(a, m_side, r):
     return a[:r].reshape(r, m_side, r).swapaxes(0, 1).copy()
 
 
-def search_dense(m, t, s, seed=0, max_tries=200):
+def search_dense(m, t, s, seed=0):
     """ff's search decided on the dense A of each candidate, in the
     search's own candidate order: (mode, s1, s2, A^-1) of the first
     candidate whose A inverts, or None."""
@@ -360,8 +360,7 @@ def search_dense(m, t, s, seed=0, max_tries=200):
     m_side, r = (row.k - row.r) // 2, row.r
     g_r, f_r = row.g_p[2 * m_side :], col.g_p[2 * m_side :]
     for mode, (s1, s2) in ff._candidates(m_side, r,
-                                         np.random.default_rng(seed),
-                                         max_tries):
+                                         np.random.default_rng(seed)):
         a = build_a_matrix(m_side, r, g_r, f_r,
                            ff.shifted_block_indices(s1, m_side),
                            ff.shifted_block_indices(s2, m_side))
@@ -426,6 +425,67 @@ def reduced_b_invertible(a_small, g_b_t, f_r):
     except gf2.SingularMatrixError:
         return False
     return True
+
+
+def _poly_lcm(a, b):
+    """lcm(a, b): a times the quotient b / gcd(a, b), carry-less."""
+    g, quot, prod = pff._poly_gcd(a, b), 0, 0
+    while b.bit_length() >= g.bit_length():
+        shift = b.bit_length() - g.bit_length()
+        quot |= 1 << shift
+        b ^= g << shift
+    while quot:
+        if quot & 1:
+            prod ^= a
+        a, quot = a << 1, quot >> 1
+    return prod
+
+
+def minimal_polynomial(n):
+    """The minimal polynomial over GF(2) of the square matrix ``n``, as an
+    int (bit i: x^i), computed apart from ``pff._minimal_polynomial``'s
+    powers of N.
+
+    It is the lcm of the Krylov polynomials of unit vectors whose Krylov
+    spaces together span GF(2)^r: the least-degree p with p(N) e_j = 0 for
+    each unit vector e_j that the Krylov spaces of earlier ones do not
+    span.  Vectors are ints (bit i: row i), reduced on dicts keyed by their
+    lowest bit.
+    """
+    cols = [int("".join(map(str, col[::-1])), 2) for col in n.T]
+
+    def apply(v):
+        out = 0
+        while v:
+            out ^= cols[(v & -v).bit_length() - 1]
+            v &= v - 1
+        return out
+
+    spanned, mu = {}, 1
+    for j in range(len(cols)):
+        v = 1 << j
+        while v and (v & -v) in spanned:
+            v ^= spanned[v & -v]
+        if not v:
+            continue
+        # e_j's Krylov sequence, each vector reduced with the polynomial
+        # that gives it from e_j, until one reduces to zero
+        own, v, poly = {}, 1 << j, 1
+        while True:
+            while v and (v & -v) in own:
+                basis, basis_poly = own[v & -v]
+                v, poly = v ^ basis, poly ^ basis_poly
+            if not v:
+                break
+            own[v & -v] = v, poly
+            v, poly = apply(v), poly << 1
+        mu = _poly_lcm(mu, poly)
+        for v, _ in own.values():
+            while v and (v & -v) in spanned:
+                v ^= spanned[v & -v]
+            if v:
+                spanned[v & -v] = v
+    return mu
 
 
 # -- BCH bounded-distance decoding -------------------------------------------------

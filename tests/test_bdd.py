@@ -187,7 +187,9 @@ def test_table_holds_every_pattern_once():
         assert s1 in (0, 1) and row == s1 | s3 << 1
 
 
-@pytest.mark.parametrize("m,t", [(5, 4), (6, 4), (7, 4), (5, 2), (8, 3)])
+@pytest.mark.parametrize("m,t", [(5, 4), (6, 4), (7, 4), (5, 2), (8, 3),
+                                 # k = 1 in 16 blocks, up to k = 5, k = 0 alone
+                                 (16, 2), (4, 6), (2, 1)])
 def test_table_build_matches_block_by_block_enumeration(m, t):
     field = galois.field(m)
     table = bch.build_syndrome_table(field, t)

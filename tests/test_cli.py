@@ -344,6 +344,31 @@ def test_floor_caps_estimates_at_one(capsys):
         assert 0 < low["ber"] < low["bker"] < 1
 
 
+@pytest.mark.parametrize("argv, exit_code", [
+    (["params", "--family", "sc", "--m", "20000", "--t", "1", "--s", "1"], 3),
+    (["floor", "--family", "sc", "--m", "2000", "--t", "3", "--s", "1",
+      "--p", "0.001"], 3),
+    # stall counts beyond every float
+    (["floor", "--family", "pff", "--m", "16", "--t", "400", "--s", "1",
+      "--p", "0.001"], 0),
+    (["floor", "--family", "ff", "--m", "16", "--t", "600", "--s", "1",
+      "--p", "0.001"], 0),
+], ids=["params sc m=20000", "floor sc m=2000", "floor pff t=400",
+        "floor ff t=600"])
+def test_huge_parameters_exit_with_a_documented_code(argv, exit_code,
+                                                     capsys):
+    """An m without a field is refused before 2^m is taken to thousands of
+    digits, and a floor whose exact count overflows a float is still
+    estimated."""
+    assert main(argv) == exit_code
+    out, err = capsys.readouterr()
+    if exit_code:
+        assert "no field of degree" in err
+    else:
+        (row,) = _finite_json(out)
+        assert 0 <= row["ber"] <= row["bker"] <= 1
+
+
 def test_ncg_and_floor_print_finite_json(capsys):
     for rate, p15 in [("3/4", "1.82e-2"), ("0.75", "1e-300"),
                       ("1/1000", "0.49"), ("999/1000", "1e-3")]:

@@ -65,7 +65,7 @@ def test_stage2_solve_matches_b_inverse(code, count):
     axes and one at a time."""
     row, col = code_pair(*code)
     rng = np.random.default_rng(11)
-    candidates = pff._candidates(row.r, np.random.default_rng(0), count)
+    candidates = pff._candidates(row.r, np.random.default_rng(0))
     a_inv = gf2.invert(pff.stage1_matrix(row, col))
     solved = 0
     for mode, pi in itertools.islice(candidates, count):

@@ -18,8 +18,8 @@ import itertools
 import numpy as np
 import pytest
 
-from reference import (build_a_matrix, build_b_matrix, reduced_b_invertible,
-                       ring_form, search_dense)
+from reference import (build_a_matrix, build_b_matrix, minimal_polynomial,
+                       reduced_b_invertible, ring_form, search_dense)
 from stairfec import ff, gf2, pff
 from stairfec.bch import code_pair
 from stairfec.parameters import family_params
@@ -39,7 +39,8 @@ def ff_systems(m, t, s, seed, tries, count=None):
     row, col = code_pair(m, t, s)
     m_side, r = (row.k - row.r) // 2, row.r
     g_r, f_r = row.g_p[2 * m_side :], col.g_p[2 * m_side :]
-    candidates = ff._candidates(m_side, r, np.random.default_rng(seed), tries)
+    candidates = itertools.islice(
+        ff._candidates(m_side, r, np.random.default_rng(seed)), 1 + tries)
     for mode, (s1, s2) in itertools.islice(candidates, count):
         dense = build_a_matrix(m_side, r, g_r, f_r,
                                ff.shifted_block_indices(s1, m_side),
@@ -56,7 +57,8 @@ def pff_systems(m, t, s, seed, tries, count=None):
     f_r = col.g_p[2 * m_side :]
     a_small = g_r.T ^ f_r.T
     assert invertible(a_small)
-    candidates = pff._candidates(r, np.random.default_rng(seed), tries)
+    candidates = itertools.islice(
+        pff._candidates(r, np.random.default_rng(seed)), 1 + tries)
     for _, pi in itertools.islice(candidates, count):
         yield a_small, g_i[m_side - 2 * r : m_side][pi], f_r
 
@@ -115,8 +117,8 @@ def test_lifted_inverse_is_the_dense_inverse(code):
     row, col = code_pair(*code)
     m_side, r = (row.k - row.r) // 2, row.r
     lifted = 0
-    for mode, (s1, s2) in ff._candidates(m_side, r,
-                                         np.random.default_rng(0), 3):
+    for mode, (s1, s2) in itertools.islice(
+            ff._candidates(m_side, r, np.random.default_rng(0)), 4):
         a = build_a_matrix(m_side, r, row.g_p[2 * m_side :],
                            col.g_p[2 * m_side :],
                            ff.shifted_block_indices(s1, m_side),
@@ -272,8 +274,40 @@ NILPOTENT = np.triu(np.ones((3, 3), dtype=np.uint8), 1)
      0b10000001),
 ])
 def test_minimal_polynomial(n, mu):
-    cols = [int("".join(map(str, col[::-1])), 2) for col in n.T]
-    assert pff._minimal_polynomial(cols) == mu
+    assert pff._minimal_polynomial(n) == mu
+
+
+def random_square(kind, r, rng):
+    """An r x r matrix: uniformly random, of rank below r, or block-diagonal
+    with a block repeated, so that the minimal polynomial is not the
+    characteristic one."""
+    if kind == "random":
+        return rng.integers(0, 2, (r, r), dtype=np.uint8)
+    if kind == "low_rank":
+        k = int(rng.integers(0, r))
+        return gf2.mat_mul(rng.integers(0, 2, (r, k), dtype=np.uint8),
+                           rng.integers(0, 2, (k, r), dtype=np.uint8))
+    sizes = []
+    while sum(sizes) < r:
+        sizes.append(int(rng.integers(1, r - sum(sizes) + 1)))
+    blocks = [rng.integers(0, 2, (d, d), dtype=np.uint8) for d in sizes]
+    # the first block again, in place of the last where it fits
+    if sizes[0] <= sizes[-1] and len(sizes) > 1:
+        blocks[-1] = block_diag(blocks[0], gf2.zeros(sizes[-1] - sizes[0],
+                                                     sizes[-1] - sizes[0]))
+    return block_diag(*blocks)
+
+
+@pytest.mark.parametrize("kind", ["random", "low_rank", "block_diagonal"])
+def test_minimal_polynomial_matches_the_krylov_lcm(kind):
+    """The first power of N that the lower ones span gives the polynomial
+    that the lcm of N's Krylov polynomials gives (``reference``), for
+    r = 1..48."""
+    rng = np.random.default_rng(["random", "low_rank",
+                                 "block_diagonal"].index(kind))
+    for r in itertools.chain(range(1, 49), rng.integers(1, 49, 152)):
+        n = random_square(kind, int(r), rng)
+        assert pff._minimal_polynomial(n) == minimal_polynomial(n), (kind, r)
 
 
 @pytest.mark.parametrize("n, invertible_r", [
@@ -350,12 +384,14 @@ def test_benchmark_pff_construction_is_pinned():
     assert list(cons.pi[:6]) == [43, 39, 30, 35, 37, 47]
 
 
-def test_pff_search_refusing_every_candidate_raises():
+def test_pff_search_refusing_every_candidate_raises(monkeypatch):
     """pff(8,3,15) with three random draws tries only the four Pi that N
     refuses."""
+    monkeypatch.setattr(pff, "MAX_TRIES", 3)
+    pff.search_pff_construction.cache_clear()
     with pytest.raises(gf2.SingularMatrixError,
                        match="singular for every candidate"):
-        pff.search_pff_construction(8, 3, 15, max_tries=3)
+        pff.search_pff_construction(8, 3, 15)
 
 
 # the sizes of the systems inverted, in order: ff(8,3,63) rejects its
@@ -388,7 +424,7 @@ def test_pff_search_shares_one_stage1_inverse(code, seed):
     """The search inverts A_s once for all its candidates and finds what
     building each candidate on its own, with A_s inverted anew, finds."""
     row, col = code_pair(*code)
-    for mode, pi in pff._candidates(row.r, np.random.default_rng(seed), 200):
+    for mode, pi in pff._candidates(row.r, np.random.default_rng(seed)):
         try:
             alone = pff.build_pff_construction(
                 row, col, pi, gf2.invert(pff.stage1_matrix(row, col)), mode)
